@@ -20,6 +20,7 @@ __all__ = [
     "Subdomain",
     "Decomposition",
     "build_decomposition",
+    "congruence_classes",
     "restrict",
     "prolongate_weighted",
     "decomposition_summary",
@@ -199,6 +200,23 @@ def build_decomposition(
         subdomains=subdomains,
         multiplicity=multiplicity,
     )
+
+
+def congruence_classes(dec: Decomposition) -> list:
+    """Group the subdomains into classes of translated copies of one box.
+
+    The key holds, per axis, whether the box touches the lo side and the hi
+    side of the domain and its extent in cells.  On the uniform mesh the
+    members of a class have the same local problem, so there are at most 3^d
+    classes when every box is at least overlap_layers cells wide.  Returns
+    (key, member indices) pairs in the order of their first member.
+    """
+    m = dec.mesh.intervals_per_edge
+    classes: dict = {}
+    for sub in dec.subdomains:
+        key = tuple((lo == 0, hi == m, hi - lo) for lo, hi in zip(sub.cell_lo, sub.cell_hi))
+        classes.setdefault(key, []).append(sub.index)
+    return list(classes.items())
 
 
 def restrict(sub: Subdomain, v: np.ndarray) -> np.ndarray:

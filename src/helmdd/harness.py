@@ -137,7 +137,7 @@ def _precon_label(cfg: dict) -> str:
     return name
 
 
-def _failure_row(config: SolveConfig) -> dict:
+def _failure_row(config: SolveConfig, ctx: SolverContext | None = None) -> dict:
     return {
         "k": config.k,
         "d": config.dim,
@@ -146,9 +146,9 @@ def _failure_row(config: SolveConfig) -> dict:
         "beta": "" if config.beta is None else config.beta,
         "precon": _precon_label(config.to_dict()),
         "mode": config.mode,
-        "N_sub": 0,
-        "n": 0,
-        "n_CS": 0,
+        "N_sub": 0 if ctx is None else ctx.n_subdomains,
+        "n": 0 if ctx is None else ctx.n,
+        "n_CS": 0 if ctx is None else ctx.n_cs,
         "iterations": -1,
         "converged": False,
         "solve_seconds": 0.0,
@@ -156,17 +156,27 @@ def _failure_row(config: SolveConfig) -> dict:
 
 
 def run_config_group(config: SolveConfig, seeds) -> tuple:
-    """Build one solver context and run it for every seed; returns (rows, reports, error)."""
+    """Build one solver context and run it for every seed; returns (rows, reports, error).
+
+    A failed setup fails every seed; a failed solve fails only its seed.  Each
+    failure keeps its row (iterations = -1) and error is the failures' text,
+    one line per failed seed, or None.
+    """
     try:
         ctx = SolverContext(config)
     except Exception as exc:  # record and continue with the rest of the sweep
         return [_failure_row(config) for _ in seeds], [], f"{type(exc).__name__}: {exc}"
-    rows, reports = [], []
+    rows, reports, failures = [], [], []
     for seed in seeds:
-        report = ctx.run(seed)
+        try:
+            report = ctx.run(seed)
+        except Exception as exc:  # record and continue with the next seed
+            rows.append(_failure_row(config, ctx))
+            failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+            continue
         rows.append(_row_from_report(report))
         reports.append(report)
-    return rows, reports, None
+    return rows, reports, "\n".join(failures) or None
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, echo=None):

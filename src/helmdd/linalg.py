@@ -11,6 +11,7 @@ system, reported relative to ||b||.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,9 @@ def gmres(
     apply_A / apply_M are callables (or matrices) applying A and the
     preconditioner M^{-1}.  Iteration count is the number of Arnoldi steps.
     relative_to selects the residual normalization: "rhs" (default, ||b||) or
-    "initial" (||b - A x0||).
+    "initial" (||b - A x0||).  The Krylov basis takes (max_iter+1) * n * 16
+    bytes of address space; a basis larger than physical memory is refused
+    with MemoryError before anything is allocated.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -111,6 +114,14 @@ def gmres(
     M = _as_operator(apply_M) if apply_M is not None else None
     b = np.asarray(b, dtype=np.complex128)
     n = b.size
+    basis_bytes = (max_iter + 1) * n * 16
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if basis_bytes > physical:
+        raise MemoryError(
+            f"GMRES Krylov basis of (max_iter+1) x n = {max_iter + 1} x {n} complex vectors "
+            f"needs {basis_bytes / 2**30:.3g} GiB, more than the {physical / 2**30:.3g} GiB "
+            f"of physical memory; lower max_iter"
+        )
     x0 = np.zeros(n, dtype=np.complex128) if x0 is None else np.asarray(x0, dtype=np.complex128)
     if x0.size != n:
         raise ValueError(f"x0 has size {x0.size}, expected {n}")
@@ -135,8 +146,7 @@ def gmres(
     g = np.zeros(max_iter + 1, dtype=np.complex128)
     g[0] = beta
 
-    cap = min(64, max_iter + 1)
-    V = np.empty((cap, n), dtype=np.complex128)
+    V = np.empty((max_iter + 1, n), dtype=np.complex128)  # rows are touched as used
     V[0] = r0 / beta
 
     m = 0
@@ -190,9 +200,6 @@ def gmres(
             breakdown = True
             converged = res <= tol
             break
-        if j + 1 >= cap:
-            cap = min(max(2 * cap, j + 2), max_iter + 1)
-            V = np.resize(V, (cap, n))
         V[j + 1] = w / nw
 
     if m == 0:

@@ -4,6 +4,10 @@ The one-level operator is sum_j R~_j^T A_{j,eps}^{-1} R_j with local Robin
 solves built from the shifted problem.  Two-level variants add a coarse
 correction Xi = Z E^{-1} Z* with E = Z* A_eps Z, either additively or in
 hybrid (balancing) form Q M1 P + Xi with P = I - A_eps Xi, Q = I - Xi A_eps.
+
+Subdomains that are translated copies of one box (see congruence_classes)
+share one local assembly, one LU factorization and one DtN eigenproblem: the
+first member of each class stands in for all of them.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import HelmholtzParams, assemble_subdomain
-from .decomposition import Decomposition
+from .assembly import HelmholtzParams, SubdomainMatrices, assemble_subdomain
+from .decomposition import Decomposition, congruence_classes
 from .linalg import SparseFactorization, factorize, generalized_eig
 from .mesh import SimplicialMesh, interpolation_matrix
 
@@ -22,6 +26,9 @@ __all__ = [
     "PreconditionerError",
     "SelectionPolicy",
     "selection_policy",
+    "SubdomainClass",
+    "LocalProblems",
+    "assemble_local_problems",
     "OneLevelORAS",
     "CoarseSpace",
     "TwoLevelPreconditioner",
@@ -75,22 +82,98 @@ def selection_policy(kind: str, m: int | None = None) -> SelectionPolicy:
     raise ValueError(f"unknown selection kind {kind!r}")
 
 
-class OneLevelORAS:
-    """sum_j R~_j^T A_{j,eps}^{-1} R_j; immutable after construction."""
+@dataclass(frozen=True, eq=False)
+class SubdomainClass:
+    """Congruent subdomains; matrices are those of the first member."""
 
-    def __init__(self, decomposition: Decomposition, factorizations: list):
+    key: tuple
+    members: tuple  # subdomain indices, ascending
+    matrices: SubdomainMatrices
+
+
+@dataclass(frozen=True, eq=False)
+class LocalProblems:
+    """Local matrices of every congruence class, assembled with params."""
+
+    params: HelmholtzParams
+    classes: list
+
+
+def _local_structure(mesh: SimplicialMesh, sub) -> tuple:
+    local_simplices = np.searchsorted(sub.dofs, mesh.simplices[sub.elements])
+    offsets = mesh.vertices[sub.dofs] - mesh.vertices[sub.dofs[0]]
+    return local_simplices, sub.interface_dofs, sub.physical_boundary_dofs, offsets
+
+
+def _check_congruent(mesh: SimplicialMesh, rep, others) -> None:
+    """Raise unless every subdomain in others has the local structure of rep.
+
+    Compares the local element connectivity, the interface and physical-boundary
+    index arrays (exactly) and the vertex offsets from the first dof (to
+    rounding), so a member is never handed another subdomain's operator.
+    """
+    *ref, ref_offsets = _local_structure(mesh, rep)
+    for sub in others:
+        *got, offsets = _local_structure(mesh, sub)
+        same = sub.n_dofs == rep.n_dofs and all(map(np.array_equal, ref, got))
+        # coordinates lie in the unit cube, so 1e-12 is far above rounding
+        if not same or np.abs(offsets - ref_offsets).max() > 1e-12:
+            raise PreconditionerError(
+                f"subdomain {sub.index} is not congruent to subdomain {rep.index} of its class"
+            )
+
+
+def assemble_local_problems(
+    mesh: SimplicialMesh, decomposition: Decomposition, params: HelmholtzParams
+) -> LocalProblems:
+    """One assemble_subdomain call per congruence class, on its first member."""
+    subs = decomposition.subdomains
+    classes = []
+    for key, members in congruence_classes(decomposition):
+        rep = subs[members[0]]
+        _check_congruent(mesh, rep, [subs[j] for j in members[1:]])
+        classes.append(SubdomainClass(key, tuple(members), assemble_subdomain(mesh, rep, params)))
+    return LocalProblems(params, classes)
+
+
+def _reuse_or_assemble(mesh, decomposition, params, local) -> LocalProblems:
+    if local is not None and local.params == params:
+        return local
+    return assemble_local_problems(mesh, decomposition, params)
+
+
+class OneLevelORAS:
+    """sum_j R~_j^T A_{j,eps}^{-1} R_j; immutable after construction.
+
+    members[c] lists the subdomains of class c and factorizations[c] is their
+    shared LU.  apply stacks R_j v of all members of a class as the columns of
+    one multi-right-hand-side solve and scatters every result back through
+    the weighted prolongation [R~_j^T ...], an n x sum_j n_j sparse matrix
+    built once.
+    """
+
+    def __init__(self, decomposition: Decomposition, members: list, factorizations: list):
         self.decomposition = decomposition
         self.factorizations = factorizations
+        subs = decomposition.subdomains
+        # (members, n_local) global dofs per class; v[g].T is the stacked R_j v
+        self._gather = [np.stack([subs[j].dofs for j in group]) for group in members]
+        rows = np.concatenate([g.ravel() for g in self._gather])
+        weights = np.concatenate([subs[j].pou for group in members for j in group])
+        self._prolong = sp.csr_matrix(
+            (weights.astype(np.complex128), (rows, np.arange(len(rows)))),
+            shape=(self.n, len(rows)),
+        )
 
     @property
     def n(self) -> int:
         return self.decomposition.mesh.n_vertices
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.complex128)
-        for sub, lu in zip(self.decomposition.subdomains, self.factorizations):
-            out[sub.dofs] += sub.pou * lu.solve(v[sub.dofs])
-        return out
+        local = [
+            lu.solve(v[g].T).ravel(order="F") for lu, g in zip(self.factorizations, self._gather)
+        ]
+        return self._prolong @ np.concatenate(local)
 
 
 def build_one_level(
@@ -99,19 +182,24 @@ def build_one_level(
     k: float,
     epsilon_prec: float,
     eta: float | None = None,
+    local: LocalProblems | None = None,
 ) -> OneLevelORAS:
-    """Factorize every local Robin problem A_{j,eps_prec}; eta defaults to k."""
+    """Factorize the local Robin problem A_{j,eps_prec} of every class; eta defaults to k.
+
+    local reuses class matrices already assembled on the same decomposition
+    when they were built with the same parameters.
+    """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k if eta is None else eta)
+    local = _reuse_or_assemble(mesh, decomposition, params, local)
     factorizations = []
-    for sub in decomposition.subdomains:
-        mats = assemble_subdomain(mesh, sub, params)
+    for cls in local.classes:
         try:
-            factorizations.append(factorize(mats.A_local))
+            factorizations.append(factorize(cls.matrices.A_local))
         except Exception as exc:
             raise PreconditionerError(
-                f"local matrix of subdomain {sub.index} could not be factorized: {exc}"
+                f"local matrix of subdomain {cls.members[0]} could not be factorized: {exc}"
             ) from exc
-    return OneLevelORAS(decomposition, factorizations)
+    return OneLevelORAS(decomposition, [c.members for c in local.classes], factorizations)
 
 
 @dataclass(eq=False)
@@ -124,6 +212,8 @@ class CoarseSpace:
     E_fact: SparseFactorization
     per_subdomain_counts: list | None = None
     eigenvalues: list | None = None  # selected eigenvalues per subdomain (dtn)
+    # per class (dtn): min |Re(lambda) - k| / k over the whole computed spectrum
+    selection_margin: list | None = None
 
     _Zh: sp.csr_matrix = field(init=False, default=None)
 
@@ -146,6 +236,8 @@ class CoarseSpace:
             out["selected_eigenvalues"] = [
                 [[float(l.real), float(l.imag)] for l in lams] for lams in self.eigenvalues
             ]
+        if self.selection_margin is not None:
+            out["selection_margin"] = self.selection_margin
         return out
 
 
@@ -180,37 +272,37 @@ def build_dtn_cs(
     A_eps: sp.spmatrix,
     eta: float | None = None,
     eigenproblem_epsilon: float | None = None,
+    local: LocalProblems | None = None,
 ) -> CoarseSpace:
     """Coarse space from subdomain interface eigenvectors of the discrete DtN map.
 
-    Per subdomain: form the Schur complement S = A_GG - A_GI A_II^{-1} A_IG of
-    the Neumann-type matrix (I = all non-interface dofs), solve the generalized
-    eigenproblem against the interface mass matrix, select eigenvectors, extend
-    each into the subdomain by the discrete Helmholtz extension and scale by the
-    partition of unity.  Columns of Z live in exactly one subdomain block; rows
-    are shared across overlapping blocks.
+    Per congruence class: form the Schur complement S = A_GG - A_GI A_II^{-1} A_IG
+    of the Neumann-type matrix (I = all non-interface dofs), solve the
+    generalized eigenproblem against the interface mass matrix, select
+    eigenvectors and extend each into the subdomain by the discrete Helmholtz
+    extension W = [G; -A_II^{-1} A_IG G].  Every member then contributes W
+    scaled by its own partition of unity.  Columns of Z live in exactly one
+    subdomain block, in subdomain order; rows are shared across overlapping
+    blocks.
 
     eigenproblem_epsilon overrides the absorption used when building the
-    subdomain matrices for the eigenproblem (default: epsilon_prec).
+    subdomain matrices for the eigenproblem (default: epsilon_prec).  local
+    reuses class matrices as in build_one_level.
     """
     eps_eig = epsilon_prec if eigenproblem_epsilon is None else eigenproblem_epsilon
     params = HelmholtzParams(k=k, epsilon=eps_eig, eta=k if eta is None else eta)
+    local = _reuse_or_assemble(mesh, decomposition, params, local)
 
-    rows_parts = []
-    cols_parts = []
-    vals_parts = []
-    counts = []
-    eigs = []
-    col_offset = 0
-    for sub in decomposition.subdomains:
-        gamma = sub.interface_dofs
+    extensions = {}  # subdomain index -> (selected eigenvalues, unscaled W or None)
+    margins = []
+    for cls in local.classes:
+        rep = decomposition.subdomains[cls.members[0]]
+        gamma = rep.interface_dofs
         if gamma.size == 0:
-            counts.append(0)
-            eigs.append([])
+            extensions.update((j, ([], None)) for j in cls.members)
             continue
-        mats = assemble_subdomain(mesh, sub, params)
-        local = np.arange(sub.n_dofs)
-        inner = np.setdiff1d(local, gamma, assume_unique=True)
+        mats = cls.matrices
+        inner = np.setdiff1d(np.arange(rep.n_dofs), gamma, assume_unique=True)
 
         A = mats.A_neu.tocsc()
         A_II = A[inner][:, inner]
@@ -223,7 +315,7 @@ def build_dtn_cs(
             lu = factorize(A_II)
         except Exception as exc:
             raise PreconditionerError(
-                f"interior block of subdomain {sub.index} could not be factorized: {exc}"
+                f"interior block of subdomain {rep.index} could not be factorized: {exc}"
             ) from exc
         X = lu.solve(A_IG) if inner.size else np.zeros((0, gamma.size), dtype=np.complex128)
         S = A_GG - A_GI @ X
@@ -236,28 +328,45 @@ def build_dtn_cs(
         worst = np.flatnonzero(resid > bound)
         if worst.size:
             raise PreconditionerError(
-                f"eigenresidual {resid[worst[0]]:.2e} exceeds tolerance on subdomain {sub.index}"
+                f"eigenresidual {resid[worst[0]]:.2e} exceeds tolerance on subdomain {rep.index}"
             )
+        margins.append(
+            {
+                "key": [list(axis) for axis in cls.key],
+                "members": len(cls.members),
+                "margin": float(np.abs(pairs.values.real - k).min() / k),
+            }
+        )
 
         chosen = selection.select(pairs.values, k)
-        counts.append(len(chosen))
-        eigs.append(list(pairs.values[chosen]))
-        if len(chosen) == 0:
+        W = None
+        if len(chosen):
+            G = pairs.vectors[:, chosen]
+            norms = np.sqrt(np.real(np.einsum("ij,ij->j", G.conj(), M_GG @ G)))
+            G = G / norms
+            W = np.zeros((rep.n_dofs, len(chosen)), dtype=np.complex128)
+            W[gamma] = G
+            if inner.size:
+                W[inner] = -X @ G
+        extensions.update((j, (list(pairs.values[chosen]), W)) for j in cls.members)
+
+    rows_parts = []
+    cols_parts = []
+    vals_parts = []
+    counts = []
+    eigs = []
+    col_offset = 0
+    for sub in decomposition.subdomains:
+        values, W = extensions[sub.index]
+        counts.append(len(values))
+        eigs.append(values)
+        if W is None:
             continue
-
-        G = pairs.vectors[:, chosen]
-        norms = np.sqrt(np.real(np.einsum("ij,ij->j", G.conj(), M_GG @ G)))
-        G = G / norms
-        W = np.zeros((sub.n_dofs, len(chosen)), dtype=np.complex128)
-        W[gamma] = G
-        if inner.size:
-            W[inner] = -X @ G
-        W *= sub.pou[:, None]
-
-        rows_parts.append(np.tile(sub.dofs, len(chosen)))
-        cols_parts.append(np.repeat(col_offset + np.arange(len(chosen)), sub.n_dofs))
-        vals_parts.append(W.T.ravel())
-        col_offset += len(chosen)
+        n_sel = W.shape[1]
+        rows_parts.append(np.tile(sub.dofs, n_sel))
+        cols_parts.append(np.repeat(col_offset + np.arange(n_sel), sub.n_dofs))
+        vals_parts.append((W * sub.pou[:, None]).T.ravel())
+        col_offset += n_sel
 
     n_cs = col_offset
     if n_cs == 0:
@@ -272,7 +381,13 @@ def build_dtn_cs(
         raise PreconditionerError("DtN coarse space contains a zero column")
     E, E_fact = _galerkin_coarse_matrix(Z, A_eps)
     return CoarseSpace(
-        kind="dtn", Z=Z, E=E, E_fact=E_fact, per_subdomain_counts=counts, eigenvalues=eigs
+        kind="dtn",
+        Z=Z,
+        E=E,
+        E_fact=E_fact,
+        per_subdomain_counts=counts,
+        eigenvalues=eigs,
+        selection_margin=margins,
     )
 
 

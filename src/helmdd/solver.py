@@ -21,6 +21,7 @@ from .linalg import gmres, random_initial_guess
 from .preconditioner import (
     SelectionPolicy,
     TwoLevelPreconditioner,
+    assemble_local_problems,
     build_dtn_cs,
     build_grid_cs,
     build_one_level,
@@ -66,6 +67,14 @@ class SolveConfig:
             raise ValueError(f"precon must be one of {PRECONDITIONERS}, got {self.precon!r}")
         if self.mode not in ("additive", "hybrid"):
             raise ValueError(f"mode must be additive or hybrid, got {self.mode!r}")
+        if self.pou not in ("ramp", "multiplicity"):
+            raise ValueError(f"pou must be ramp or multiplicity, got {self.pou!r}")
+        if self.overlap_layers < 1:
+            raise ValueError(f"overlap_layers must be >= 1, got {self.overlap_layers}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.alpha_prime is None:
             self.alpha_prime = self.alpha
         if isinstance(self.selection, str):
@@ -153,7 +162,15 @@ class SolverContext:
             self.decomposition = build_decomposition(
                 self.mesh, n1d, config.overlap_layers, pou=config.pou
             )
-            one_level = build_one_level(self.mesh, self.decomposition, k, config.epsilon_prec)
+            local = None
+            # the DtN space reuses the class matrices; otherwise build_one_level
+            # assembles them itself and frees them once the LUs exist
+            if config.precon == "two_level_dtn":
+                params = HelmholtzParams(k=k, epsilon=config.epsilon_prec, eta=k)
+                local = assemble_local_problems(self.mesh, self.decomposition, params)
+            one_level = build_one_level(
+                self.mesh, self.decomposition, k, config.epsilon_prec, local=local
+            )
             if config.precon == "one_level":
                 self.precon = one_level
             else:
@@ -177,6 +194,7 @@ class SolverContext:
                         config.selection,
                         A_eps,
                         eigenproblem_epsilon=0.0 if config.dtn_unshifted else None,
+                        local=local,
                     )
                 self.n_cs = cs.n_cs
                 self.coarse_info = cs.summary()

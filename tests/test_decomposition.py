@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helmdd.decomposition import (
     build_decomposition,
+    congruence_classes,
     decomposition_summary,
     prolongate_weighted,
     restrict,
@@ -176,3 +177,22 @@ def test_summary_json(tmp_path):
     path = tmp_path / "dec.json"
     write_decomposition_summary(dec, path)
     assert json.loads(path.read_text())["n_subdomains"] == 4
+
+
+@pytest.mark.parametrize(
+    "dim,m,n1d,overlap", [(2, 18, 3, 2), (2, 24, 4, 2), (3, 9, 3, 1), (3, 12, 4, 1)]
+)
+def test_congruence_classes_count(dim, m, n1d, overlap):
+    dec = build_decomposition(build_uniform_mesh(dim, m), n1d, overlap)
+    classes = congruence_classes(dec)
+    assert len(classes) == 3**dim
+    members = sorted(j for _, group in classes for j in group)
+    assert members == list(range(dec.n_subdomains))
+    # the interior class holds every box that touches no side of the domain
+    assert max(len(group) for _, group in classes) == (n1d - 2) ** dim
+
+
+def test_congruence_classes_two_per_axis_are_singletons():
+    dec = build_decomposition(build_uniform_mesh(2, 8), 2, 2)
+    classes = congruence_classes(dec)
+    assert [group for _, group in classes] == [[0], [1], [2], [3]]

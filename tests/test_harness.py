@@ -109,6 +109,30 @@ def test_run_sweep_records_failures(tmp_path):
     assert len(ok) == 1  # the grid run of the same sweep still completed
 
 
+def test_run_sweep_keeps_rows_when_one_seed_fails(tmp_path, monkeypatch):
+    import helmdd.harness as harness
+
+    original = harness.SolverContext.run
+
+    def run(self, seed=None):
+        if seed == 1:
+            raise RuntimeError("boom")
+        return original(self, seed)
+
+    monkeypatch.setattr(harness.SolverContext, "run", run)
+    spec = small_spec(tmp_path, seeds=(0, 1, 2))
+    rows, summary, errors = run_sweep(spec)
+    assert [r["iterations"] >= 0 for r in rows] == [True, False, True]
+    assert rows[1]["converged"] is False and rows[1]["n"] == rows[0]["n"] > 0
+    assert len(errors) == 1 and "seed 1: RuntimeError: boom" in errors[0]["error"]
+    with open(spec.out) as fh:
+        parsed = list(csv.DictReader(fh))
+    assert [int(r["iterations"]) for r in parsed] == [r["iterations"] for r in rows]
+    with open(spec.out + ".errors.json") as fh:
+        assert "boom" in json.load(fh)[0]["error"]
+    assert summary[0]["n_seeds"] == 3
+
+
 def test_load_sweep_spec(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text(

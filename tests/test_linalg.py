@@ -236,3 +236,10 @@ def test_generalized_eig_rejects_bad_mass():
         generalized_eig(S, M)
     with pytest.raises(ValueError):
         generalized_eig(S, np.eye(4))
+
+
+def test_gmres_refuses_a_krylov_basis_larger_than_memory():
+    # (max_iter+1) * n * 16 bytes is about 64 TB here; nothing of it is allocated
+    A = sp.eye(4, format="csr", dtype=complex)
+    with pytest.raises(MemoryError, match="Krylov basis"):
+        gmres(A, np.ones(4, dtype=complex), max_iter=10**12)

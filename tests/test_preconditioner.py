@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from helmdd.assembly import (
@@ -10,12 +13,13 @@ from helmdd.assembly import (
     mass_matrix,
     stiffness_matrix,
 )
-from helmdd.decomposition import build_decomposition
+from helmdd.decomposition import build_decomposition, congruence_classes
 from helmdd.linalg import gmres, random_initial_guess
 from helmdd.mesh import build_uniform_mesh, interpolation_matrix
 from helmdd.preconditioner import (
     PreconditionerError,
     TwoLevelPreconditioner,
+    assemble_local_problems,
     build_dtn_cs,
     build_grid_cs,
     build_one_level,
@@ -43,6 +47,27 @@ def toy_setup(k=6.0, eps=None, pou="multiplicity"):
     eps = k if eps is None else eps
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=eps, eta=k))
     return mesh, dec, A_eps
+
+
+def sharing_setup(k=10.0, pou="ramp"):
+    """m = 24, N_1d = 4: 16 subdomains in 9 classes, the interior class has 4 members."""
+    mesh = build_uniform_mesh(2, 24)
+    dec = build_decomposition(mesh, 4, 2, pou=pou)
+    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
+    return mesh, dec, A_eps
+
+
+def dtn_pencil(mesh, sub, params):
+    """Dense DtN pencil (S, M_GG) of one subdomain from its own assembly, with
+    X = A_II^{-1} A_IG for the Helmholtz extension."""
+    mats = assemble_subdomain(mesh, sub, params)
+    gamma = sub.interface_dofs
+    inner = np.setdiff1d(np.arange(sub.n_dofs), gamma)
+    A = mats.A_neu.toarray()
+    X = np.linalg.solve(A[np.ix_(inner, inner)], A[np.ix_(inner, gamma)])
+    S = A[np.ix_(gamma, gamma)] - A[np.ix_(gamma, inner)] @ X
+    M = mats.M_interface.toarray()[np.ix_(gamma, gamma)].real
+    return S, M, gamma, inner, X
 
 
 # --------------------------------------------------------------------------
@@ -273,3 +298,126 @@ def test_dtn_z_full_column_rank():
     cs = build_dtn_cs(mesh, dec, 6.0, 6.0, selection_policy("automatic"), A_eps)
     sv = np.linalg.svd(cs.Z.toarray(), compute_uv=False)
     assert sv.min() > 1e-8
+
+
+# --------------------------------------------------------------------------
+# congruence classes: shared assembly, factorization and eigenproblem
+
+
+def test_class_members_share_the_local_matrix():
+    mesh, dec, _ = sharing_setup()
+    params = HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0)
+    local = assemble_local_problems(mesh, dec, params)
+    assert len(local.classes) == 9
+    assert max(len(c.members) for c in local.classes) == 4
+    for cls in local.classes:
+        ref = cls.matrices.A_local
+        for j in cls.members:
+            own = assemble_subdomain(mesh, dec.subdomains[j], params).A_local
+            assert abs(own - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_one_level_with_shared_classes_matches_dense_oracle():
+    mesh, dec, _ = sharing_setup()
+    one = build_one_level(mesh, dec, 10.0, 10.0)
+    assert len(one.factorizations) == 9
+    M1 = dense_one_level(mesh, dec, 10.0, 10.0)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
+        assert np.abs(one.apply(v) - M1 @ v).max() <= 1e-10 * np.abs(M1 @ v).max()
+
+
+def test_one_level_with_clipped_boxes_matches_dense_oracle():
+    # boxes one cell wide grow by two layers, so several touch the same side of
+    # the domain with different extents; they must land in different classes
+    mesh = build_uniform_mesh(2, 8)
+    dec = build_decomposition(mesh, 8, 2)
+    one = build_one_level(mesh, dec, 6.0, 6.0)
+    M1 = dense_one_level(mesh, dec, 6.0, 6.0)
+    v = np.random.default_rng(7).standard_normal(mesh.n_vertices) + 0j
+    assert np.abs(one.apply(v) - M1 @ v).max() <= 1e-10 * np.abs(M1 @ v).max()
+
+
+def test_dtn_blocks_match_per_member_construction():
+    k = 10.0
+    mesh, dec, A_eps = sharing_setup(k)
+    cs = build_dtn_cs(mesh, dec, k, k, selection_policy("automatic"), A_eps)
+    params = HelmholtzParams(k=k, epsilon=k, eta=k)
+    Z = cs.Z.tocsc()
+    col = 0
+    for sub in dec.subdomains:
+        S, M, gamma, inner, X = dtn_pencil(mesh, sub, params)
+        lams, vecs = scipy.linalg.eig(S, M)
+        chosen = np.flatnonzero(lams.real < k)
+        assert cs.per_subdomain_counts[sub.index] == len(chosen) > 0
+        W = np.zeros((sub.n_dofs, len(chosen)), dtype=complex)
+        W[gamma] = vecs[:, chosen]
+        W[inner] = -X @ vecs[:, chosen]
+        W *= sub.pou[:, None]
+        block = Z[:, col:col + len(chosen)].toarray()
+        col += len(chosen)
+        outside = np.setdiff1d(np.arange(mesh.n_vertices), sub.dofs)
+        assert not block[outside].any()
+        Q, _ = np.linalg.qr(block[sub.dofs])
+        assert np.linalg.norm(W - Q @ (Q.conj().T @ W)) <= 1e-8 * np.linalg.norm(W)
+    assert col == cs.n_cs
+
+
+def test_dtn_selection_margin_matches_dense_eig():
+    k = 6.0
+    mesh = build_uniform_mesh(2, 12)
+    dec = build_decomposition(mesh, 3, 2)
+    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
+    cs = build_dtn_cs(mesh, dec, k, k, selection_policy("automatic"), A_eps)
+    margins = cs.summary()["selection_margin"]
+    params = HelmholtzParams(k=k, epsilon=k, eta=k)
+    classes = congruence_classes(dec)
+    assert len(margins) == len(classes) == 9
+    for entry, (key, members) in zip(margins, classes):
+        assert entry["key"] == [list(axis) for axis in key]
+        assert entry["members"] == len(members)
+        for j in members:
+            S, M, *_ = dtn_pencil(mesh, dec.subdomains[j], params)
+            lams = scipy.linalg.eigvals(S, M)
+            expected = np.abs(lams.real - k).min() / k
+            assert entry["margin"] == pytest.approx(expected, rel=1e-8)
+
+
+def test_congruence_guard_rejects_a_mismatched_member():
+    mesh, dec, _ = sharing_setup()
+    key, members = max(congruence_classes(dec), key=lambda c: len(c[1]))
+    subs = list(dec.subdomains)
+    victim = subs[members[-1]]
+    subs[victim.index] = replace(victim, interface_dofs=victim.interface_dofs[:-1])
+    broken = replace(dec, subdomains=subs)
+    with pytest.raises(PreconditionerError, match="not congruent"):
+        build_one_level(mesh, broken, 10.0, 10.0)
+
+
+def test_congruence_guard_rejects_a_distorted_member():
+    mesh, dec, _ = sharing_setup()
+    moved = mesh.vertices.copy()
+    _, members = max(congruence_classes(dec), key=lambda c: len(c[1]))
+    centre = dec.subdomains[members[-1]].dofs[len(dec.subdomains[members[-1]].dofs) // 2]
+    moved[centre] += 0.1 / mesh.intervals_per_edge
+    distorted = replace(mesh, vertices=moved)
+    with pytest.raises(PreconditionerError, match="not congruent"):
+        build_one_level(distorted, replace(dec, mesh=distorted), 10.0, 10.0)
+
+
+def test_dtn_context_assembles_each_class_once(monkeypatch):
+    import helmdd.preconditioner as precond
+    from helmdd.solver import SolveConfig, SolverContext
+
+    calls = []
+    original = precond.assemble_subdomain
+
+    def counting(mesh, sub, params):
+        calls.append(sub.index)
+        return original(mesh, sub, params)
+
+    monkeypatch.setattr(precond, "assemble_subdomain", counting)
+    ctx = SolverContext(SolveConfig(k=10.0, alpha=1.0, precon="two_level_dtn"))
+    assert ctx.n_subdomains == 100
+    assert len(calls) == len(set(calls)) == 9

@@ -26,6 +26,15 @@ def test_config_validation_and_defaults():
         SolveConfig(selection="almost")
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("pou", "linear"), ("overlap_layers", 0), ("tol", 0.0), ("tol", -1e-6), ("max_iter", 0)],
+)
+def test_config_rejects_invalid_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveConfig(**{field: value})
+
+
 def test_selection_string_parsing():
     assert SolveConfig(selection="automatic").selection.kind == "automatic"
     cfg = SolveConfig(selection="fixed2")
