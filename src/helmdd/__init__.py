@@ -10,7 +10,6 @@ from .decomposition import Decomposition, Subdomain, build_decomposition
 from .harness import SweepSpec, run_sweep, table1_desk, table3_desk
 from .linalg import factorize, generalized_eig, gmres, random_initial_guess
 from .mesh import (
-    MeshHierarchy,
     SimplicialMesh,
     build_uniform_mesh,
     coarse_resolution,
@@ -44,7 +43,6 @@ __all__ = [
     "generalized_eig",
     "gmres",
     "random_initial_guess",
-    "MeshHierarchy",
     "SimplicialMesh",
     "build_uniform_mesh",
     "coarse_resolution",

@@ -27,9 +27,6 @@ __all__ = [
     "assemble_global",
     "assemble_rhs",
     "assemble_subdomain",
-    "lumped_mass_weights",
-    "constant_source",
-    "write_matrix_coo",
 ]
 
 
@@ -76,14 +73,19 @@ class SubdomainMatrices:
     physical_facets: np.ndarray
 
 
-def _element_geometry(vertices: np.ndarray, simplices: np.ndarray, dim: int):
+def _edges_and_volumes(vertices: np.ndarray, simplices: np.ndarray, dim: int):
+    """Edge vectors from the first vertex and volumes det(edges)/d! of each simplex."""
     pts = vertices[simplices]
     edges = pts[:, 1:, :] - pts[:, :1, :]  # (ne, d, d)
-    det = np.linalg.det(edges)
-    vol = det / math.factorial(dim)
+    vol = np.linalg.det(edges) / math.factorial(dim)
     bad = np.flatnonzero(vol <= 0)
     if bad.size:
         raise AssemblyError(f"degenerate simplex (non-positive volume) at index {bad[0]}")
+    return edges, vol
+
+
+def _element_geometry(vertices: np.ndarray, simplices: np.ndarray, dim: int):
+    edges, vol = _edges_and_volumes(vertices, simplices, dim)
     inv = np.linalg.inv(edges)
     grads = np.empty((len(simplices), dim + 1, dim))
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
@@ -91,39 +93,49 @@ def _element_geometry(vertices: np.ndarray, simplices: np.ndarray, dim: int):
     return vol, grads
 
 
-def _scatter(indices: np.ndarray, element_matrices: np.ndarray, n: int) -> sp.csr_matrix:
-    """Deterministic scatter-add of element matrices into a global CSR matrix.
+def _scatter(indices: np.ndarray, n: int, *element_matrices: np.ndarray) -> list:
+    """Deterministic scatter-add of element matrices into global CSR matrices.
 
     Duplicates are summed with a stable sort + reduceat, so symmetric element
-    matrices yield a bitwise-symmetric global matrix.
+    matrices yield a bitwise-symmetric global matrix.  All element matrix sets
+    share the connectivity indices, so the sort is done once for all of them.
     """
-    q = indices.shape[1]
-    rows = np.repeat(indices, q, axis=1).ravel()
-    cols = np.tile(indices, (1, q)).ravel()
-    key = rows.astype(np.int64) * n + cols
+    idx = indices.astype(np.int64)
+    key = (idx[:, :, None] * n + idx[:, None, :]).ravel()  # row * n + col, element-major
     order = np.argsort(key, kind="stable")
     ks = key[order]
-    vs = element_matrices.ravel()[order]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(ks)) + 1])
-    sums = np.add.reduceat(vs, starts)
     ukeys = ks[starts]
-    A = sp.csr_matrix((sums, (ukeys // n, ukeys % n)), shape=(n, n))
-    A.sort_indices()
-    return A
+    out = []
+    for em in element_matrices:
+        sums = np.add.reduceat(em.ravel()[order], starts)
+        A = sp.csr_matrix((sums, (ukeys // n, ukeys % n)), shape=(n, n))
+        A.sort_indices()
+        out.append(A)
+    return out
+
+
+def _mass_template(q: int) -> np.ndarray:
+    """Exact P1 mass matrix of a q-vertex simplex of unit measure."""
+    return (np.ones((q, q)) + np.eye(q)) / (q * (q + 1))
+
+
+def _volume_matrices(vertices: np.ndarray, simplices: np.ndarray, dim: int, n: int):
+    """The P1 element kernel: stiffness K and mass M from one geometry pass."""
+    vol, grads = _element_geometry(vertices, simplices, dim)
+    ke = np.einsum("e,eid,ejd->eij", vol, grads, grads)
+    me = vol[:, None, None] * _mass_template(dim + 1)
+    return _scatter(simplices, n, ke, me)
 
 
 def stiffness_matrix(mesh: SimplicialMesh) -> sp.csr_matrix:
-    vol, grads = _element_geometry(mesh.vertices, mesh.simplices, mesh.dim)
-    ke = np.einsum("e,eid,ejd->eij", vol, grads, grads)
-    return _scatter(mesh.simplices, ke, mesh.n_vertices)
+    return _volume_matrices(mesh.vertices, mesh.simplices, mesh.dim, mesh.n_vertices)[0]
 
 
 def mass_matrix(mesh: SimplicialMesh) -> sp.csr_matrix:
-    vol, _ = _element_geometry(mesh.vertices, mesh.simplices, mesh.dim)
-    d = mesh.dim
-    template = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    me = vol[:, None, None] * template[None, :, :]
-    return _scatter(mesh.simplices, me, mesh.n_vertices)
+    _, vol = _edges_and_volumes(mesh.vertices, mesh.simplices, mesh.dim)
+    me = vol[:, None, None] * _mass_template(mesh.dim + 1)
+    return _scatter(mesh.simplices, mesh.n_vertices, me)[0]
 
 
 def _facet_measures(vertices: np.ndarray, facets: np.ndarray, dim: int) -> np.ndarray:
@@ -142,49 +154,26 @@ def facet_mass_matrix(vertices: np.ndarray, facets: np.ndarray, dim: int, n: int
     """Mass matrix of the (d-1)-dimensional facet set, scattered into n dofs."""
     if len(facets) == 0:
         return sp.csr_matrix((n, n))
-    q = dim  # facet vertex count
     meas = _facet_measures(vertices, facets, dim)
-    template = (np.ones((q, q)) + np.eye(q)) / (q * (q + 1))
-    fe = meas[:, None, None] * template[None, :, :]
-    return _scatter(np.asarray(facets), fe, n)
+    fe = meas[:, None, None] * _mass_template(dim)  # a facet has dim vertices
+    return _scatter(np.asarray(facets), n, fe)[0]
 
 
 def boundary_mass_matrix(mesh: SimplicialMesh) -> sp.csr_matrix:
     return facet_mass_matrix(mesh.vertices, mesh.boundary_facets, mesh.dim, mesh.n_vertices)
 
 
-def assemble_global(
-    mesh: SimplicialMesh,
-    params: HelmholtzParams,
-    include_stiffness: bool = True,
-    include_mass: bool = True,
-    include_boundary: bool = True,
-) -> sp.csr_matrix:
+def assemble_global(mesh: SimplicialMesh, params: HelmholtzParams) -> sp.csr_matrix:
     """Assemble K - (k^2 + i*eps) M - i*eta B on the whole mesh (complex CSR).
 
-    The include_* switches isolate individual terms for testing; the full
-    operator is complex symmetric (A == A.T entrywise) but not Hermitian.
+    The operator is complex symmetric (A == A.T entrywise) but not Hermitian.
     """
-    n = mesh.n_vertices
-    A = sp.csr_matrix((n, n), dtype=np.complex128)
-    if include_stiffness:
-        A = A + stiffness_matrix(mesh).astype(np.complex128)
-    if include_mass:
-        A = A + (-(params.k**2) - 1j * params.epsilon) * mass_matrix(mesh)
-    if include_boundary:
-        A = A + (-1j * params.eta) * boundary_mass_matrix(mesh)
+    K, M = _volume_matrices(mesh.vertices, mesh.simplices, mesh.dim, mesh.n_vertices)
+    A = K.astype(np.complex128) + (-(params.k**2) - 1j * params.epsilon) * M
+    del K, M  # freed before the last sum allocates A, which keeps peak memory down
+    A = A + (-1j * params.eta) * boundary_mass_matrix(mesh)
     A.sort_indices()
     return A
-
-
-def lumped_mass_weights(mesh: SimplicialMesh) -> np.ndarray:
-    """Row sums of the mass matrix: vol(support of phi_v)/(d+1) per vertex."""
-    pts = mesh.vertices[mesh.simplices]
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    vol = np.linalg.det(edges) / math.factorial(mesh.dim)
-    w = np.zeros(mesh.n_vertices)
-    np.add.at(w, mesh.simplices.ravel(), np.repeat(vol / (mesh.dim + 1), mesh.dim + 1))
-    return w
 
 
 def _gauss2d(points: np.ndarray) -> np.ndarray:
@@ -200,15 +189,11 @@ def _gauss3d(points: np.ndarray) -> np.ndarray:
 _NAMED_SOURCES = {"gauss2d": (2, _gauss2d), "gauss3d": (3, _gauss3d)}
 
 
-def constant_source(value: float):
-    def f(points: np.ndarray) -> np.ndarray:
-        return np.full(len(points), value, dtype=float)
-
-    return f
-
-
 def assemble_rhs(mesh: SimplicialMesh, source) -> np.ndarray:
     """Load vector (f)_v = f(x_v) * lumped_weight(v); deterministic vertex quadrature.
+
+    The lumped weight of a vertex is its row sum of the mass matrix,
+    vol(support of phi_v)/(d+1).
 
     source is either a registered name ("gauss2d", "gauss3d") or a callable
     mapping an (n, dim) point array to n values.
@@ -225,7 +210,10 @@ def assemble_rhs(mesh: SimplicialMesh, source) -> np.ndarray:
     values = np.asarray(fn(mesh.vertices), dtype=np.complex128)
     if values.shape != (mesh.n_vertices,):
         raise ValueError("source must return one value per vertex")
-    return values * lumped_mass_weights(mesh)
+    _, vol = _edges_and_volumes(mesh.vertices, mesh.simplices, mesh.dim)
+    weights = np.zeros(mesh.n_vertices)
+    np.add.at(weights, mesh.simplices.ravel(), np.repeat(vol / (mesh.dim + 1), mesh.dim + 1))
+    return values * weights
 
 
 def _facet_on_physical_boundary(mesh: SimplicialMesh, facets: np.ndarray) -> np.ndarray:
@@ -249,12 +237,8 @@ def assemble_subdomain(mesh: SimplicialMesh, subdomain, params: HelmholtzParams)
     local_simplices = np.searchsorted(dofs, mesh.simplices[subdomain.elements])
     local_vertices = mesh.vertices[dofs]
 
-    vol, grads = _element_geometry(local_vertices, local_simplices, mesh.dim)
-    ke = np.einsum("e,eid,ejd->eij", vol, grads, grads)
-    K = _scatter(local_simplices, ke, n_loc)
     d = mesh.dim
-    template = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    M = _scatter(local_simplices, vol[:, None, None] * template[None, :, :], n_loc)
+    K, M = _volume_matrices(local_vertices, local_simplices, d, n_loc)
 
     from .mesh import _boundary_facets  # facet extraction shared with mesh construction
 
@@ -279,13 +263,3 @@ def assemble_subdomain(mesh: SimplicialMesh, subdomain, params: HelmholtzParams)
         interface_facets=intf_facets,
         physical_facets=phys_facets,
     )
-
-
-def write_matrix_coo(A, path) -> None:
-    """Coordinate text dump (row col re im) for cross-checking against other tools."""
-    coo = sp.coo_matrix(A)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            v = complex(v)
-            fh.write(f"{r} {c} {v.real!r} {v.imag!r}\n")

@@ -8,7 +8,6 @@ N_1d^d equal boxes and grow by overlap_layers cell layers in every direction
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -23,8 +22,6 @@ __all__ = [
     "congruence_classes",
     "restrict",
     "prolongate_weighted",
-    "decomposition_summary",
-    "write_decomposition_summary",
 ]
 
 
@@ -234,27 +231,3 @@ def prolongate_weighted(sub: Subdomain, w: np.ndarray, accumulator: np.ndarray) 
         raise ValueError(f"local vector has size {w.shape[0]}, expected {sub.n_dofs}")
     accumulator[sub.dofs] += sub.pou * w
     return accumulator
-
-
-def decomposition_summary(dec: Decomposition) -> dict:
-    sizes = [sub.n_dofs for sub in dec.subdomains]
-    return {
-        "n_subdomains": dec.n_subdomains,
-        "n_subdomains_1d": dec.n_subdomains_1d,
-        "overlap_layers": dec.overlap_layers,
-        "pou": dec.pou_kind,
-        "dofs_per_subdomain": {
-            "min": int(min(sizes)),
-            "max": int(max(sizes)),
-            "mean": float(np.mean(sizes)),
-        },
-        "interface_dofs_per_subdomain": [int(len(s.interface_dofs)) for s in dec.subdomains],
-        "max_multiplicity": int(dec.multiplicity.max()),
-        "overlap_dofs": int((dec.multiplicity > 1).sum()),
-    }
-
-
-def write_decomposition_summary(dec: Decomposition, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(decomposition_summary(dec), fh, indent=2)
-        fh.write("\n")

@@ -23,7 +23,7 @@ __all__ = [
     "run_sweep",
     "load_sweep_spec",
     "table1_desk",
-    "table2_desk",
+    "run_table2_desk",
     "table3_desk",
     "cli_main",
     "main",
@@ -208,12 +208,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, echo=None):
         rows.extend(group_rows)
         if err is not None:
             errors.append({"config": config.to_dict(), "error": err})
+    return _summarize_and_write(rows, errors, spec.out)
+
+
+def _summarize_and_write(rows, errors, out) -> tuple:
+    """Summarize the rows; with an output path, write the rows CSV, the summary
+    CSV next to it and, when anything failed, <out>.errors.json."""
     summary = summarize(rows)
-    if spec.out:
-        write_rows_csv(rows, spec.out)
-        write_summary_csv(summary, _summary_path(spec.out))
+    if out:
+        _write_csv(rows, CSV_COLUMNS, out)
+        _write_csv(summary, SUMMARY_COLUMNS, _summary_path(out))
         if errors:
-            with open(str(spec.out) + ".errors.json", "w", encoding="utf-8") as fh:
+            with open(str(out) + ".errors.json", "w", encoding="utf-8") as fh:
                 json.dump(errors, fh, indent=2)
     return rows, summary, errors
 
@@ -263,20 +269,11 @@ def summarize(rows) -> list:
     return summary
 
 
-def write_rows_csv(rows, path) -> None:
+def _write_csv(rows, columns, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def write_summary_csv(summary, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        for row in summary:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_residuals_csv(report, path) -> None:
@@ -377,14 +374,7 @@ def run_table2_desk(kmax=20.0, alphas=(0.6, 0.8, 1.0), seeds=(0, 1, 2), full=Fal
                 mc = max(1, round(n_cs ** 0.5) - 1)
                 run_one(replace(base, precon="two_level_grid", coarse_m=mc))
 
-    summary = summarize(rows)
-    if out:
-        write_rows_csv(rows, out)
-        write_summary_csv(summary, _summary_path(out))
-        if errors:
-            with open(str(out) + ".errors.json", "w", encoding="utf-8") as fh:
-                json.dump(errors, fh, indent=2)
-    return rows, summary, errors
+    return _summarize_and_write(rows, errors, out)
 
 
 def table3_desk(with_dtn=False, pairs=((0.5, 1.0), (0.6, 0.9), (0.7, 0.8), (0.8, 0.7)),

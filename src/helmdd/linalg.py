@@ -97,14 +97,12 @@ def gmres(
     x0: np.ndarray | None = None,
     tol: float = 1e-6,
     max_iter: int = 500,
-    relative_to: str = "rhs",
 ) -> GmresOutcome:
     """Unrestarted right-preconditioned GMRES on A M^{-1}, returning x = M^{-1} y.
 
     apply_A / apply_M are callables (or matrices) applying A and the
-    preconditioner M^{-1}.  Iteration count is the number of Arnoldi steps.
-    relative_to selects the residual normalization: "rhs" (default, ||b||) or
-    "initial" (||b - A x0||).  The Krylov basis takes (max_iter+1) * n * 16
+    preconditioner M^{-1}.  Iteration count is the number of Arnoldi steps;
+    residuals are relative to ||b||.  The Krylov basis takes (max_iter+1) * n * 16
     bytes of address space; a basis larger than physical memory is refused
     with MemoryError before anything is allocated.
     """
@@ -129,12 +127,7 @@ def gmres(
     norm_b = np.linalg.norm(b)
     r0 = b - A(x0)
     beta = np.linalg.norm(r0)
-    if relative_to == "rhs":
-        ref = norm_b if norm_b > 0 else 1.0
-    elif relative_to == "initial":
-        ref = beta if beta > 0 else 1.0
-    else:
-        raise ValueError(f"relative_to must be 'rhs' or 'initial', got {relative_to!r}")
+    ref = norm_b if norm_b > 0 else 1.0
 
     history = [beta / ref]
     if history[0] <= tol:

@@ -17,15 +17,11 @@ import scipy.sparse as sp
 
 __all__ = [
     "SimplicialMesh",
-    "MeshHierarchy",
     "build_uniform_mesh",
     "subdomains_per_dimension",
     "fine_resolution",
     "coarse_resolution",
     "interpolation_matrix",
-    "nodal_interpolation_matrix",
-    "simplex_volumes",
-    "write_mesh",
 ]
 
 # The six coordinate-step orders of the Kuhn subdivision.  Each order pi yields
@@ -75,25 +71,6 @@ class SimplicialMesh:
             coords[..., axis] = rest % m1
             rest = rest // m1
         return coords
-
-
-@dataclass(frozen=True, eq=False)
-class MeshHierarchy:
-    """A nested coarse/fine pair: every coarse vertex is a fine vertex."""
-
-    coarse: SimplicialMesh
-    fine: SimplicialMesh
-    refinement_factor: int = 0  # derived in __post_init__
-
-    def __post_init__(self):
-        if self.coarse.dim != self.fine.dim:
-            raise ValueError("coarse and fine meshes must have the same dimension")
-        mc, mf = self.coarse.intervals_per_edge, self.fine.intervals_per_edge
-        if mf % mc != 0:
-            raise ValueError(
-                f"meshes are not nested: fine m={mf} is not a multiple of coarse m={mc}"
-            )
-        object.__setattr__(self, "refinement_factor", mf // mc)
 
 
 def build_uniform_mesh(dim: int, intervals_per_edge: int) -> SimplicialMesh:
@@ -168,12 +145,6 @@ def _boundary_facets(simplices: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(new_run)
     lengths = np.diff(np.append(starts, len(sf)))
     return sf[starts[lengths == 1]]
-
-
-def simplex_volumes(mesh: SimplicialMesh) -> np.ndarray:
-    pts = mesh.vertices[mesh.simplices]
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    return np.linalg.det(edges) / math.factorial(mesh.dim)
 
 
 def subdomains_per_dimension(k: float, alpha: float) -> int:
@@ -277,19 +248,3 @@ def interpolation_matrix(coarse: SimplicialMesh, fine: SimplicialMesh) -> sp.csr
     )
     Z.sort_indices()
     return Z
-
-
-def nodal_interpolation_matrix(hierarchy: MeshHierarchy) -> sp.csr_matrix:
-    """Interpolation matrix of a nested hierarchy (nestedness enforced by the type)."""
-    return interpolation_matrix(hierarchy.coarse, hierarchy.fine)
-
-
-def write_mesh(mesh: SimplicialMesh, path) -> None:
-    """Plain-text dump: header, vertex coordinates, simplex vertex indices."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dim {mesh.dim} intervals {mesh.intervals_per_edge} "
-                 f"vertices {mesh.n_vertices} simplices {mesh.n_simplices}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(repr(float(c)) for c in v) + "\n")
-        for s in mesh.simplices:
-            fh.write(" ".join(str(int(i)) for i in s) + "\n")

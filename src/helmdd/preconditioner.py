@@ -181,15 +181,14 @@ def build_one_level(
     decomposition: Decomposition,
     k: float,
     epsilon_prec: float,
-    eta: float | None = None,
     local: LocalProblems | None = None,
 ) -> OneLevelORAS:
-    """Factorize the local Robin problem A_{j,eps_prec} of every class; eta defaults to k.
+    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every class.
 
     local reuses class matrices already assembled on the same decomposition
     when they were built with the same parameters.
     """
-    params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k if eta is None else eta)
+    params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
     local = _reuse_or_assemble(mesh, decomposition, params, local)
     factorizations = []
     for cls in local.classes:
@@ -270,8 +269,6 @@ def build_dtn_cs(
     epsilon_prec: float,
     selection: SelectionPolicy,
     A_eps: sp.spmatrix,
-    eta: float | None = None,
-    eigenproblem_epsilon: float | None = None,
     local: LocalProblems | None = None,
 ) -> CoarseSpace:
     """Coarse space from subdomain interface eigenvectors of the discrete DtN map.
@@ -283,14 +280,10 @@ def build_dtn_cs(
     extension W = [G; -A_II^{-1} A_IG G].  Every member then contributes W
     scaled by its own partition of unity.  Columns of Z live in exactly one
     subdomain block, in subdomain order; rows are shared across overlapping
-    blocks.
-
-    eigenproblem_epsilon overrides the absorption used when building the
-    subdomain matrices for the eigenproblem (default: epsilon_prec).  local
-    reuses class matrices as in build_one_level.
+    blocks.  The subdomain matrices are those of the shifted problem
+    (epsilon_prec, eta = k); local reuses them as in build_one_level.
     """
-    eps_eig = epsilon_prec if eigenproblem_epsilon is None else eigenproblem_epsilon
-    params = HelmholtzParams(k=k, epsilon=eps_eig, eta=k if eta is None else eta)
+    params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
     local = _reuse_or_assemble(mesh, decomposition, params, local)
 
     extensions = {}  # subdomain index -> (selected eigenvalues, unscaled W or None)

@@ -2,8 +2,7 @@
 
 The solved system always has zero absorption (eta = k on the physical
 boundary); absorption eps_prec = k^beta enters only through the preconditioner,
-which is built from the shifted operator.  A debug switch allows solving the
-shifted system directly.
+which is built from the shifted operator A_eps = A_0 - i*eps_prec*M.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import mesh as meshmod
-from .assembly import HelmholtzParams, assemble_global, assemble_rhs
+from .assembly import HelmholtzParams, assemble_global, assemble_rhs, mass_matrix
 from .decomposition import build_decomposition
 from .linalg import gmres, random_initial_guess
 from .preconditioner import (
@@ -28,7 +27,7 @@ from .preconditioner import (
     selection_policy,
 )
 
-__all__ = ["SolveConfig", "SolveReport", "SolverContext", "setup", "solve", "verify_solution"]
+__all__ = ["SolveConfig", "SolveReport", "SolverContext", "solve", "verify_solution"]
 
 PRECONDITIONERS = ("none", "one_level", "two_level_grid", "two_level_dtn")
 
@@ -56,9 +55,6 @@ class SolveConfig:
     pou: str = "ramp"  # ramp weights reproduce the reference iteration counts
     n_subdomains_1d: int | None = None
     coarse_m: int | None = None
-    solve_epsilon: float = 0.0  # absorption of the *solved* system (debug only)
-    coarse_from_unshifted: bool = False  # build E, P, Q from A_0 instead of A_eps
-    dtn_unshifted: bool = False  # eigenproblems from eps = 0 matrices
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -149,8 +145,7 @@ class SolverContext:
         self.n1d = n1d
         m = meshmod.fine_resolution(k, n1d)
         self.mesh = meshmod.build_uniform_mesh(config.dim, m)
-        solve_params = HelmholtzParams(k=k, epsilon=config.solve_epsilon, eta=k)
-        self.A0 = assemble_global(self.mesh, solve_params)
+        self.A0 = assemble_global(self.mesh, HelmholtzParams(k=k, eta=k))
         self.f = assemble_rhs(self.mesh, "gauss2d" if config.dim == 2 else "gauss3d")
         t1 = time.perf_counter()
 
@@ -174,11 +169,7 @@ class SolverContext:
             if config.precon == "one_level":
                 self.precon = one_level
             else:
-                if config.coarse_from_unshifted and config.solve_epsilon == 0.0:
-                    A_eps = self.A0
-                else:
-                    eps = 0.0 if config.coarse_from_unshifted else config.epsilon_prec
-                    A_eps = assemble_global(self.mesh, HelmholtzParams(k=k, epsilon=eps, eta=k))
+                A_eps = self.A0 + (-1j * config.epsilon_prec) * mass_matrix(self.mesh)
                 if config.precon == "two_level_grid":
                     mc = config.coarse_m
                     if mc is None:
@@ -193,7 +184,6 @@ class SolverContext:
                         config.epsilon_prec,
                         config.selection,
                         A_eps,
-                        eigenproblem_epsilon=0.0 if config.dtn_unshifted else None,
                         local=local,
                     )
                 self.n_cs = cs.n_cs
@@ -242,10 +232,6 @@ class SolverContext:
             coarse_info=self.coarse_info,
             solution=outcome.solution,
         )
-
-
-def setup(config: SolveConfig) -> SolverContext:
-    return SolverContext(config)
 
 
 def solve(config: SolveConfig) -> SolveReport:

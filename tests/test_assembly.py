@@ -8,11 +8,9 @@ from helmdd.assembly import (
     assemble_rhs,
     assemble_subdomain,
     boundary_mass_matrix,
-    constant_source,
     facet_mass_matrix,
     mass_matrix,
     stiffness_matrix,
-    write_matrix_coo,
 )
 from helmdd.decomposition import build_decomposition
 from helmdd.mesh import SimplicialMesh, build_uniform_mesh
@@ -36,22 +34,25 @@ def test_unit_right_triangle_stiffness():
 
 def test_zero_wavenumber_limit_is_pure_stiffness():
     mesh = build_uniform_mesh(2, 5)
-    # k -> 0 limit: assemble stiffness only; constants lie in the kernel
-    A = assemble_global(mesh, HelmholtzParams(k=1.0), include_mass=False, include_boundary=False)
-    assert np.abs(A @ np.ones(mesh.n_vertices)).max() < 1e-12
-    np.testing.assert_allclose(A.toarray().imag, 0.0)
+    # k -> 0 limit: stiffness only; constants lie in the kernel
+    K = stiffness_matrix(mesh)
+    assert np.abs(K @ np.ones(mesh.n_vertices)).max() < 1e-12
+    assert not np.iscomplexobj(K.data)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 6), (3, 3)])
 def test_mass_part_integrates_domain_measure(dim, m):
     mesh = build_uniform_mesh(dim, m)
     params = HelmholtzParams(k=3.0, epsilon=2.0)
-    mass_only = assemble_global(mesh, params, include_stiffness=False, include_boundary=False)
     ones = np.ones(mesh.n_vertices)
-    total = ones @ (mass_only @ ones)
-    # mass part is -(k^2 + i eps) * M with 1^T M 1 = |Omega| = 1
-    expected = -(params.k**2) - 1j * params.epsilon
-    assert abs(total - expected) < 1e-12
+    # 1^T M 1 = |Omega| = 1
+    assert abs(ones @ (mass_matrix(mesh) @ ones) - 1.0) < 1e-12
+    # K 1 = 0 and 1^T B 1 is the boundary measure, so the mass part -(k^2 + i eps) M
+    # is all that remains of 1^T A 1 once the Robin part is taken out
+    A = assemble_global(mesh, params)
+    boundary = ones @ (boundary_mass_matrix(mesh) @ ones)
+    total = ones @ (A @ ones) + 1j * params.eta * boundary
+    assert abs(total - (-(params.k**2) - 1j * params.epsilon)) < 1e-12
 
 
 @pytest.mark.parametrize("dim,m", [(2, 8), (3, 3)])
@@ -97,7 +98,7 @@ def test_default_eta_sign_rule():
 def test_rhs_constant_total():
     for dim, m in [(2, 5), (3, 3)]:
         mesh = build_uniform_mesh(dim, m)
-        f = assemble_rhs(mesh, constant_source(1.0))
+        f = assemble_rhs(mesh, lambda points: np.ones(len(points)))
         assert abs(f.sum() - 1.0) < 1e-12
 
 
@@ -186,14 +187,3 @@ def test_boundary_mass_total():
     ones = np.ones(mesh3.n_vertices)
     assert abs(ones @ (B @ ones) - 6.0) < 1e-12  # cube surface area
 
-
-def test_write_matrix_coo(tmp_path):
-    mesh = build_uniform_mesh(2, 2)
-    A = assemble_global(mesh, HelmholtzParams(k=2.0, epsilon=1.0))
-    path = tmp_path / "matrix.txt"
-    write_matrix_coo(A, path)
-    lines = path.read_text().splitlines()
-    head = lines[0].split()
-    assert int(head[2]) == A.nnz and len(lines) == 1 + A.nnz
-    r, c, re, im = lines[1].split()
-    assert complex(float(re), float(im)) == A[int(r), int(c)]

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +6,8 @@ from hypothesis import strategies as st
 from helmdd.decomposition import (
     build_decomposition,
     congruence_classes,
-    decomposition_summary,
     prolongate_weighted,
     restrict,
-    write_decomposition_summary,
 )
 from helmdd.mesh import build_uniform_mesh
 
@@ -166,17 +162,6 @@ def test_build_decomposition_errors():
     tiny = build_uniform_mesh(2, 1)
     with pytest.raises(ValueError):
         build_decomposition(tiny, 2, 1)
-
-
-def test_summary_json(tmp_path):
-    mesh = build_uniform_mesh(2, 8)
-    dec = build_decomposition(mesh, 2, 2)
-    info = decomposition_summary(dec)
-    assert info["n_subdomains"] == 4
-    assert info["max_multiplicity"] == 4
-    path = tmp_path / "dec.json"
-    write_decomposition_summary(dec, path)
-    assert json.loads(path.read_text())["n_subdomains"] == 4
 
 
 @pytest.mark.parametrize(

@@ -71,6 +71,20 @@ def test_run_sweep_rows_summary_and_roundtrip(tmp_path):
     assert float(summary_parsed[0]["median_iterations"]) == summary[0]["median_iterations"]
 
 
+def test_table2_desk_writes_the_sweep_outputs(tmp_path):
+    out = tmp_path / "table2.csv"
+    rows, summary, errors = run_table2_desk(kmax=10.0, alphas=(0.6,), seeds=(0,), out=str(out))
+    assert errors == [] and not (tmp_path / "table2.csv.errors.json").exists()
+    # grid, DtN forced to 2 per subdomain, automatic DtN, grid grown to its size
+    precons = [r["precon"] for r in rows]
+    assert precons[:3] == ["two_level_grid", "two_level_dtn:fixed2", "two_level_dtn"]
+    assert len(precons) == 4 and precons[3].startswith("two_level_grid:m")
+    with open(out) as fh:
+        assert [int(r["n_CS"]) for r in csv.DictReader(fh)] == [r["n_CS"] for r in rows]
+    with open(tmp_path / "table2_summary.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == len(summary) == 4
+
+
 def test_summary_median_deterministic():
     rows = [
         {"k": 10.0, "d": 2, "alpha": 1.0, "alpha_prime": 1.0, "beta": 1.0,

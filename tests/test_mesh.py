@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helmdd.assembly import _edges_and_volumes
 from helmdd.mesh import (
-    MeshHierarchy,
     build_uniform_mesh,
     coarse_resolution,
     fine_resolution,
     interpolation_matrix,
-    nodal_interpolation_matrix,
-    simplex_volumes,
     subdomains_per_dimension,
-    write_mesh,
 )
+
+
+def simplex_volumes(mesh):
+    # the assembly's element geometry is the one place volumes are computed
+    return _edges_and_volumes(mesh.vertices, mesh.simplices, mesh.dim)[1]
 
 
 def test_smallest_square_mesh():
@@ -117,7 +119,7 @@ def test_interpolation_identity():
 def test_interpolation_one_level_refinement():
     coarse = build_uniform_mesh(2, 1)
     fine = build_uniform_mesh(2, 2)
-    Z = nodal_interpolation_matrix(MeshHierarchy(coarse, fine)).toarray()
+    Z = interpolation_matrix(coarse, fine).toarray()
     assert Z.shape == (9, 4)
     # edge midpoints average the two edge endpoints
     for row, cols in [(1, (0, 1)), (3, (0, 2)), (5, (1, 3)), (7, (2, 3))]:
@@ -149,26 +151,9 @@ def test_interpolation_reproduces_linears(dim, mc, mf, data):
     assert np.abs(Z @ np.ones(coarse.n_vertices) - 1.0).max() < 1e-12
 
 
-def test_hierarchy_requires_nesting():
-    coarse = build_uniform_mesh(2, 3)
-    fine = build_uniform_mesh(2, 7)
-    with pytest.raises(ValueError):
-        MeshHierarchy(coarse, fine)
-    hier = MeshHierarchy(build_uniform_mesh(2, 3), build_uniform_mesh(2, 9))
-    assert hier.refinement_factor == 3
-
-
 def test_interpolation_rejects_coarser_fine_mesh():
     with pytest.raises(ValueError):
         interpolation_matrix(build_uniform_mesh(2, 4), build_uniform_mesh(2, 2))
     with pytest.raises(ValueError):
         interpolation_matrix(build_uniform_mesh(2, 2), build_uniform_mesh(3, 4))
 
-
-def test_write_mesh(tmp_path):
-    mesh = build_uniform_mesh(2, 2)
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].split() == ["dim", "2", "intervals", "2", "vertices", "9", "simplices", "8"]
-    assert len(lines) == 1 + 9 + 8

@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from helmdd import solver
 from helmdd.assembly import HelmholtzParams, assemble_global, assemble_rhs
 from helmdd.linalg import factorize
 from helmdd.mesh import build_uniform_mesh
@@ -129,16 +131,36 @@ def test_unpreconditioned_solve_path():
     assert report.final_residual <= 1e-5
 
 
-def test_debug_shifted_system_flag():
-    report = solve(
-        SolveConfig(dim=2, k=6.0, alpha=0.6, precon="one_level", solve_epsilon=6.0, seed=0)
-    )
-    assert report.converged
+@pytest.mark.parametrize(
+    "precon,builder", [("two_level_grid", "build_grid_cs"), ("two_level_dtn", "build_dtn_cs")]
+)
+def test_shifted_operator_is_derived_from_the_solved_one(monkeypatch, precon, builder):
+    # A_eps = A_0 - i eps_prec M is handed to the coarse space and the two-level
+    # composition; it must be the assembled shifted problem to the last bit, and
+    # the context must assemble a global operator only once
+    calls, handed = [], []
 
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_global(*args, **kwargs)
 
-def test_coarse_from_unshifted_flag():
-    report = solve(
-        SolveConfig(dim=2, k=10.0, alpha=0.6, precon="two_level_grid",
-                    coarse_from_unshifted=True, seed=0)
-    )
-    assert report.converged
+    build = getattr(solver, builder)
+
+    def spy(*args, **kwargs):
+        handed.append(inspect.signature(build).bind(*args, **kwargs).arguments["A_eps"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_global", counted)
+    monkeypatch.setattr(solver, builder, spy)
+    config = SolveConfig(dim=2, k=10.0, alpha=0.6, precon=precon)
+    ctx = SolverContext(config)
+    assert len(calls) == 1
+
+    shifted = HelmholtzParams(k=10.0, epsilon=config.epsilon_prec, eta=10.0)
+    expected = assemble_global(ctx.mesh, shifted)
+    assert len(handed) == 1
+    for A_eps in (handed[0].tocsr(), ctx.precon.A_eps):
+        np.testing.assert_array_equal(A_eps.indptr, expected.indptr)
+        np.testing.assert_array_equal(A_eps.indices, expected.indices)
+        # compared as raw bits, so a signed zero counts as a difference
+        np.testing.assert_array_equal(A_eps.data.view(np.int64), expected.data.view(np.int64))
