@@ -155,8 +155,21 @@ def test_gmres_zero_initial_residual():
     b = np.ones(4, dtype=complex)
     out = gmres(A, b, x0=b.copy())
     assert out.iterations == 0 and out.converged
+
+
+def test_gmres_relative_to_initial():
+    # The history starts at the initial residual, measured relative to ||b||.
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((12, 12)) + 6 * np.eye(12)
+    b = rng.standard_normal(12)
+    x0 = random_initial_guess(12, 0)
+    out = gmres(A, b, x0=x0, tol=1e-6)
+    assert out.residual_history[0] == pytest.approx(np.linalg.norm(b - A @ x0) / np.linalg.norm(b))
+    assert out.converged and out.residual_history[-1] <= 1e-6
+    with pytest.raises(ValueError):
+        gmres(A, b, tol=0.0)
     with pytest.raises(ValueError):  # tolerance is checked before the residual
-        gmres(A, b, x0=b.copy(), tol=0.0)
+        gmres(sp.eye(4, format="csr"), np.ones(4), x0=np.ones(4), tol=0.0)
 
 
 def test_gmres_happy_breakdown_on_invariant_subspace():
