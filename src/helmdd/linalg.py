@@ -2,10 +2,14 @@
 
 GMRES is unrestarted (full Krylov basis up to max_iter) with modified
 Gram-Schmidt orthogonalization and a single reorthogonalization pass when the
-candidate basis vector loses more than two orders of magnitude in norm.  The
-residual history is the exact least-squares residual of the Arnoldi problem,
-which for right preconditioning equals the true residual of the original
-system, reported relative to ||b||.
+candidate basis vector loses more than two orders of magnitude in norm.  Each
+Gram-Schmidt row is one BLAS-1 ``zdotc`` and one in-place ``zaxpy`` on the
+preallocated basis, so a step streams the basis without per-row temporaries.
+The residual history is the exact least-squares residual of the Arnoldi
+problem, which for right preconditioning equals the true residual of the
+original system, reported relative to ||b||.  The diagnostic
+``GmresOutcome.orthogonality_loss`` is max_i |<v_i, v_{m-1}>| over the m basis
+vectors that form the solution, one matrix-vector product at exit.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import zaxpy, zdotc
 
 __all__ = [
     "FactorizationError",
@@ -82,12 +87,23 @@ class GmresOutcome:
     residual_history: np.ndarray
     converged: bool
     breakdown: bool = False
+    orthogonality_loss: float = 0.0  # max_i |<v_i, v_{m-1}>|; 0.0 when m <= 1
 
 
 def _as_operator(op):
     if callable(op):
         return op
     return lambda v: op @ v
+
+
+def _mgs_pass(V: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Orthogonalize w against the rows of V by modified Gram-Schmidt, adding the
+    coefficients to h; w is updated in place when it is a contiguous complex vector."""
+    for i in range(V.shape[0]):
+        c = zdotc(V[i], w)
+        h[i] += c
+        w = zaxpy(V[i], w, a=-c)
+    return w
 
 
 def gmres(
@@ -149,16 +165,10 @@ def gmres(
         z = M(V[j]) if M is not None else V[j].copy()
         w = np.asarray(A(z), dtype=np.complex128)
         norm_w0 = np.linalg.norm(w)
-        for i in range(j + 1):
-            hij = np.vdot(V[i], w)
-            H[i, j] += hij
-            w -= hij * V[i]
+        w = _mgs_pass(V[: j + 1], w, H[: j + 1, j])
         nw = np.linalg.norm(w)
         if nw < norm_w0 / 100.0:  # severe cancellation: one more MGS pass
-            for i in range(j + 1):
-                c = np.vdot(V[i], w)
-                H[i, j] += c
-                w -= c * V[i]
+            w = _mgs_pass(V[: j + 1], w, H[: j + 1, j])
             nw = np.linalg.norm(w)
         H[j + 1, j] = nw
         m = j + 1
@@ -193,19 +203,20 @@ def gmres(
             breakdown = True
             converged = res <= tol
             break
-        V[j + 1] = w / nw
+        np.divide(w, nw, out=V[j + 1])
 
     if m == 0:
         return GmresOutcome(x0.copy(), 0, np.asarray(history), converged, breakdown)
     y = scipy.linalg.solve_triangular(H[:m, :m], g[:m])
     u = y @ V[:m]
+    loss = float(np.abs(V[: m - 1] @ V[m - 1].conj()).max()) if m > 1 else 0.0
     x = x0 + (M(u) if M is not None else u)
     if breakdown and not converged:
         # residual cannot shrink further; report the verified true residual
         true_res = np.linalg.norm(b - A(x)) / ref
         history.append(true_res)
         converged = true_res <= tol
-    return GmresOutcome(x, m, np.asarray(history), converged, breakdown)
+    return GmresOutcome(x, m, np.asarray(history), converged, breakdown, loss)
 
 
 @dataclass

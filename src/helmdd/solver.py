@@ -108,6 +108,7 @@ class SolveReport:
     config: dict
     seed: int
     final_residual: float  # independently recomputed ||f - A0 x|| / ||f||
+    orthogonality_loss: float  # GMRES basis: max_i |<v_i, v_{m-1}>|
     coarse_info: dict | None = None
     solution: np.ndarray | None = None  # not serialized
 
@@ -123,6 +124,7 @@ class SolveReport:
             "config": self.config,
             "seed": int(self.seed),
             "final_residual": float(self.final_residual),
+            "orthogonality_loss": float(self.orthogonality_loss),
             "coarse_info": self.coarse_info,
         }
 
@@ -229,6 +231,7 @@ class SolverContext:
             config=config.to_dict(),
             seed=seed,
             final_residual=final,
+            orthogonality_loss=outcome.orthogonality_loss,
             coarse_info=self.coarse_info,
             solution=outcome.solution,
         )

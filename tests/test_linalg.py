@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helmdd import linalg
 from helmdd.assembly import HelmholtzParams, assemble_global, assemble_rhs
 from helmdd.linalg import (
     FactorizationError,
@@ -13,6 +14,7 @@ from helmdd.linalg import (
     random_initial_guess,
 )
 from helmdd.mesh import build_uniform_mesh
+from helmdd.solver import SolveConfig, SolverContext
 
 
 def random_sparse(n, rng, density=0.3):
@@ -107,6 +109,7 @@ def test_gmres_identity_converges_in_one_iteration():
     b = np.array([1.0, -2.0, 3.0], dtype=complex)
     out = gmres(sp.eye(3, format="csr", dtype=complex), b, x0=np.zeros(3, complex))
     assert out.iterations == 1 and out.converged
+    assert out.orthogonality_loss == 0.0  # one basis vector
     np.testing.assert_allclose(out.solution, b, atol=1e-12)
 
 
@@ -189,6 +192,104 @@ def test_gmres_monotone_on_random_systems(seed):
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     out = gmres(A, b, x0=random_initial_guess(n, seed), tol=1e-10, max_iter=n + 5)
     assert (np.diff(out.residual_history) <= 1e-12).all()
+
+
+def mgs_arnoldi_oracle(A, M, b, x0, tol, max_iter):
+    """Right-preconditioned Arnoldi with a plain numpy modified Gram-Schmidt loop.
+
+    Returns the unrotated Hessenberg matrix H ((m+1) x m), the m basis vectors and,
+    after every step j, the least-squares residual min ||beta e1 - H_j y|| / ||b||
+    with beta = ||b - A x0||.
+    """
+    r0 = b - A @ x0
+    beta = np.linalg.norm(r0)
+    V = [r0 / beta]
+    H = np.zeros((max_iter + 1, max_iter), dtype=complex)
+    history = [beta / np.linalg.norm(b)]
+    for j in range(max_iter):
+        w = A @ M(V[j])
+        norm_w0 = np.linalg.norm(w)
+        for _ in range(2):  # the second pass runs only after severe cancellation
+            for i in range(j + 1):
+                hij = np.vdot(V[i], w)
+                H[i, j] += hij
+                w -= hij * V[i]
+            nw = np.linalg.norm(w)
+            if nw >= norm_w0 / 100.0:
+                break
+        H[j + 1, j] = nw
+        Hj = H[: j + 2, : j + 1]
+        rhs = np.zeros(j + 2, dtype=complex)
+        rhs[0] = beta
+        y = np.linalg.lstsq(Hj, rhs, rcond=None)[0]
+        history.append(np.linalg.norm(rhs - Hj @ y) / np.linalg.norm(b))
+        if history[-1] <= tol:
+            break
+        V.append(w / nw)
+    return H[: j + 2, : j + 1], np.array(V), np.array(history)
+
+
+def test_gmres_matches_numpy_mgs_oracle_on_one_level_oras():
+    ctx = SolverContext(SolveConfig(dim=2, k=10.0, alpha=1.0, precon="one_level"))
+    # x0 = 0 keeps the history within [tol, 1]: a least-squares residual is exact only
+    # to rounding of the initial one, about 5e4 ||b|| for a random guess here
+    x0 = np.zeros(ctx.n, dtype=complex)
+    seen = []  # M is applied to each basis vector v_j as soon as it is complete
+
+    def apply_M(v):
+        seen.append(v.copy())
+        return ctx.precon.apply(v)
+
+    out = gmres(ctx.A0, ctx.f, apply_M=apply_M, x0=x0, tol=1e-6, max_iter=200)
+    H, V, history = mgs_arnoldi_oracle(ctx.A0, ctx.precon.apply, ctx.f, x0, 1e-6, 200)
+    m = out.iterations
+    assert out.converged and m == H.shape[1] == len(V) > 30
+    np.testing.assert_allclose(out.residual_history, history, rtol=1e-9, atol=0)
+    basis = np.array(seen[:m])
+    np.testing.assert_allclose(basis, V, rtol=0, atol=1e-8)
+    # the diagnostic is max_i |<v_i, v_{m-1}>| of the basis gmres built; the oracle
+    # rounds differently, so its basis gives another value of the same (tiny) size
+    loss = np.abs(basis[:-1].conj() @ basis[-1]).max()
+    assert out.orthogonality_loss == pytest.approx(loss, rel=0, abs=1e-12)
+    assert 0 < out.orthogonality_loss < 1e-8
+    assert np.abs(V[:-1].conj() @ V[-1]).max() < 1e-8
+
+
+def test_gmres_second_pass_on_a_near_identity_operator(monkeypatch):
+    # w = A v_j is v_j plus 1e-3 of new direction: the first pass cancels more
+    # than two orders of magnitude of ||w|| and the second pass must run
+    passes = []
+    mgs_pass = linalg._mgs_pass
+    monkeypatch.setattr(linalg, "_mgs_pass", lambda V, w, h: passes.append(1) or mgs_pass(V, w, h))
+    rng = np.random.default_rng(12)
+    n = 50
+    A = np.eye(n) + 1e-3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    out = gmres(A, b, tol=1e-12, max_iter=n)
+    assert out.converged and len(passes) > out.iterations >= 2
+    assert (np.diff(out.residual_history) <= 0).all()
+    assert out.orthogonality_loss <= 1e-12
+    np.testing.assert_allclose(A @ out.solution, b, atol=1e-10 * np.linalg.norm(b))
+
+
+def test_gmres_accepts_a_strided_operator_result():
+    rng = np.random.default_rng(6)
+    n = 40
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 8 * np.eye(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x0 = random_initial_guess(n, 1)
+
+    def strided(v):  # every other entry of a larger buffer: not contiguous
+        buf = np.zeros(2 * n, dtype=complex)
+        buf[::2] = A @ v
+        return buf[::2]
+
+    ref = gmres(A, b, x0=x0, tol=1e-10, max_iter=n)
+    out = gmres(strided, b, x0=x0, tol=1e-10, max_iter=n)
+    assert out.converged and out.iterations == ref.iterations
+    np.testing.assert_allclose(out.residual_history, ref.residual_history, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(out.solution, ref.solution, rtol=1e-12)
+    assert out.orthogonality_loss == pytest.approx(ref.orthogonality_loss, abs=1e-15)
 
 
 # --------------------------------------------------------------------------

@@ -121,6 +121,8 @@ def test_report_serialization(tmp_path):
     parsed = json.loads(path.read_text())
     assert parsed["iterations"] == report.iterations
     assert parsed["residual_history"][-1] <= 1e-6
+    assert 0 < report.orthogonality_loss < 1e-3
+    assert parsed["orthogonality_loss"] == data["orthogonality_loss"] == report.orthogonality_loss
 
 
 def test_unpreconditioned_solve_path():
