@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, _lattice_points
 
 __all__ = [
     "Subdomain",
@@ -27,7 +27,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Subdomain:
-    """One overlapping box: its elements, global dofs and dof classification.
+    """One overlapping box of cells: its global dofs and dof classification.
 
     interior/interface/physical_boundary are local indices into dofs and
     partition it; interface dofs lie on the subdomain boundary but not on the
@@ -38,7 +38,6 @@ class Subdomain:
     index: int
     cell_lo: tuple
     cell_hi: tuple
-    elements: np.ndarray
     dofs: np.ndarray
     interior_dofs: np.ndarray
     interface_dofs: np.ndarray
@@ -71,33 +70,6 @@ def _box_ranges(m: int, n1d: int, box: tuple, overlap: int):
     return lo, hi
 
 
-def _cells_in_box(m: int, dim: int, lo, hi) -> np.ndarray:
-    ranges = [np.arange(lo[d], hi[d]) for d in range(dim)]
-    if dim == 2:
-        ids = ranges[1][:, None] * m + ranges[0][None, :]
-    else:
-        ids = (
-            ranges[2][:, None, None] * m * m
-            + ranges[1][None, :, None] * m
-            + ranges[0][None, None, :]
-        )
-    return ids.ravel()
-
-
-def _vertices_in_box(m: int, dim: int, lo, hi) -> np.ndarray:
-    m1 = m + 1
-    ranges = [np.arange(lo[d], hi[d] + 1) for d in range(dim)]
-    if dim == 2:
-        ids = ranges[1][:, None] * m1 + ranges[0][None, :]
-    else:
-        ids = (
-            ranges[2][:, None, None] * m1 * m1
-            + ranges[1][None, :, None] * m1
-            + ranges[0][None, None, :]
-        )
-    return np.sort(ids.ravel())
-
-
 def build_decomposition(
     mesh: SimplicialMesh,
     n_subdomains_1d: int,
@@ -117,14 +89,11 @@ def build_decomposition(
         raise ValueError(f"n_subdomains_1d must be >= 1, got {n1d}")
     if m % n1d != 0:
         raise ValueError(f"mesh intervals ({m}) must be divisible by n_subdomains_1d ({n1d})")
-    if n1d**d > mesh.n_simplices:
-        raise ValueError(f"more subdomains ({n1d**d}) than cells")
     if overlap_layers < 1:
         raise ValueError(f"overlap_layers must be >= 1, got {overlap_layers}")
     if pou not in ("multiplicity", "ramp"):
         raise ValueError(f"unknown partition-of-unity kind {pou!r}")
 
-    simplices_per_cell = 2 if d == 2 else 6
     boxes = []
     for combo in product(range(n1d), repeat=d):
         box = combo[::-1]  # x fastest
@@ -133,20 +102,18 @@ def build_decomposition(
     raw = []
     for index, box in enumerate(boxes):
         lo, hi = _box_ranges(m, n1d, box, overlap_layers)
-        cells = _cells_in_box(m, d, lo, hi)
-        elements = (cells[:, None] * simplices_per_cell + np.arange(simplices_per_cell)).ravel()
-        dofs = _vertices_in_box(m, d, lo, hi)
-        raw.append((index, lo, hi, elements, dofs))
+        dofs = _lattice_points(lo, [b + 1 for b in hi], (m + 1) ** np.arange(d))  # ascending
+        raw.append((index, lo, hi, dofs))
 
     multiplicity = np.zeros(mesh.n_vertices, dtype=np.int64)
-    for _, _, _, _, dofs in raw:
+    for _, _, _, dofs in raw:
         multiplicity[dofs] += 1
     assert multiplicity.min() >= 1  # covering is guaranteed by construction
 
     if pou == "ramp":
         raw_weights = []
         total = np.zeros(mesh.n_vertices)
-        for _, lo, hi, _, dofs in raw:
+        for _, lo, hi, dofs in raw:
             coords = mesh.grid_coordinates(dofs)
             dist = np.full(len(dofs), float(m + 1))
             for axis in range(d):
@@ -157,10 +124,10 @@ def build_decomposition(
             raw_weights.append(dist)
             total[dofs] += dist
         # dofs covered only at interface distance 0 cannot occur for overlap >= 1
-        assert (total[np.concatenate([r[4] for r in raw])] > 0).all()
+        assert (total[np.concatenate([r[3] for r in raw])] > 0).all()
 
     subdomains = []
-    for slot, (index, lo, hi, elements, dofs) in enumerate(raw):
+    for slot, (index, lo, hi, dofs) in enumerate(raw):
         coords = mesh.grid_coordinates(dofs)
         on_box = np.zeros(len(dofs), dtype=bool)
         on_physical = np.zeros(len(dofs), dtype=bool)
@@ -180,7 +147,6 @@ def build_decomposition(
                 index=index,
                 cell_lo=lo,
                 cell_hi=hi,
-                elements=elements,
                 dofs=dofs,
                 interior_dofs=interior,
                 interface_dofs=interface,
@@ -203,10 +169,11 @@ def congruence_classes(dec: Decomposition) -> list:
     """Group the subdomains into classes of translated copies of one box.
 
     The key holds, per axis, whether the box touches the lo side and the hi
-    side of the domain and its extent in cells.  On the uniform mesh the
-    members of a class have the same local problem, so there are at most 3^d
-    classes when every box is at least overlap_layers cells wide.  Returns
-    (key, member indices) pairs in the order of their first member.
+    side of the domain and its extent in cells.  assemble_subdomain reads
+    nothing else, so the members of a class have bitwise the same local
+    matrices; there are at most 3^d classes when every box is at least
+    overlap_layers cells wide.  Returns (key, member indices) pairs in the
+    order of their first member.
     """
     m = dec.mesh.intervals_per_edge
     classes: dict = {}

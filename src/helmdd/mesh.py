@@ -1,16 +1,18 @@
 """Structured simplicial meshes of the unit square/cube and wavenumber-driven sizing rules.
 
-Meshes are uniform: the unit square is cut into m x m cells, each split into two
-triangles along the (0,0)-(1,1) diagonal; the unit cube into m^3 cells, each split
-into six tetrahedra sharing the main diagonal (Kuhn subdivision).  Both patterns
-are nested under integer refinement, so a coarse mesh with m_c | m_f is exactly
-contained in the fine one.
+Meshes are uniform: the unit square or cube is cut into m^d cells, and each
+cell into the d! simplices of its Kuhn subdivision, which all share the
+diagonal from the cell's lowest to its highest corner (two triangles in 2d,
+six tetrahedra in 3d).  The pattern is nested under integer refinement, so a
+coarse mesh with m_c | m_f is exactly contained in the fine one.  A mesh is
+defined by (dim, m) alone; vertices and simplices are derived from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,17 +26,6 @@ __all__ = [
     "interpolation_matrix",
 ]
 
-# The six coordinate-step orders of the Kuhn subdivision.  Each order pi yields
-# the tetrahedron (c, c+e_{pi0}, c+e_{pi0}+e_{pi1}, c+(1,1,1)) inside a unit cell.
-_KUHN_ORDERS = [
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
-]
-
 
 def _permutation_parity(order) -> int:
     inversions = sum(
@@ -43,23 +34,80 @@ def _permutation_parity(order) -> int:
     return inversions % 2
 
 
+def _kuhn_simplices(dim: int) -> np.ndarray:
+    """The dim! Kuhn simplices of the unit cell as (dim!, dim+1, dim) 0/1 vertex offsets.
+
+    Simplex pi walks from the origin to (1, ..., 1) one axis at a time in the
+    order pi; odd permutations swap vertices 1 and 2, so every simplex of
+    dimension >= 2 is positively oriented.
+    """
+    shapes = []
+    for order in permutations(range(dim)):
+        path = np.zeros((dim + 1, dim), dtype=np.int64)
+        for step, axis in enumerate(order):
+            path[step + 1:, axis] = 1
+        if _permutation_parity(order):
+            path[[1, 2]] = path[[2, 1]]
+        shapes.append(path)
+    return np.array(shapes)
+
+
+def _lattice_points(lo, hi, strides) -> np.ndarray:
+    """Ids sum_a c_a * strides[a] of the points lo <= c < hi, x fastest."""
+    ids = np.zeros(1, dtype=np.int64)
+    for axis in range(len(lo)):  # later axes vary slower
+        coords = np.arange(lo[axis], hi[axis]) * strides[axis]
+        ids = (coords[:, None] + ids[None, :]).ravel()
+    return ids
+
+
+def _lattice_simplices(widths, strides=None) -> np.ndarray:
+    """Kuhn simplices of a box of widths cells, as rows of vertex ids.
+
+    Vertex (c_0, ..., c_{d-1}) of the box has id sum_a c_a * strides[a]; the
+    strides default to the box's own numbering with x fastest.  Cells run x
+    fastest and cell c owns the d! simplices d!*c .. d!*c + d! - 1.
+    """
+    widths = tuple(int(w) for w in widths)
+    if strides is None:
+        strides = np.cumprod((1,) + tuple(w + 1 for w in widths[:-1]))
+    strides = np.asarray(strides, dtype=np.int64)
+    corners = _lattice_points((0,) * len(widths), widths, strides)
+    offsets = _kuhn_simplices(len(widths)) @ strides
+    return (corners[:, None, None] + offsets[None, :, :]).reshape(-1, len(widths) + 1)
+
+
 @dataclass(frozen=True, eq=False)
 class SimplicialMesh:
     """Uniform simplicial mesh of [0,1]^dim with m intervals per edge."""
 
     dim: int
     intervals_per_edge: int
-    vertices: np.ndarray  # (n_vertices, dim) float
-    simplices: np.ndarray  # (n_simplices, dim+1) int, positively oriented
-    boundary_facets: np.ndarray  # (n_facets, dim) int, vertex-sorted rows
+
+    def __post_init__(self):
+        if self.dim not in (2, 3):
+            raise ValueError(f"dimension must be 2 or 3, got {self.dim}")
+        m = self.intervals_per_edge
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"intervals_per_edge must be a positive integer, got {m}")
 
     @property
     def n_vertices(self) -> int:
-        return self.vertices.shape[0]
+        return (self.intervals_per_edge + 1) ** self.dim
 
     @property
     def n_simplices(self) -> int:
-        return self.simplices.shape[0]
+        return math.factorial(self.dim) * self.intervals_per_edge**self.dim
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """(n_vertices, dim) coordinates; x varies fastest."""
+        return self.grid_coordinates() / self.intervals_per_edge
+
+    @property
+    def simplices(self) -> np.ndarray:
+        """(n_simplices, dim+1) vertex ids, positively oriented (see _lattice_simplices)."""
+        return _lattice_simplices((self.intervals_per_edge,) * self.dim)
 
     def grid_coordinates(self, vertex_ids=None) -> np.ndarray:
         """Integer lattice coordinates (ix, iy[, iz]) of vertices; x varies fastest."""
@@ -74,77 +122,8 @@ class SimplicialMesh:
 
 
 def build_uniform_mesh(dim: int, intervals_per_edge: int) -> SimplicialMesh:
-    """Build the uniform simplicial mesh of the unit square (dim=2) or cube (dim=3).
-
-    Cells are enumerated with x fastest; cell c owns simplices 2c, 2c+1 (dim=2)
-    or 6c..6c+5 (dim=3), which downstream code relies on when mapping cell boxes
-    to element sets.
-    """
-    if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
-    m = intervals_per_edge
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"intervals_per_edge must be a positive integer, got {m}")
-
-    m1 = m + 1
-    axes = [np.arange(m1) / m for _ in range(dim)]
-    if dim == 2:
-        gy, gx = np.meshgrid(axes[1], axes[0], indexing="ij")
-        vertices = np.column_stack([gx.ravel(), gy.ravel()])
-    else:
-        gz, gy, gx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-        vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-
-    if dim == 2:
-        iy, ix = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        v00 = (iy * m1 + ix).ravel()
-        v10 = v00 + 1
-        v01 = v00 + m1
-        v11 = v01 + 1
-        # diagonal split v00-v11, both triangles counterclockwise
-        tris = np.empty((2 * m * m, 3), dtype=np.int64)
-        tris[0::2] = np.column_stack([v00, v10, v11])
-        tris[1::2] = np.column_stack([v00, v11, v01])
-        simplices = tris
-    else:
-        iz, iy, ix = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
-        base = (iz * m1 * m1 + iy * m1 + ix).ravel()
-        strides = np.array([1, m1, m1 * m1], dtype=np.int64)
-
-        offsets = np.empty((6, 4), dtype=np.int64)
-        for t, order in enumerate(_KUHN_ORDERS):
-            o0 = 0
-            o1 = o0 + strides[order[0]]
-            o2 = o1 + strides[order[1]]
-            o3 = int(strides.sum())
-            if _permutation_parity(order) == 0:
-                offsets[t] = (o0, o1, o2, o3)
-            else:
-                offsets[t] = (o0, o2, o1, o3)  # swap to keep positive orientation
-        simplices = (base[:, None, None] + offsets[None, :, :]).reshape(-1, 4)
-
-    mesh = SimplicialMesh(
-        dim=dim,
-        intervals_per_edge=m,
-        vertices=vertices,
-        simplices=simplices,
-        boundary_facets=_boundary_facets(simplices),
-    )
-    return mesh
-
-
-def _boundary_facets(simplices: np.ndarray) -> np.ndarray:
-    """Facets (vertex-sorted) that belong to exactly one simplex, in lexicographic order."""
-    q = simplices.shape[1]
-    faces = np.concatenate([np.delete(simplices, i, axis=1) for i in range(q)])
-    faces = np.sort(faces, axis=1)
-    order = np.lexsort(faces.T[::-1])
-    sf = faces[order]
-    new_run = np.ones(len(sf), dtype=bool)
-    new_run[1:] = (sf[1:] != sf[:-1]).any(axis=1)
-    starts = np.flatnonzero(new_run)
-    lengths = np.diff(np.append(starts, len(sf)))
-    return sf[starts[lengths == 1]]
+    """The uniform simplicial mesh of the unit square (dim=2) or cube (dim=3)."""
+    return SimplicialMesh(dim, intervals_per_edge)
 
 
 def subdomains_per_dimension(k: float, alpha: float) -> int:

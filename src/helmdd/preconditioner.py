@@ -6,8 +6,9 @@ correction Xi = Z E^{-1} Z* with E = Z* A_eps Z, either additively or in
 hybrid (balancing) form Q M1 P + Xi with P = I - A_eps Xi, Q = I - Xi A_eps.
 
 Subdomains that are translated copies of one box (see congruence_classes)
-share one local assembly, one LU factorization and one DtN eigenproblem: the
-first member of each class stands in for all of them.
+have bitwise the same local matrices, so they share one local assembly, one
+LU factorization and one DtN eigenproblem: the first member of each class
+stands in for all of them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import HelmholtzParams, SubdomainMatrices, assemble_subdomain
+from .assembly import HelmholtzParams, assemble_subdomain
 from .decomposition import Decomposition, congruence_classes
 from .linalg import SparseFactorization, factorize, generalized_eig
 from .mesh import SimplicialMesh, interpolation_matrix
@@ -26,9 +27,6 @@ __all__ = [
     "PreconditionerError",
     "SelectionPolicy",
     "selection_policy",
-    "SubdomainClass",
-    "LocalProblems",
-    "assemble_local_problems",
     "OneLevelORAS",
     "CoarseSpace",
     "TwoLevelPreconditioner",
@@ -82,64 +80,10 @@ def selection_policy(kind: str, m: int | None = None) -> SelectionPolicy:
     raise ValueError(f"unknown selection kind {kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SubdomainClass:
-    """Congruent subdomains; matrices are those of the first member."""
-
-    key: tuple
-    members: tuple  # subdomain indices, ascending
-    matrices: SubdomainMatrices
-
-
-@dataclass(frozen=True, eq=False)
-class LocalProblems:
-    """Local matrices of every congruence class, assembled with params."""
-
-    params: HelmholtzParams
-    classes: list
-
-
-def _local_structure(mesh: SimplicialMesh, sub) -> tuple:
-    local_simplices = np.searchsorted(sub.dofs, mesh.simplices[sub.elements])
-    offsets = mesh.vertices[sub.dofs] - mesh.vertices[sub.dofs[0]]
-    return local_simplices, sub.interface_dofs, sub.physical_boundary_dofs, offsets
-
-
-def _check_congruent(mesh: SimplicialMesh, rep, others) -> None:
-    """Raise unless every subdomain in others has the local structure of rep.
-
-    Compares the local element connectivity, the interface and physical-boundary
-    index arrays (exactly) and the vertex offsets from the first dof (to
-    rounding), so a member is never handed another subdomain's operator.
-    """
-    *ref, ref_offsets = _local_structure(mesh, rep)
-    for sub in others:
-        *got, offsets = _local_structure(mesh, sub)
-        same = sub.n_dofs == rep.n_dofs and all(map(np.array_equal, ref, got))
-        # coordinates lie in the unit cube, so 1e-12 is far above rounding
-        if not same or np.abs(offsets - ref_offsets).max() > 1e-12:
-            raise PreconditionerError(
-                f"subdomain {sub.index} is not congruent to subdomain {rep.index} of its class"
-            )
-
-
-def assemble_local_problems(
-    mesh: SimplicialMesh, decomposition: Decomposition, params: HelmholtzParams
-) -> LocalProblems:
-    """One assemble_subdomain call per congruence class, on its first member."""
-    subs = decomposition.subdomains
-    classes = []
+def _class_matrices(mesh: SimplicialMesh, decomposition: Decomposition, params: HelmholtzParams):
+    """(key, members, local matrices of the first member) of every congruence class."""
     for key, members in congruence_classes(decomposition):
-        rep = subs[members[0]]
-        _check_congruent(mesh, rep, [subs[j] for j in members[1:]])
-        classes.append(SubdomainClass(key, tuple(members), assemble_subdomain(mesh, rep, params)))
-    return LocalProblems(params, classes)
-
-
-def _reuse_or_assemble(mesh, decomposition, params, local) -> LocalProblems:
-    if local is not None and local.params == params:
-        return local
-    return assemble_local_problems(mesh, decomposition, params)
+        yield key, members, assemble_subdomain(mesh, decomposition.subdomains[members[0]], params)
 
 
 class OneLevelORAS:
@@ -181,24 +125,19 @@ def build_one_level(
     decomposition: Decomposition,
     k: float,
     epsilon_prec: float,
-    local: LocalProblems | None = None,
 ) -> OneLevelORAS:
-    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every class.
-
-    local reuses class matrices already assembled on the same decomposition
-    when they were built with the same parameters.
-    """
+    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every class."""
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    local = _reuse_or_assemble(mesh, decomposition, params, local)
-    factorizations = []
-    for cls in local.classes:
+    groups, factorizations = [], []
+    for _, members, mats in _class_matrices(mesh, decomposition, params):
         try:
-            factorizations.append(factorize(cls.matrices.A_local))
+            factorizations.append(factorize(mats.A_local))
         except Exception as exc:
             raise PreconditionerError(
-                f"local matrix of subdomain {cls.members[0]} could not be factorized: {exc}"
+                f"local matrix of subdomain {members[0]} could not be factorized: {exc}"
             ) from exc
-    return OneLevelORAS(decomposition, [c.members for c in local.classes], factorizations)
+        groups.append(members)
+    return OneLevelORAS(decomposition, groups, factorizations)
 
 
 @dataclass(eq=False)
@@ -269,7 +208,6 @@ def build_dtn_cs(
     epsilon_prec: float,
     selection: SelectionPolicy,
     A_eps: sp.spmatrix,
-    local: LocalProblems | None = None,
 ) -> CoarseSpace:
     """Coarse space from subdomain interface eigenvectors of the discrete DtN map.
 
@@ -281,20 +219,17 @@ def build_dtn_cs(
     scaled by its own partition of unity.  Columns of Z live in exactly one
     subdomain block, in subdomain order; rows are shared across overlapping
     blocks.  The subdomain matrices are those of the shifted problem
-    (epsilon_prec, eta = k); local reuses them as in build_one_level.
+    (epsilon_prec, eta = k).
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    local = _reuse_or_assemble(mesh, decomposition, params, local)
-
     extensions = {}  # subdomain index -> (selected eigenvalues, unscaled W or None)
     margins = []
-    for cls in local.classes:
-        rep = decomposition.subdomains[cls.members[0]]
+    for key, members, mats in _class_matrices(mesh, decomposition, params):
+        rep = decomposition.subdomains[members[0]]
         gamma = rep.interface_dofs
         if gamma.size == 0:
-            extensions.update((j, ([], None)) for j in cls.members)
+            extensions.update((j, ([], None)) for j in members)
             continue
-        mats = cls.matrices
         inner = np.setdiff1d(np.arange(rep.n_dofs), gamma, assume_unique=True)
 
         A = mats.A_neu.tocsc()
@@ -325,8 +260,8 @@ def build_dtn_cs(
             )
         margins.append(
             {
-                "key": [list(axis) for axis in cls.key],
-                "members": len(cls.members),
+                "key": [list(axis) for axis in key],
+                "members": len(members),
                 "margin": float(np.abs(pairs.values.real - k).min() / k),
             }
         )
@@ -341,7 +276,7 @@ def build_dtn_cs(
             W[gamma] = G
             if inner.size:
                 W[inner] = -X @ G
-        extensions.update((j, (list(pairs.values[chosen]), W)) for j in cls.members)
+        extensions.update((j, (list(pairs.values[chosen]), W)) for j in members)
 
     rows_parts = []
     cols_parts = []

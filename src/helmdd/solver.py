@@ -20,7 +20,6 @@ from .linalg import gmres, random_initial_guess
 from .preconditioner import (
     SelectionPolicy,
     TwoLevelPreconditioner,
-    assemble_local_problems,
     build_dtn_cs,
     build_grid_cs,
     build_one_level,
@@ -159,15 +158,7 @@ class SolverContext:
             self.decomposition = build_decomposition(
                 self.mesh, n1d, config.overlap_layers, pou=config.pou
             )
-            local = None
-            # the DtN space reuses the class matrices; otherwise build_one_level
-            # assembles them itself and frees them once the LUs exist
-            if config.precon == "two_level_dtn":
-                params = HelmholtzParams(k=k, epsilon=config.epsilon_prec, eta=k)
-                local = assemble_local_problems(self.mesh, self.decomposition, params)
-            one_level = build_one_level(
-                self.mesh, self.decomposition, k, config.epsilon_prec, local=local
-            )
+            one_level = build_one_level(self.mesh, self.decomposition, k, config.epsilon_prec)
             if config.precon == "one_level":
                 self.precon = one_level
             else:
@@ -186,7 +177,6 @@ class SolverContext:
                         config.epsilon_prec,
                         config.selection,
                         A_eps,
-                        local=local,
                     )
                 self.n_cs = cs.n_cs
                 self.coarse_info = cs.summary()

@@ -1,0 +1,65 @@
+"""Reference P1 assembly on explicit element geometry, for checking the lattice kernel.
+
+Every simplex gets its own float det and inverse, boundary facets are the
+faces that belong to one simplex only, and a facet is physical when all its
+vertices share the coordinate 0 or m on some axis.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def volumes_and_gradients(vertices, simplices):
+    pts = vertices[simplices]
+    edges = pts[:, 1:, :] - pts[:, :1, :]
+    vol = np.linalg.det(edges) / math.factorial(vertices.shape[1])
+    assert (vol > 0).all(), "degenerate or negatively oriented simplex"
+    grads = np.empty(pts.shape)
+    grads[:, 1:, :] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return vol, grads
+
+
+def _scatter(cells, element_matrices, n):
+    rows = np.repeat(cells, cells.shape[1], axis=1).ravel()
+    cols = np.tile(cells, (1, cells.shape[1])).ravel()
+    return sp.csr_matrix((element_matrices.ravel(), (rows, cols)), shape=(n, n))
+
+
+def boundary_facets(simplices):
+    faces = np.concatenate([np.delete(simplices, i, axis=1) for i in range(simplices.shape[1])])
+    faces = np.sort(faces, axis=1)
+    unique, counts = np.unique(faces, axis=0, return_counts=True)
+    return unique[counts == 1]
+
+
+def _mass(vol, q):
+    return vol[:, None, None] * (np.ones((q, q)) + np.eye(q)) / (q * (q + 1))
+
+
+def facet_mass(vertices, facets, n):
+    pts = vertices[facets]
+    spans = pts[:, 1:, :] - pts[:, :1, :]
+    gram = spans @ np.transpose(spans, (0, 2, 1))
+    meas = np.sqrt(np.linalg.det(gram)) / math.factorial(spans.shape[1])
+    return _scatter(facets, _mass(meas, facets.shape[1]), n)
+
+
+def box_matrices(mesh, lo, hi):
+    """K, M, B_phys and B_intf of the cells in [lo, hi], in the box's ascending vertex order."""
+    coords = mesh.grid_coordinates()
+    inside = ((coords >= lo) & (coords <= hi)).all(axis=1)
+    dofs = np.flatnonzero(inside)
+    simplices = mesh.simplices
+    local = np.searchsorted(dofs, simplices[inside[simplices].all(axis=1)])
+    vertices, n = mesh.vertices[dofs], len(dofs)
+    vol, grads = volumes_and_gradients(vertices, local)
+    K = _scatter(local, np.einsum("e,eid,ejd->eij", vol, grads, grads), n)
+    M = _scatter(local, _mass(vol, mesh.dim + 1), n)
+    facets = boundary_facets(local)
+    fc = coords[dofs][facets]
+    physical = ((fc == 0).all(axis=1) | (fc == mesh.intervals_per_edge).all(axis=1)).any(axis=1)
+    B_phys, B_intf = (facet_mass(vertices, facets[mask], n) for mask in (physical, ~physical))
+    return K, M, B_phys, B_intf

@@ -1,5 +1,8 @@
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ import helmdd
 
 MODULES = ["helmdd"] + [f"helmdd.{m.name}" for m in pkgutil.iter_modules(helmdd.__path__)
                         if m.name != "__main__"]
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -14,3 +18,26 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _spans_constant(name):
+    # read from the source, so the benchmark's module is neither run nor compiled here
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {SPANS}")
+
+
+def test_benchmark_span_targets_resolve():
+    # a renamed function would otherwise drop out of the traced benchmark silently
+    missing = []
+    for span, module_name, path in _spans_constant("TARGETS"):
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{span} ({module_name}.{path})")
+    gmres = inspect.signature(importlib.import_module("helmdd.linalg").gmres).parameters
+    missing += [span for arg, span in _spans_constant("GMRES_OPERATORS") if arg not in gmres]
+    assert missing == []

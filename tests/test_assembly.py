@@ -1,35 +1,40 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import p1_oracle
 from helmdd.assembly import (
-    AssemblyError,
     HelmholtzParams,
+    _box_matrices,
+    _stiffness_kernel,
     assemble_global,
     assemble_rhs,
     assemble_subdomain,
     boundary_mass_matrix,
-    facet_mass_matrix,
     mass_matrix,
     stiffness_matrix,
 )
 from helmdd.decomposition import build_decomposition
-from helmdd.mesh import SimplicialMesh, build_uniform_mesh
-
-
-def reference_triangle():
-    return SimplicialMesh(
-        dim=2,
-        intervals_per_edge=1,
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        simplices=np.array([[0, 1, 2]]),
-        boundary_facets=np.empty((0, 2), dtype=np.int64),
-    )
+from helmdd.mesh import build_uniform_mesh
 
 
 def test_unit_right_triangle_stiffness():
-    K = stiffness_matrix(reference_triangle()).toarray()
-    expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
-    np.testing.assert_allclose(K, expected, atol=1e-15)
+    # the two Kuhn triangles of the unit cell: (0,0),(1,0),(1,1) and (0,0),(1,1),(0,1)
+    lower = 0.5 * np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    upper = 0.5 * np.array([[1, 0, -1], [0, 1, -1], [-1, -1, 2]])
+    np.testing.assert_array_equal(_stiffness_kernel(2, 0.25), [lower, upper])
+    K = stiffness_matrix(build_uniform_mesh(2, 1)).toarray()  # vertices (0,0),(1,0),(0,1),(1,1)
+    expected = np.array([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]) / 2
+    np.testing.assert_array_equal(K, expected)
+    # 3d: the six Kuhn tetrahedra against the element geometry of the oracle
+    cube = build_uniform_mesh(3, 1)
+    vol, grads = p1_oracle.volumes_and_gradients(cube.vertices, cube.simplices)
+    reference = np.einsum("e,eid,ejd->eij", vol, grads, grads) * 0.5
+    np.testing.assert_allclose(_stiffness_kernel(3, 0.5), reference, rtol=0, atol=1e-15)
 
 
 def test_zero_wavenumber_limit_is_pure_stiffness():
@@ -87,10 +92,11 @@ def test_coercivity_proxy_imaginary_part():
 
 
 def test_default_eta_sign_rule():
-    assert HelmholtzParams(k=3.0, epsilon=0.0).eta == 3.0
-    assert HelmholtzParams(k=3.0, epsilon=9.0).eta == 3.0
-    assert HelmholtzParams(k=3.0, epsilon=-9.0).eta == -3.0
+    # eta defaults to k whatever the sign of the shift; an explicit eta is kept
+    for epsilon in (0.0, 9.0, -9.0):
+        assert HelmholtzParams(k=3.0, epsilon=epsilon).eta == 3.0
     assert HelmholtzParams(k=3.0, epsilon=9.0, eta=1.5).eta == 1.5
+    assert HelmholtzParams(k=3.0, epsilon=-9.0, eta=-3.0).eta == -3.0
     with pytest.raises(ValueError):
         HelmholtzParams(k=0.0)
 
@@ -128,7 +134,6 @@ def test_single_subdomain_matches_global():
     A = assemble_global(mesh, params)
     assert np.abs((mats.A_local - A).toarray()).max() < 1e-12
     assert mats.M_interface.nnz == 0  # boundary of the single subdomain is all physical
-    assert len(mats.interface_facets) == 0
 
 
 def test_subdomain_interface_mass_total_and_robin_difference():
@@ -147,7 +152,8 @@ def test_subdomain_interface_mass_total_and_robin_difference():
     support = mats.A_local - mats.A_neu
     rows = np.repeat(np.arange(sub.n_dofs), np.diff(support.indptr))
     touched = set(np.unique(rows[np.abs(support.data) > 0]))
-    facet_dofs = set(np.unique(mats.interface_facets))
+    coords = mesh.grid_coordinates(sub.dofs)
+    facet_dofs = set(np.flatnonzero((coords == 6).any(axis=1)))
     assert touched <= facet_dofs
     assert set(sub.interface_dofs) <= facet_dofs
 
@@ -163,22 +169,13 @@ def test_interface_mass_spd_on_interface_dofs():
     assert w.min() > 0
 
 
-def test_degenerate_simplex_raises():
-    mesh = SimplicialMesh(
-        dim=2,
-        intervals_per_edge=1,
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-        simplices=np.array([[0, 1, 2]]),  # collinear
-        boundary_facets=np.empty((0, 2), dtype=np.int64),
-    )
-    with pytest.raises(AssemblyError):
-        stiffness_matrix(mesh)
-
-
 def test_facet_mass_empty():
-    mesh = build_uniform_mesh(2, 2)
-    B = facet_mass_matrix(mesh.vertices, np.empty((0, 2), dtype=np.int64), 2, mesh.n_vertices)
-    assert B.nnz == 0
+    # a box with no interface side has an empty interface mass, and vice versa
+    all_physical = _box_matrices((2, 3), 0.5, [(True, True)] * 2)
+    none_physical = _box_matrices((2, 3), 0.5, [(False, False)] * 2)
+    for B in (all_physical[3], none_physical[2]):
+        assert B.shape == (12, 12) and B.nnz == 0
+    np.testing.assert_array_equal(all_physical[2].toarray(), none_physical[3].toarray())
 
 
 def test_boundary_mass_total():
@@ -187,3 +184,74 @@ def test_boundary_mass_total():
     ones = np.ones(mesh3.n_vertices)
     assert abs(ones @ (B @ ones) - 6.0) < 1e-12  # cube surface area
 
+
+
+def assert_close(got, want):
+    scale = abs(want).max()
+    assert abs(got - want).max() <= 1e-14 * scale, (abs(got - want).max(), scale)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 8), (2, 40), (3, 6), (3, 12)])
+def test_global_matrices_match_the_element_oracle(dim, m):
+    mesh = build_uniform_mesh(dim, m)
+    K, M, B, empty = p1_oracle.box_matrices(mesh, (0,) * dim, (m,) * dim)
+    assert empty.nnz == 0
+    assert_close(stiffness_matrix(mesh), K)
+    assert_close(mass_matrix(mesh), M)
+    assert_close(boundary_mass_matrix(mesh), B)
+    params = HelmholtzParams(k=7.0, epsilon=3.0, eta=5.0)
+    assert_close(assemble_global(mesh, params), K - (49 + 3j) * M - 5j * B)
+
+
+@pytest.mark.parametrize("dim,m,n1d", [(2, 24, 4), (2, 8, 8), (3, 6, 3), (3, 6, 6)])
+def test_subdomain_matrices_match_the_element_oracle(dim, m, n1d):
+    mesh = build_uniform_mesh(dim, m)
+    params = HelmholtzParams(k=7.0, epsilon=3.0, eta=5.0)
+    for sub in build_decomposition(mesh, n1d, 2).subdomains:
+        K, M, B_phys, B_intf = p1_oracle.box_matrices(mesh, sub.cell_lo, sub.cell_hi)
+        A_neu = K - (49 + 3j) * M - 5j * B_phys
+        mats = assemble_subdomain(mesh, sub, params)
+        assert_close(mats.A_local, A_neu - 5j * B_intf)
+        assert_close(mats.A_neu, A_neu)
+        if B_intf.nnz:
+            assert_close(mats.M_interface, B_intf)
+        else:
+            assert mats.M_interface.nnz == 0
+
+
+def assert_bitwise_symmetric(A):
+    T = A.T.tocsr()
+    T.sort_indices()
+    np.testing.assert_array_equal(A.indptr, T.indptr)
+    np.testing.assert_array_equal(A.indices, T.indices)
+    np.testing.assert_array_equal(A.data.view(np.uint8), T.data.view(np.uint8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), m=st.integers(1, 5), data=st.data())
+def test_box_kernel_properties(dim, m, data):
+    # every box of a mesh with m <= 5: widths 1-5 per axis and all physical-side flags
+    lo = tuple(data.draw(st.integers(0, m - 1)) for _ in range(dim))
+    hi = tuple(data.draw(st.integers(a + 1, m)) for a in lo)
+    widths = [b - a for a, b in zip(lo, hi)]
+    physical = [(a == 0, b == m) for a, b in zip(lo, hi)]
+    h = 1.0 / m
+    K, M, B_phys, B_intf = _box_matrices(widths, h, physical)
+    ones = np.ones(math.prod(w + 1 for w in widths))
+    assert abs(K @ ones).max() <= 1e-13
+    assert ones @ (M @ ones) == pytest.approx(math.prod(widths) * h**dim, rel=1e-13)
+    face = [math.prod(widths) // w * h ** (dim - 1) for w in widths]  # one side of each axis
+    for B, flag in ((B_phys, True), (B_intf, False)):
+        expected = sum(f * sides.count(flag) for f, sides in zip(face, physical))
+        assert ones @ (B @ ones) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+    mesh = build_uniform_mesh(dim, m)
+    params = HelmholtzParams(k=4.0, epsilon=2.0, eta=3.0)
+    mats = assemble_subdomain(mesh, SimpleNamespace(cell_lo=lo, cell_hi=hi), params)
+    diff = (mats.A_local - mats.A_neu) - (-3j) * mats.M_interface
+    assert diff.nnz == 0 or abs(diff).max() <= 1e-15 * abs(mats.A_local).max()
+    for A in (mats.A_local, mats.A_neu, mats.M_interface):
+        assert_bitwise_symmetric(A)
+    K_o, M_o, B_phys_o, B_intf_o = p1_oracle.box_matrices(mesh, lo, hi)
+    assert_close(mats.A_neu, K_o - (16 + 2j) * M_o - 3j * B_phys_o)
+    assert_close(mats.A_local, K_o - (16 + 2j) * M_o - 3j * (B_phys_o + B_intf_o))

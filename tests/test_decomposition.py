@@ -28,7 +28,7 @@ def test_single_subdomain_is_whole_domain():
     assert sub.n_dofs == mesh.n_vertices
     np.testing.assert_array_equal(sub.pou, 1.0)
     assert len(sub.interface_dofs) == 0
-    assert len(sub.elements) == mesh.n_simplices
+    assert (sub.cell_lo, sub.cell_hi) == ((0, 0), (4, 4))
 
 
 def test_two_by_two_box_geometry_and_weights():

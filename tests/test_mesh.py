@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmdd.assembly import _edges_and_volumes
+import p1_oracle
+from helmdd.assembly import _face_simplices
 from helmdd.mesh import (
     build_uniform_mesh,
     coarse_resolution,
@@ -14,15 +15,15 @@ from helmdd.mesh import (
 
 
 def simplex_volumes(mesh):
-    # the assembly's element geometry is the one place volumes are computed
-    return _edges_and_volumes(mesh.vertices, mesh.simplices, mesh.dim)[1]
+    # float element geometry of the reference assembly, apart from the lattice kernel
+    return p1_oracle.volumes_and_gradients(mesh.vertices, mesh.simplices)[0]
 
 
 def test_smallest_square_mesh():
     mesh = build_uniform_mesh(2, 1)
     assert mesh.n_vertices == 4
     assert mesh.n_simplices == 2
-    assert len(mesh.boundary_facets) == 4
+    np.testing.assert_array_equal(mesh.simplices, [[0, 1, 3], [0, 3, 2]])
 
 
 def test_two_by_two_square_mesh():
@@ -37,6 +38,9 @@ def test_kuhn_split_unit_cube():
     assert mesh.n_vertices == 8
     assert mesh.n_simplices == 6
     np.testing.assert_allclose(simplex_volumes(mesh), 1 / 6)
+    # one path from (0,0,0) to (1,1,1) per axis order; odd orders swap vertices 1 and 2
+    expected = [[0, 1, 3, 7], [0, 5, 1, 7], [0, 3, 2, 7], [0, 2, 6, 7], [0, 4, 5, 7], [0, 6, 4, 7]]
+    np.testing.assert_array_equal(mesh.simplices, expected)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 0), (2, -3), (3, 0)])
@@ -63,13 +67,18 @@ def test_volumes_positive_and_conserved(dim, m):
 
 @pytest.mark.parametrize("dim,m", [(2, 3), (3, 3)])
 def test_boundary_facets_lie_in_domain_faces(dim, m):
+    # the face simplices of the assembly kernel are exactly the boundary facets
+    # found by sorting all faces of the mesh
     mesh = build_uniform_mesh(dim, m)
-    coords = mesh.grid_coordinates(mesh.boundary_facets.ravel())
-    coords = coords.reshape(mesh.boundary_facets.shape + (dim,))
+    faces = [_face_simplices((m,) * dim, axis, side) for axis in range(dim) for side in (0, 1)]
+    facets = np.sort(np.concatenate(faces), axis=1)
+    coords = mesh.grid_coordinates(facets.ravel()).reshape(facets.shape + (dim,))
     on_face = ((coords == 0).all(axis=1) | (coords == m).all(axis=1)).any(axis=1)
     assert on_face.all()
     expected = 4 * m if dim == 2 else 12 * m * m
-    assert len(mesh.boundary_facets) == expected
+    assert len(facets) == expected
+    reference = p1_oracle.boundary_facets(mesh.simplices)
+    np.testing.assert_array_equal(np.unique(facets, axis=0), reference)
 
 
 @settings(max_examples=20, deadline=None)
