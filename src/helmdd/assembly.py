@@ -23,9 +23,6 @@ from .mesh import SimplicialMesh, _kuhn_simplices, _lattice_simplices
 __all__ = [
     "HelmholtzParams",
     "SubdomainMatrices",
-    "stiffness_matrix",
-    "mass_matrix",
-    "boundary_mass_matrix",
     "assemble_global",
     "assemble_rhs",
     "assemble_subdomain",
@@ -144,39 +141,29 @@ def _box_matrices(widths, h: float, physical) -> tuple:
 
 
 def _global_box(mesh: SimplicialMesh):
+    """K, M, B and the (empty) interface mass of the whole mesh."""
     m = mesh.intervals_per_edge
     return _box_matrices((m,) * mesh.dim, 1.0 / m, ((True, True),) * mesh.dim)
-
-
-def stiffness_matrix(mesh: SimplicialMesh) -> sp.csr_matrix:
-    return _global_box(mesh)[0]
-
-
-def mass_matrix(mesh: SimplicialMesh) -> sp.csr_matrix:
-    """M alone, bitwise the M of the global box (same simplices, kernel and sort)."""
-    h = 1.0 / mesh.intervals_per_edge
-    return _scatter(mesh.simplices, mesh.n_vertices, _mass_kernel(mesh.dim, h))[0]
-
-
-def boundary_mass_matrix(mesh: SimplicialMesh) -> sp.csr_matrix:
-    return _global_box(mesh)[2]
 
 
 def _volume_part(K, M, params: HelmholtzParams) -> sp.csr_matrix:
     return K.astype(np.complex128) + (-(params.k**2) - 1j * params.epsilon) * M
 
 
-def assemble_global(mesh: SimplicialMesh, params: HelmholtzParams) -> sp.csr_matrix:
+def assemble_global(mesh: SimplicialMesh, params: HelmholtzParams, *, with_mass: bool = False):
     """Assemble K - (k^2 + i*eps) M - i*eta B on the whole mesh (complex CSR).
 
     The operator is complex symmetric (A == A.T entrywise) but not Hermitian.
+    With with_mass, returns (A, M): the mass matrix of the same pass, from
+    which a shifted operator A - i*eps'*M is derived without a second sort.
     """
     K, M, B, _ = _global_box(mesh)
     A = _volume_part(K, M, params)
+    kept = M if with_mass else None
     del K, M  # freed before the last sum allocates A, which keeps peak memory down
     A = A + (-1j * params.eta) * B
     A.sort_indices()
-    return A
+    return (A, kept) if with_mass else A
 
 
 def _gauss2d(points: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import mesh as meshmod
-from .assembly import HelmholtzParams, assemble_global, assemble_rhs, mass_matrix
+from .assembly import HelmholtzParams, assemble_global, assemble_rhs
 from .decomposition import build_decomposition
 from .linalg import gmres, random_initial_guess
 from .preconditioner import (
@@ -108,6 +108,8 @@ class SolveReport:
     seed: int
     final_residual: float  # independently recomputed ||f - A0 x|| / ||f||
     orthogonality_loss: float  # GMRES basis: max_i |<v_i, v_{m-1}>|
+    # L.nnz + U.nnz: "local" summed over the class LUs, "coarse" of E (0 where absent)
+    lu_fill_nnz: dict
     coarse_info: dict | None = None
     solution: np.ndarray | None = None  # not serialized
 
@@ -124,6 +126,7 @@ class SolveReport:
             "seed": int(self.seed),
             "final_residual": float(self.final_residual),
             "orthogonality_loss": float(self.orthogonality_loss),
+            "lu_fill_nnz": {k: int(v) for k, v in self.lu_fill_nnz.items()},
             "coarse_info": self.coarse_info,
         }
 
@@ -146,7 +149,11 @@ class SolverContext:
         self.n1d = n1d
         m = meshmod.fine_resolution(k, n1d)
         self.mesh = meshmod.build_uniform_mesh(config.dim, m)
-        self.A0 = assemble_global(self.mesh, HelmholtzParams(k=k, eta=k))
+        params = HelmholtzParams(k=k, eta=k)
+        if config.precon in ("two_level_grid", "two_level_dtn"):  # A_eps needs M
+            self.A0, M = assemble_global(self.mesh, params, with_mass=True)
+        else:
+            self.A0 = assemble_global(self.mesh, params)
         self.f = assemble_rhs(self.mesh, "gauss2d" if config.dim == 2 else "gauss3d")
         t1 = time.perf_counter()
 
@@ -154,15 +161,17 @@ class SolverContext:
         self.precon = None
         self.n_cs = 0
         self.coarse_info = None
+        self.lu_fill_nnz = {"local": 0, "coarse": 0}
         if config.precon != "none":
             self.decomposition = build_decomposition(
                 self.mesh, n1d, config.overlap_layers, pou=config.pou
             )
             one_level = build_one_level(self.mesh, self.decomposition, k, config.epsilon_prec)
+            self.lu_fill_nnz["local"] = sum(lu.fill for lu in one_level.factorizations)
             if config.precon == "one_level":
                 self.precon = one_level
             else:
-                A_eps = self.A0 + (-1j * config.epsilon_prec) * mass_matrix(self.mesh)
+                A_eps = self.A0 + (-1j * config.epsilon_prec) * M
                 if config.precon == "two_level_grid":
                     mc = config.coarse_m
                     if mc is None:
@@ -179,6 +188,7 @@ class SolverContext:
                         A_eps,
                     )
                 self.n_cs = cs.n_cs
+                self.lu_fill_nnz["coarse"] = cs.E_fact.fill
                 self.coarse_info = cs.summary()
                 self.precon = TwoLevelPreconditioner(one_level, cs, config.mode, A_eps)
         t2 = time.perf_counter()
@@ -222,6 +232,7 @@ class SolverContext:
             seed=seed,
             final_residual=final,
             orthogonality_loss=outcome.orthogonality_loss,
+            lu_fill_nnz=dict(self.lu_fill_nnz),
             coarse_info=self.coarse_info,
             solution=outcome.solution,
         )

@@ -11,6 +11,7 @@ import helmdd
 MODULES = ["helmdd"] + [f"helmdd.{m.name}" for m in pkgutil.iter_modules(helmdd.__path__)
                         if m.name != "__main__"]
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SOURCES = Path(helmdd.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -41,3 +42,33 @@ def test_benchmark_span_targets_resolve():
     gmres = inspect.signature(importlib.import_module("helmdd.linalg").gmres).parameters
     missing += [span for arg, span in _spans_constant("GMRES_OPERATORS") if arg not in gmres]
     assert missing == []
+
+
+def _direct_solver_calls(tree):
+    """(enclosing function, line) of every call of a SciPy sparse direct solver."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("splu", "spsolve", "factorized"):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_sparse_lu_goes_through_factorize():
+    # one ordering and one backward-error guard hold only if nothing bypasses them
+    outside = []
+    for path in sorted(SOURCES.glob("*.py")):
+        calls = _direct_solver_calls(ast.parse(path.read_text(encoding="utf-8")))
+        allowed = "factorize" if path.name == "linalg.py" else None
+        outside += [f"{path.name}:{line} in {fn}" for fn, line in calls if fn != allowed]
+        if allowed:
+            assert calls, "linalg.factorize no longer calls splu"
+    assert outside == []

@@ -10,13 +10,11 @@ import p1_oracle
 from helmdd.assembly import (
     HelmholtzParams,
     _box_matrices,
+    _global_box,
     _stiffness_kernel,
     assemble_global,
     assemble_rhs,
     assemble_subdomain,
-    boundary_mass_matrix,
-    mass_matrix,
-    stiffness_matrix,
 )
 from helmdd.decomposition import build_decomposition
 from helmdd.mesh import build_uniform_mesh
@@ -27,7 +25,7 @@ def test_unit_right_triangle_stiffness():
     lower = 0.5 * np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     upper = 0.5 * np.array([[1, 0, -1], [0, 1, -1], [-1, -1, 2]])
     np.testing.assert_array_equal(_stiffness_kernel(2, 0.25), [lower, upper])
-    K = stiffness_matrix(build_uniform_mesh(2, 1)).toarray()  # vertices (0,0),(1,0),(0,1),(1,1)
+    K = _global_box(build_uniform_mesh(2, 1))[0].toarray()  # vertices (0,0),(1,0),(0,1),(1,1)
     expected = np.array([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]) / 2
     np.testing.assert_array_equal(K, expected)
     # 3d: the six Kuhn tetrahedra against the element geometry of the oracle
@@ -40,7 +38,7 @@ def test_unit_right_triangle_stiffness():
 def test_zero_wavenumber_limit_is_pure_stiffness():
     mesh = build_uniform_mesh(2, 5)
     # k -> 0 limit: stiffness only; constants lie in the kernel
-    K = stiffness_matrix(mesh)
+    K = _global_box(mesh)[0]
     assert np.abs(K @ np.ones(mesh.n_vertices)).max() < 1e-12
     assert not np.iscomplexobj(K.data)
 
@@ -50,12 +48,13 @@ def test_mass_part_integrates_domain_measure(dim, m):
     mesh = build_uniform_mesh(dim, m)
     params = HelmholtzParams(k=3.0, epsilon=2.0)
     ones = np.ones(mesh.n_vertices)
+    _, M, B, _ = _global_box(mesh)
     # 1^T M 1 = |Omega| = 1
-    assert abs(ones @ (mass_matrix(mesh) @ ones) - 1.0) < 1e-12
+    assert abs(ones @ (M @ ones) - 1.0) < 1e-12
     # K 1 = 0 and 1^T B 1 is the boundary measure, so the mass part -(k^2 + i eps) M
     # is all that remains of 1^T A 1 once the Robin part is taken out
     A = assemble_global(mesh, params)
-    boundary = ones @ (boundary_mass_matrix(mesh) @ ones)
+    boundary = ones @ (B @ ones)
     total = ones @ (A @ ones) + 1j * params.eta * boundary
     assert abs(total - (-(params.k**2) - 1j * params.epsilon)) < 1e-12
 
@@ -72,8 +71,14 @@ def test_absorption_linearity():
     mesh = build_uniform_mesh(2, 7)
     eta = 5.0
     A_eps = assemble_global(mesh, HelmholtzParams(k=5.0, epsilon=12.5, eta=eta))
-    A_0 = assemble_global(mesh, HelmholtzParams(k=5.0, epsilon=0.0, eta=eta))
-    M = mass_matrix(mesh)
+    params_0 = HelmholtzParams(k=5.0, epsilon=0.0, eta=eta)
+    A_0, M = assemble_global(mesh, params_0, with_mass=True)
+    # the pair is the plain operator and the M of the same box pass, to the last bit
+    plain = assemble_global(mesh, params_0)
+    for got, want in ((A_0, plain), (M, _global_box(mesh)[1])):
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
     diff = (A_eps - A_0) - (-1j * 12.5) * M.astype(np.complex128)
     assert np.abs(diff.data).max() < 1e-12 if diff.nnz else True
 
@@ -82,7 +87,7 @@ def test_coercivity_proxy_imaginary_part():
     mesh = build_uniform_mesh(2, 6)
     k, eps = 4.0, 4.0
     A = assemble_global(mesh, HelmholtzParams(k=k, epsilon=eps))  # eta = k
-    M = mass_matrix(mesh)
+    M = _global_box(mesh)[1]
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
@@ -180,7 +185,7 @@ def test_facet_mass_empty():
 
 def test_boundary_mass_total():
     mesh3 = build_uniform_mesh(3, 2)
-    B = boundary_mass_matrix(mesh3)
+    B = _global_box(mesh3)[2]
     ones = np.ones(mesh3.n_vertices)
     assert abs(ones @ (B @ ones) - 6.0) < 1e-12  # cube surface area
 
@@ -196,9 +201,11 @@ def test_global_matrices_match_the_element_oracle(dim, m):
     mesh = build_uniform_mesh(dim, m)
     K, M, B, empty = p1_oracle.box_matrices(mesh, (0,) * dim, (m,) * dim)
     assert empty.nnz == 0
-    assert_close(stiffness_matrix(mesh), K)
-    assert_close(mass_matrix(mesh), M)
-    assert_close(boundary_mass_matrix(mesh), B)
+    K_box, M_box, B_box, empty_box = _global_box(mesh)
+    assert empty_box.nnz == 0
+    assert_close(K_box, K)
+    assert_close(M_box, M)
+    assert_close(B_box, B)
     params = HelmholtzParams(k=7.0, epsilon=3.0, eta=5.0)
     assert_close(assemble_global(mesh, params), K - (49 + 3j) * M - 5j * B)
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmdd import linalg
-from helmdd.assembly import HelmholtzParams, assemble_global, assemble_rhs
+from helmdd.assembly import HelmholtzParams, assemble_global, assemble_rhs, assemble_subdomain
+from helmdd.decomposition import build_decomposition
 from helmdd.linalg import (
     FactorizationError,
     factorize,
@@ -13,7 +14,7 @@ from helmdd.linalg import (
     gmres,
     random_initial_guess,
 )
-from helmdd.mesh import build_uniform_mesh
+from helmdd.mesh import build_uniform_mesh, fine_resolution
 from helmdd.solver import SolveConfig, SolverContext
 
 
@@ -38,6 +39,90 @@ def test_factorize_permutation():
     A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     x = factorize(A).solve(np.array([1.0, 2.0]))
     np.testing.assert_allclose(x, [2.0, 1.0])
+    # a saddle-point matrix [[H, C], [C^T, 0]]: 10 zero diagonal entries, so the
+    # symmetric-mode factorization must take off-diagonal pivots there
+    rng = np.random.default_rng(5)
+    H = sp.random(20, 20, density=0.2, random_state=np.random.RandomState(5))
+    H = H + H.T + 4 * sp.eye(20)
+    C = sp.random(20, 10, density=0.3, random_state=np.random.RandomState(6)) + sp.eye(20, 10)
+    A = sp.bmat([[H, C], [C.T, None]], format="csc").astype(np.complex128)
+    assert (A.diagonal()[20:] == 0).all()
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    lu = factorize(A)
+    assert (lu._lu.perm_r != lu._lu.perm_c).any()  # rows and columns permuted apart
+    x = lu.solve(b)
+    x_oracle = np.linalg.solve(A.toarray(), b)
+    assert np.abs(x - x_oracle).max() <= 1e-10 * np.abs(x_oracle).max()
+
+
+def _dense_oracle_error(A, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    x_oracle = np.linalg.solve(A.toarray(), b)
+    return np.abs(factorize(A).solve(b) - x_oracle).max() / np.abs(x_oracle).max()
+
+
+def test_factorize_class_robin_matrix_against_dense_solve():
+    # the largest class of a 3d k = 6 decomposition: an interior box, Robin on every side
+    k = 6.0
+    mesh = build_uniform_mesh(3, fine_resolution(k, 3))
+    sub = max(build_decomposition(mesh, 3).subdomains, key=lambda s: s.n_dofs)
+    A = assemble_subdomain(mesh, sub, HelmholtzParams(k=k, epsilon=k, eta=k)).A_local
+    assert A.shape == (1000, 1000)
+    assert _dense_oracle_error(A, 0) <= 1e-10
+
+
+def test_factorize_dtn_coarse_matrix_against_dense_solve():
+    ctx = SolverContext(SolveConfig(dim=2, k=10.0, alpha=1.0, precon="two_level_dtn"))
+    E = ctx.precon.coarse.E
+    # E = Z* A_eps Z has A_eps's symmetric pattern but not symmetric values
+    pattern = (E != 0).astype(np.int8)
+    assert (pattern != pattern.T).nnz == 0
+    assert abs(E - E.T).max() > 1e-3 * abs(E).max()
+    assert _dense_oracle_error(E, 1) <= 1e-10
+
+
+class _PerturbedLU:
+    """A SuperLU handle whose solutions are off by a relative delta.
+
+    It has no L or U: factorize must not read them, since SciPy then keeps a
+    CSC copy of both factors alive with the handle.
+    """
+
+    def __init__(self, lu, delta):
+        self._lu, self._delta = lu, delta
+        self.nnz = lu.nnz
+
+    def solve(self, b):
+        return self._lu.solve(b) * (1 + self._delta)
+
+
+@pytest.mark.parametrize("delta,raises", [(1e-8, True), (1e-13, False)])
+def test_factorize_guard_checks_the_backward_error(monkeypatch, delta, raises):
+    splu = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda *a, **kw: _PerturbedLU(splu(*a, **kw), delta))
+    A = random_sparse(30, np.random.default_rng(4))
+    if raises:
+        with pytest.raises(FactorizationError, match="backward error"):
+            factorize(A)
+    else:
+        factorize(A)
+
+
+def test_factorize_fill_counts_the_factors(monkeypatch):
+    mesh = build_uniform_mesh(2, 12)
+    A = assemble_global(mesh, HelmholtzParams(k=8.0, epsilon=8.0))
+    handles = []
+    splu = linalg.spla.splu
+
+    def keep(*args, **kwargs):
+        handles.append(splu(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(linalg.spla, "splu", keep)
+    first, second = factorize(A), factorize(A)
+    assert first.fill == handles[0].L.nnz + handles[0].U.nnz
+    assert second.fill == first.fill > A.nnz
 
 
 def test_factorize_against_dense_lu_oracle():

@@ -111,7 +111,8 @@ def test_reference_counts_at_k10():
 
 
 def test_report_serialization(tmp_path):
-    report = solve(SolveConfig(dim=2, k=10.0, alpha=0.6, precon="two_level_dtn", seed=0))
+    ctx = SolverContext(SolveConfig(dim=2, k=10.0, alpha=0.6, precon="two_level_dtn", seed=0))
+    report = ctx.run()
     data = report.to_dict()
     assert data["n_CS"] == report.n_CS
     assert "solution" not in data
@@ -123,6 +124,13 @@ def test_report_serialization(tmp_path):
     assert parsed["residual_history"][-1] <= 1e-6
     assert 0 < report.orthogonality_loss < 1e-3
     assert parsed["orthogonality_loss"] == data["orthogonality_loss"] == report.orthogonality_loss
+    # LU fill: the class Robin LUs of the one-level part and the coarse E
+    local = sum(lu.fill for lu in ctx.precon.one_level.factorizations)
+    coarse = ctx.precon.coarse.E_fact.fill
+    assert parsed["lu_fill_nnz"] == data["lu_fill_nnz"] == {"local": local, "coarse": coarse}
+    assert local > 0 and coarse >= ctx.precon.coarse.E.nnz
+    one_level = solve(SolveConfig(dim=2, k=10.0, alpha=0.6, precon="one_level")).to_dict()
+    assert one_level["lu_fill_nnz"] == {"local": local, "coarse": 0}
 
 
 def test_unpreconditioned_solve_path():
