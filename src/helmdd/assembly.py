@@ -210,8 +210,8 @@ def assemble_subdomain(mesh: SimplicialMesh, subdomain, params: HelmholtzParams)
 
     Only the subdomain's cell box (cell_lo, cell_hi) is read: a side is
     physical where it lies on the domain boundary, and the box numbers its
-    vertices with x fastest, which is the order of subdomain.dofs.  Boxes of
-    one congruence class therefore get bitwise the same matrices.
+    vertices with x fastest, which is the order of subdomain.dofs.  Translated
+    boxes therefore get bitwise the same matrices (see congruence_classes).
     """
     m = mesh.intervals_per_edge
     box = list(zip(subdomain.cell_lo, subdomain.cell_hi))

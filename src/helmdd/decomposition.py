@@ -9,7 +9,7 @@ N_1d^d equal boxes and grow by overlap_layers cell layers in every direction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -165,22 +165,62 @@ def build_decomposition(
     )
 
 
-def congruence_classes(dec: Decomposition) -> list:
-    """Group the subdomains into classes of translated copies of one box.
+def _vertex_order(widths, perm, flip: bool) -> np.ndarray:
+    """Local vertex ids of a box of widths cells, listed in the order of its image.
 
-    The key holds, per axis, whether the box touches the lo side and the hi
-    side of the domain and its extent in cells.  assemble_subdomain reads
-    nothing else, so the members of a class have bitwise the same local
-    matrices; there are at most 3^d classes when every box is at least
-    overlap_layers cells wide.  Returns (key, member indices) pairs in the
-    order of their first member.
+    The image box has widths[perm[a]] cells along axis a; its vertex c comes
+    from the box vertex with coordinate c[a] (or widths[perm[a]] - c[a] when
+    flip) along axis perm[a].  Both boxes number their vertices x fastest.
+    """
+    strides = np.cumprod((1,) + tuple(w + 1 for w in widths[:-1]))
+    image = [widths[a] + 1 for a in perm]
+    order = _lattice_points((0,) * len(widths), image, strides[list(perm)])
+    return order[-1] - order if flip else order
+
+
+def congruence_classes(dec: Decomposition) -> list:
+    """Group the subdomains into orbits of one box under the lattice symmetries.
+
+    A box's translation key holds, per axis, whether it touches the lo side
+    and the hi side of the domain and its extent in cells; assemble_subdomain
+    reads nothing else.  The Kuhn lattice is mapped onto itself by the dim!
+    axis permutations and by the point reflection x -> 1 - x (which swaps the
+    lo and hi sides of every axis), so boxes whose keys are images of one
+    another under this group of order 2*dim! have the same local matrices up
+    to a renumbering of their vertices.  There are 4 orbits in 2d and 6 in 3d
+    when every box is at least overlap_layers cells wide and N_1d >= 3.
+
+    Returns (key, members, orders) per orbit, in the order of the orbit's
+    lowest subdomain index.  key is the canonical (smallest) image of the
+    members' keys.  members[0] is the representative, the lowest-indexed
+    member whose own key is the canonical one; the other members follow in
+    index order.  orders[i] lists member i's local dofs in the vertex order of
+    the representative box, so sub.dofs[orders[i]] are its global dofs in that
+    order; it is the identity for the representative and for its translated
+    copies, and one array is shared by all members of a translation key.
     """
     m = dec.mesh.intervals_per_edge
-    classes: dict = {}
+    symmetries = [(p, flip) for flip in (False, True) for p in permutations(range(dec.mesh.dim))]
+    by_key: dict = {}  # translation key -> (canonical key, vertex order)
+    orbits: dict = {}
     for sub in dec.subdomains:
         key = tuple((lo == 0, hi == m, hi - lo) for lo, hi in zip(sub.cell_lo, sub.cell_hi))
-        classes.setdefault(key, []).append(sub.index)
-    return list(classes.items())
+        if key not in by_key:
+            images = [
+                tuple((hi, lo, w) if flip else (lo, hi, w) for lo, hi, w in (key[a] for a in p))
+                for p, flip in symmetries
+            ]
+            canonical = min(images)
+            p, flip = symmetries[images.index(canonical)]  # the identity when key is canonical
+            by_key[key] = canonical, _vertex_order([w for _, _, w in key], p, flip)
+        canonical, order = by_key[key]
+        orbits.setdefault(canonical, []).append((sub.index, order, key == canonical))
+    out = []
+    for canonical, entries in orbits.items():  # entries are in index order
+        rep = next(i for i, (_, _, is_canonical) in enumerate(entries) if is_canonical)
+        entries.insert(0, entries.pop(rep))
+        out.append((canonical, [j for j, _, _ in entries], [order for _, order, _ in entries]))
+    return out
 
 
 def restrict(sub: Subdomain, v: np.ndarray) -> np.ndarray:

@@ -5,10 +5,14 @@ solves built from the shifted problem.  Two-level variants add a coarse
 correction Xi = Z E^{-1} Z* with E = Z* A_eps Z, either additively or in
 hybrid (balancing) form Q M1 P + Xi with P = I - A_eps Xi, Q = I - Xi A_eps.
 
-Subdomains that are translated copies of one box (see congruence_classes)
-have bitwise the same local matrices, so they share one local assembly, one
-LU factorization and one DtN eigenproblem: the first member of each class
-stands in for all of them.
+Subdomains whose boxes are images of one another under the lattice
+symmetries (axis permutations and the point reflection, see
+congruence_classes) have the same local matrices up to a renumbering of their
+vertices, so each orbit shares one local assembly, one LU factorization and
+one DtN eigenproblem, made on its representative.  Every member is gathered
+from and prolonged to its dofs in the representative's vertex order,
+sub.dofs[order]; a translated copy of the representative has bitwise its
+matrix, a mirrored or axis-swapped one its matrix to rounding (about 1e-16).
 """
 
 from __future__ import annotations
@@ -81,29 +85,35 @@ def selection_policy(kind: str, m: int | None = None) -> SelectionPolicy:
 
 
 def _class_matrices(mesh: SimplicialMesh, decomposition: Decomposition, params: HelmholtzParams):
-    """(key, members, local matrices of the first member) of every congruence class."""
-    for key, members in congruence_classes(decomposition):
-        yield key, members, assemble_subdomain(mesh, decomposition.subdomains[members[0]], params)
+    """(key, members, orders, local matrices of the representative) of every orbit.
+
+    The representative is members[0], whose order is the identity; see
+    congruence_classes.
+    """
+    for key, members, orders in congruence_classes(decomposition):
+        rep = decomposition.subdomains[members[0]]
+        yield key, members, orders, assemble_subdomain(mesh, rep, params)
 
 
 class OneLevelORAS:
     """sum_j R~_j^T A_{j,eps}^{-1} R_j; immutable after construction.
 
-    members[c] lists the subdomains of class c and factorizations[c] is their
-    shared LU.  apply stacks R_j v of all members of a class as the columns of
-    one multi-right-hand-side solve and scatters every result back through
-    the weighted prolongation [R~_j^T ...], an n x sum_j n_j sparse matrix
-    built once.
+    orbits[c] lists the (subdomain, vertex order) pairs of orbit c and
+    factorizations[c] is their shared LU, in the representative's numbering.
+    apply stacks R_j v of all members of an orbit, each in that numbering, as
+    the columns of one multi-right-hand-side solve and scatters every result
+    back through the weighted prolongation [R~_j^T ...], an n x sum_j n_j
+    sparse matrix built once.
     """
 
-    def __init__(self, decomposition: Decomposition, members: list, factorizations: list):
+    def __init__(self, decomposition: Decomposition, orbits: list, factorizations: list):
         self.decomposition = decomposition
         self.factorizations = factorizations
         subs = decomposition.subdomains
-        # (members, n_local) global dofs per class; v[g].T is the stacked R_j v
-        self._gather = [np.stack([subs[j].dofs for j in group]) for group in members]
+        # (members, n_local) global dofs per orbit; v[g].T is the stacked R_j v
+        self._gather = [np.stack([subs[j].dofs[o] for j, o in orbit]) for orbit in orbits]
         rows = np.concatenate([g.ravel() for g in self._gather])
-        weights = np.concatenate([subs[j].pou for group in members for j in group])
+        weights = np.concatenate([subs[j].pou[o] for orbit in orbits for j, o in orbit])
         self._prolong = sp.csr_matrix(
             (weights.astype(np.complex128), (rows, np.arange(len(rows)))),
             shape=(self.n, len(rows)),
@@ -126,18 +136,18 @@ def build_one_level(
     k: float,
     epsilon_prec: float,
 ) -> OneLevelORAS:
-    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every class."""
+    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every orbit."""
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    groups, factorizations = [], []
-    for _, members, mats in _class_matrices(mesh, decomposition, params):
+    orbits, factorizations = [], []
+    for _, members, orders, mats in _class_matrices(mesh, decomposition, params):
         try:
             factorizations.append(factorize(mats.A_local))
         except Exception as exc:
             raise PreconditionerError(
                 f"local matrix of subdomain {members[0]} could not be factorized: {exc}"
             ) from exc
-        groups.append(members)
-    return OneLevelORAS(decomposition, groups, factorizations)
+        orbits.append(list(zip(members, orders)))
+    return OneLevelORAS(decomposition, orbits, factorizations)
 
 
 @dataclass(eq=False)
@@ -150,7 +160,7 @@ class CoarseSpace:
     E_fact: SparseFactorization
     per_subdomain_counts: list | None = None
     eigenvalues: list | None = None  # selected eigenvalues per subdomain (dtn)
-    # per class (dtn): min |Re(lambda) - k| / k over the whole computed spectrum
+    # per orbit (dtn): min |Re(lambda) - k| / k over the whole computed spectrum
     selection_margin: list | None = None
 
     _Zh: sp.csr_matrix = field(init=False, default=None)
@@ -211,24 +221,26 @@ def build_dtn_cs(
 ) -> CoarseSpace:
     """Coarse space from subdomain interface eigenvectors of the discrete DtN map.
 
-    Per congruence class: form the Schur complement S = A_GG - A_GI A_II^{-1} A_IG
-    of the Neumann-type matrix (I = all non-interface dofs), solve the
-    generalized eigenproblem against the interface mass matrix, select
-    eigenvectors and extend each into the subdomain by the discrete Helmholtz
-    extension W = [G; -A_II^{-1} A_IG G].  Every member then contributes W
-    scaled by its own partition of unity.  Columns of Z live in exactly one
-    subdomain block, in subdomain order; rows are shared across overlapping
-    blocks.  The subdomain matrices are those of the shifted problem
+    Per symmetry orbit, on its representative: form the Schur complement
+    S = A_GG - A_GI A_II^{-1} A_IG of the Neumann-type matrix (I = all
+    non-interface dofs), solve the generalized eigenproblem against the
+    interface mass matrix, select eigenvectors and extend each into the
+    subdomain by the discrete Helmholtz extension W = [G; -A_II^{-1} A_IG G].
+    Every member then contributes W at its dofs in the representative's
+    vertex order, sub.dofs[order], scaled by its own partition of unity
+    sub.pou[order]; eigenvalues and selection are shared by the orbit.
+    Columns of Z live in exactly one subdomain block, in subdomain order; rows
+    are shared across overlapping blocks.  The subdomain matrices are those of the shifted problem
     (epsilon_prec, eta = k).
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    extensions = {}  # subdomain index -> (selected eigenvalues, unscaled W or None)
+    extensions = {}  # subdomain index -> (selected eigenvalues, unscaled W or None, order)
     margins = []
-    for key, members, mats in _class_matrices(mesh, decomposition, params):
+    for key, members, orders, mats in _class_matrices(mesh, decomposition, params):
         rep = decomposition.subdomains[members[0]]
         gamma = rep.interface_dofs
         if gamma.size == 0:
-            extensions.update((j, ([], None)) for j in members)
+            extensions.update((j, ([], None, None)) for j in members)
             continue
         inner = np.setdiff1d(np.arange(rep.n_dofs), gamma, assume_unique=True)
 
@@ -276,7 +288,8 @@ def build_dtn_cs(
             W[gamma] = G
             if inner.size:
                 W[inner] = -X @ G
-        extensions.update((j, (list(pairs.values[chosen]), W)) for j in members)
+        values = list(pairs.values[chosen])
+        extensions.update((j, (values, W, order)) for j, order in zip(members, orders))
 
     rows_parts = []
     cols_parts = []
@@ -285,15 +298,15 @@ def build_dtn_cs(
     eigs = []
     col_offset = 0
     for sub in decomposition.subdomains:
-        values, W = extensions[sub.index]
+        values, W, order = extensions[sub.index]
         counts.append(len(values))
         eigs.append(values)
         if W is None:
             continue
         n_sel = W.shape[1]
-        rows_parts.append(np.tile(sub.dofs, n_sel))
+        rows_parts.append(np.tile(sub.dofs[order], n_sel))
         cols_parts.append(np.repeat(col_offset + np.arange(n_sel), sub.n_dofs))
-        vals_parts.append((W * sub.pou[:, None]).T.ravel())
+        vals_parts.append((W * sub.pou[order][:, None]).T.ravel())
         col_offset += n_sel
 
     n_cs = col_offset

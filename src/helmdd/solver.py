@@ -108,8 +108,9 @@ class SolveReport:
     seed: int
     final_residual: float  # independently recomputed ||f - A0 x|| / ||f||
     orthogonality_loss: float  # GMRES basis: max_i |<v_i, v_{m-1}>|
-    # L.nnz + U.nnz: "local" summed over the class LUs, "coarse" of E (0 where absent)
+    # L.nnz + U.nnz: "local" summed over the orbit LUs, "coarse" of E (0 where absent)
     lu_fill_nnz: dict
+    local_factorizations: int  # one-level LUs, one per subdomain symmetry orbit
     coarse_info: dict | None = None
     solution: np.ndarray | None = None  # not serialized
 
@@ -127,6 +128,7 @@ class SolveReport:
             "final_residual": float(self.final_residual),
             "orthogonality_loss": float(self.orthogonality_loss),
             "lu_fill_nnz": {k: int(v) for k, v in self.lu_fill_nnz.items()},
+            "local_factorizations": int(self.local_factorizations),
             "coarse_info": self.coarse_info,
         }
 
@@ -162,12 +164,14 @@ class SolverContext:
         self.n_cs = 0
         self.coarse_info = None
         self.lu_fill_nnz = {"local": 0, "coarse": 0}
+        self.local_factorizations = 0
         if config.precon != "none":
             self.decomposition = build_decomposition(
                 self.mesh, n1d, config.overlap_layers, pou=config.pou
             )
             one_level = build_one_level(self.mesh, self.decomposition, k, config.epsilon_prec)
             self.lu_fill_nnz["local"] = sum(lu.fill for lu in one_level.factorizations)
+            self.local_factorizations = len(one_level.factorizations)
             if config.precon == "one_level":
                 self.precon = one_level
             else:
@@ -233,6 +237,7 @@ class SolverContext:
             final_residual=final,
             orthogonality_loss=outcome.orthogonality_loss,
             lu_fill_nnz=dict(self.lu_fill_nnz),
+            local_factorizations=self.local_factorizations,
             coarse_info=self.coarse_info,
             solution=outcome.solution,
         )

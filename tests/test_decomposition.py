@@ -168,16 +168,31 @@ def test_build_decomposition_errors():
     "dim,m,n1d,overlap", [(2, 18, 3, 2), (2, 24, 4, 2), (3, 9, 3, 1), (3, 12, 4, 1)]
 )
 def test_congruence_classes_count(dim, m, n1d, overlap):
+    # the 3^dim translation classes fall into 4 (2d) or 6 (3d) orbits of the
+    # axis permutations and the point reflection
     dec = build_decomposition(build_uniform_mesh(dim, m), n1d, overlap)
     classes = congruence_classes(dec)
-    assert len(classes) == 3**dim
-    members = sorted(j for _, group in classes for j in group)
+    assert len(classes) == {2: 4, 3: 6}[dim]
+    members = sorted(j for _, group, _ in classes for j in group)
     assert members == list(range(dec.n_subdomains))
-    # the interior class holds every box that touches no side of the domain
-    assert max(len(group) for _, group in classes) == (n1d - 2) ** dim
+    # the interior orbit holds every box that touches no side of the domain
+    (interior,) = [g for key, g, _ in classes if not any(lo or hi for lo, hi, _ in key)]
+    assert len(interior) == (n1d - 2) ** dim
+    for key, group, orders in classes:
+        rep = dec.subdomains[group[0]]
+        assert key == tuple((lo == 0, hi == m, hi - lo) for lo, hi in zip(rep.cell_lo, rep.cell_hi))
+        np.testing.assert_array_equal(orders[0], np.arange(rep.n_dofs))
+        for j, order in zip(group, orders):
+            assert sorted(order) == list(range(dec.subdomains[j].n_dofs))
 
 
-def test_congruence_classes_two_per_axis_are_singletons():
+def test_congruence_classes_two_per_axis_pair_mirrored_boxes():
+    # with two boxes per axis every box touches one side per axis; in 2d the
+    # point reflection pairs 0 with 3 and the axis swap pairs 1 with 2
     dec = build_decomposition(build_uniform_mesh(2, 8), 2, 2)
     classes = congruence_classes(dec)
-    assert [group for _, group in classes] == [[0], [1], [2], [3]]
+    assert sorted(sorted(group) for _, group, _ in classes) == [[0, 3], [1, 2]]
+    dec3 = build_decomposition(build_uniform_mesh(3, 8), 2, 1)
+    classes3 = congruence_classes(dec3)
+    assert sorted(len(group) for _, group, _ in classes3) == [2, 6]
+    assert sorted(sorted(group) for _, group, _ in classes3)[0] == [0, 7]

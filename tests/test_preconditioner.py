@@ -45,7 +45,8 @@ def toy_setup(k=6.0, eps=None, pou="multiplicity"):
 
 
 def sharing_setup(k=10.0, pou="ramp"):
-    """m = 24, N_1d = 4: 16 subdomains in 9 classes, the interior class has 4 members."""
+    """m = 24, N_1d = 4: 16 subdomains in 4 orbits (corners, edges, interior and
+    the two corners that touch one lo and one hi side)."""
     mesh = build_uniform_mesh(2, 24)
     dec = build_decomposition(mesh, 4, 2, pou=pou)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
@@ -295,31 +296,61 @@ def test_dtn_z_full_column_rank():
 
 
 # --------------------------------------------------------------------------
-# congruence classes: shared assembly, factorization and eigenproblem
+# symmetry orbits: shared assembly, factorization and eigenproblem
 
 
-def test_class_members_share_the_local_matrix():
-    # each member's own assembly is bitwise the matrix its class is solved with
-    mesh, dec, _ = sharing_setup()
-    params = HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0)
+def assert_members_match_representative(mesh, dec, params):
+    """Every member's own matrices are the representative's in its vertex order:
+    bitwise for translated copies (identity order), to 1e-14 relative otherwise."""
     classes = congruence_classes(dec)
-    assert len(classes) == 9
-    assert max(len(members) for _, members in classes) == 4
-    for _, members in classes:
+    for _, members, orders in classes:
         ref = assemble_subdomain(mesh, dec.subdomains[members[0]], params)
-        for j in members[1:]:
+        for j, order in zip(members, orders):
             own = assemble_subdomain(mesh, dec.subdomains[j], params)
             for name in ("A_local", "A_neu", "M_interface"):
                 a, b = getattr(own, name), getattr(ref, name)
-                np.testing.assert_array_equal(a.indptr, b.indptr)
-                np.testing.assert_array_equal(a.indices, b.indices)
-                np.testing.assert_array_equal(a.data.view(np.uint8), b.data.view(np.uint8))
+                if np.array_equal(order, np.arange(len(order))):
+                    np.testing.assert_array_equal(a.indptr, b.indptr)
+                    np.testing.assert_array_equal(a.indices, b.indices)
+                    np.testing.assert_array_equal(a.data.view(np.uint8), b.data.view(np.uint8))
+                else:
+                    diff = (a[order][:, order] - b).toarray()
+                    assert np.abs(diff).max() <= 1e-14 * np.abs(b.data).max()
+    return classes
+
+
+def test_class_members_share_the_local_matrix():
+    # each member's own assembly is the matrix its orbit is solved with
+    mesh, dec, _ = sharing_setup()
+    classes = assert_members_match_representative(
+        mesh, dec, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0)
+    )
+    assert len(classes) == 4
+    assert sorted(len(members) for _, members, _ in classes) == [2, 2, 4, 8]
+
+
+@pytest.mark.parametrize(
+    "dim,m,n1d,overlap,orbits",
+    [
+        (2, 8, 8, 2, 16),  # clipped: 7 translation keys per axis, 49 classes
+        (2, 8, 2, 2, 2),
+        (3, 9, 3, 1, 6),
+        (3, 8, 2, 1, 2),
+    ],
+)
+def test_orbit_members_match_the_representative(dim, m, n1d, overlap, orbits):
+    mesh = build_uniform_mesh(dim, m)
+    dec = build_decomposition(mesh, n1d, overlap)
+    classes = assert_members_match_representative(
+        mesh, dec, HelmholtzParams(k=6.0, epsilon=6.0, eta=6.0)
+    )
+    assert len(classes) == orbits
 
 
 def test_one_level_with_shared_classes_matches_dense_oracle():
     mesh, dec, _ = sharing_setup()
     one = build_one_level(mesh, dec, 10.0, 10.0)
-    assert len(one.factorizations) == 9
+    assert len(one.factorizations) == 4
     M1 = dense_one_level(mesh, dec, 10.0, 10.0)
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -327,9 +358,23 @@ def test_one_level_with_shared_classes_matches_dense_oracle():
         assert np.abs(one.apply(v) - M1 @ v).max() <= 1e-10 * np.abs(M1 @ v).max()
 
 
+def test_one_level_3d_orbits_match_dense_oracle():
+    # 27 subdomains on 6 LUs: mirrored and axis-swapped members are solved
+    # and extended in their own numbering
+    mesh = build_uniform_mesh(3, 9)
+    dec = build_decomposition(mesh, 3, 1, pou="ramp")
+    one = build_one_level(mesh, dec, 6.0, 6.0)
+    assert len(one.factorizations) == 6
+    M1 = dense_one_level(mesh, dec, 6.0, 6.0)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
+        assert np.abs(one.apply(v) - M1 @ v).max() <= 1e-10 * np.abs(M1 @ v).max()
+
+
 def test_one_level_with_clipped_boxes_matches_dense_oracle():
     # boxes one cell wide grow by two layers, so several touch the same side of
-    # the domain with different extents; they must land in different classes
+    # the domain with different extents; they must land in different orbits
     mesh = build_uniform_mesh(2, 8)
     dec = build_decomposition(mesh, 8, 2)
     one = build_one_level(mesh, dec, 6.0, 6.0)
@@ -338,9 +383,7 @@ def test_one_level_with_clipped_boxes_matches_dense_oracle():
     assert np.abs(one.apply(v) - M1 @ v).max() <= 1e-10 * np.abs(M1 @ v).max()
 
 
-def test_dtn_blocks_match_per_member_construction():
-    k = 10.0
-    mesh, dec, A_eps = sharing_setup(k)
+def assert_dtn_blocks_match_per_member(mesh, dec, k, A_eps):
     cs = build_dtn_cs(mesh, dec, k, k, selection_policy("automatic"), A_eps)
     params = HelmholtzParams(k=k, epsilon=k, eta=k)
     Z = cs.Z.tocsc()
@@ -363,6 +406,19 @@ def test_dtn_blocks_match_per_member_construction():
     assert col == cs.n_cs
 
 
+def test_dtn_blocks_match_per_member_construction():
+    mesh, dec, A_eps = sharing_setup(10.0)
+    assert_dtn_blocks_match_per_member(mesh, dec, 10.0, A_eps)
+
+
+def test_dtn_blocks_match_per_member_construction_3d():
+    k = 6.0
+    mesh = build_uniform_mesh(3, 9)
+    dec = build_decomposition(mesh, 3, 1, pou="ramp")
+    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
+    assert_dtn_blocks_match_per_member(mesh, dec, k, A_eps)
+
+
 def test_dtn_selection_margin_matches_dense_eig():
     k = 6.0
     mesh = build_uniform_mesh(2, 12)
@@ -372,8 +428,8 @@ def test_dtn_selection_margin_matches_dense_eig():
     margins = cs.summary()["selection_margin"]
     params = HelmholtzParams(k=k, epsilon=k, eta=k)
     classes = congruence_classes(dec)
-    assert len(margins) == len(classes) == 9
-    for entry, (key, members) in zip(margins, classes):
+    assert len(margins) == len(classes) == 4
+    for entry, (key, members, _) in zip(margins, classes):
         assert entry["key"] == [list(axis) for axis in key]
         assert entry["members"] == len(members)
         for j in members:
@@ -397,7 +453,7 @@ def test_dtn_context_assembles_each_class_once(monkeypatch):
     monkeypatch.setattr(precond, "assemble_subdomain", counting)
     ctx = SolverContext(SolveConfig(k=10.0, alpha=1.0, precon="two_level_dtn"))
     assert ctx.n_subdomains == 100
-    # build_one_level and build_dtn_cs each assemble once per class, on its first member
-    representatives = [members[0] for _, members in congruence_classes(ctx.decomposition)]
-    assert len(representatives) == 9
+    # build_one_level and build_dtn_cs each assemble once per orbit, on its representative
+    representatives = [members[0] for _, members, _ in congruence_classes(ctx.decomposition)]
+    assert len(representatives) == 4
     assert calls == representatives * 2

@@ -131,6 +131,13 @@ def test_report_serialization(tmp_path):
     assert local > 0 and coarse >= ctx.precon.coarse.E.nnz
     one_level = solve(SolveConfig(dim=2, k=10.0, alpha=0.6, precon="one_level")).to_dict()
     assert one_level["lu_fill_nnz"] == {"local": local, "coarse": 0}
+    # one Robin LU per symmetry orbit of the 3 x 3 boxes, and one margin entry per orbit
+    assert report.N_sub == 9
+    assert parsed["local_factorizations"] == one_level["local_factorizations"] == 4
+    assert len(ctx.precon.one_level.factorizations) == 4
+    margins = parsed["coarse_info"]["selection_margin"]
+    assert [entry["members"] for entry in margins] == [2, 4, 2, 1]
+    assert all(len(entry["key"]) == 2 and entry["margin"] >= 0 for entry in margins)
 
 
 def test_unpreconditioned_solve_path():
@@ -138,6 +145,7 @@ def test_unpreconditioned_solve_path():
         SolveConfig(dim=2, k=4.0, precon="none", n_subdomains_1d=1, max_iter=200, seed=0)
     )
     assert report.converged and report.N_sub == 0 and report.n_CS == 0
+    assert report.to_dict()["local_factorizations"] == 0
     assert report.final_residual <= 1e-5
 
 
