@@ -178,7 +178,7 @@ def _vertex_order(widths, perm, flip: bool) -> np.ndarray:
     return order[-1] - order if flip else order
 
 
-def congruence_classes(dec: Decomposition) -> list:
+def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
     """Group the subdomains into orbits of one box under the lattice symmetries.
 
     A box's translation key holds, per axis, whether it touches the lo side
@@ -190,29 +190,36 @@ def congruence_classes(dec: Decomposition) -> list:
     to a renumbering of their vertices.  There are 4 orbits in 2d and 6 in 3d
     when every box is at least overlap_layers cells wide and N_1d >= 3.
 
+    With sides=False the key holds the widths alone, (width,) per axis, and
+    the boxes are grouped by their widths up to an axis permutation: A_local,
+    which carries the Robin term on the whole box boundary, reads nothing
+    else.  There are 3 such classes in 2d and 4 in 3d when N_1d >= 3.
+
     Returns (key, members, orders) per orbit, in the order of the orbit's
     lowest subdomain index.  key is the canonical (smallest) image of the
     members' keys.  members[0] is the representative, the lowest-indexed
     member whose own key is the canonical one; the other members follow in
     index order.  orders[i] lists member i's local dofs in the vertex order of
     the representative box, so sub.dofs[orders[i]] are its global dofs in that
-    order; it is the identity for the representative and for its translated
-    copies, and one array is shared by all members of a translation key.
+    order; it is the identity for the representative and for every member
+    with its key, and one array is shared by all members of a key.
     """
     m = dec.mesh.intervals_per_edge
-    symmetries = [(p, flip) for flip in (False, True) for p in permutations(range(dec.mesh.dim))]
-    by_key: dict = {}  # translation key -> (canonical key, vertex order)
+    flips = (False, True) if sides else (False,)  # the reflection fixes a width key
+    symmetries = [(p, flip) for flip in flips for p in permutations(range(dec.mesh.dim))]
+    by_key: dict = {}  # key -> (canonical key, vertex order)
     orbits: dict = {}
     for sub in dec.subdomains:
-        key = tuple((lo == 0, hi == m, hi - lo) for lo, hi in zip(sub.cell_lo, sub.cell_hi))
+        box = zip(sub.cell_lo, sub.cell_hi)
+        key = tuple((lo == 0, hi == m, hi - lo) if sides else (hi - lo,) for lo, hi in box)
         if key not in by_key:
             images = [
-                tuple((hi, lo, w) if flip else (lo, hi, w) for lo, hi, w in (key[a] for a in p))
+                tuple((axis[1], axis[0], axis[2]) if flip else axis for axis in (key[a] for a in p))
                 for p, flip in symmetries
             ]
             canonical = min(images)
             p, flip = symmetries[images.index(canonical)]  # the identity when key is canonical
-            by_key[key] = canonical, _vertex_order([w for _, _, w in key], p, flip)
+            by_key[key] = canonical, _vertex_order([axis[-1] for axis in key], p, flip)
         canonical, order = by_key[key]
         orbits.setdefault(canonical, []).append((sub.index, order, key == canonical))
     out = []

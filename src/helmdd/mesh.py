@@ -61,17 +61,14 @@ def _lattice_points(lo, hi, strides) -> np.ndarray:
     return ids
 
 
-def _lattice_simplices(widths, strides=None) -> np.ndarray:
+def _lattice_simplices(widths) -> np.ndarray:
     """Kuhn simplices of a box of widths cells, as rows of vertex ids.
 
-    Vertex (c_0, ..., c_{d-1}) of the box has id sum_a c_a * strides[a]; the
-    strides default to the box's own numbering with x fastest.  Cells run x
-    fastest and cell c owns the d! simplices d!*c .. d!*c + d! - 1.
+    Vertices and cells are numbered with x fastest, and cell c owns the d!
+    simplices d!*c .. d!*c + d! - 1.
     """
     widths = tuple(int(w) for w in widths)
-    if strides is None:
-        strides = np.cumprod((1,) + tuple(w + 1 for w in widths[:-1]))
-    strides = np.asarray(strides, dtype=np.int64)
+    strides = np.cumprod((1,) + tuple(w + 1 for w in widths[:-1]))
     corners = _lattice_points((0,) * len(widths), widths, strides)
     offsets = _kuhn_simplices(len(widths)) @ strides
     return (corners[:, None, None] + offsets[None, :, :]).reshape(-1, len(widths) + 1)

@@ -8,10 +8,13 @@ hybrid (balancing) form Q M1 P + Xi with P = I - A_eps Xi, Q = I - Xi A_eps.
 Subdomains whose boxes are images of one another under the lattice
 symmetries (axis permutations and the point reflection, see
 congruence_classes) have the same local matrices up to a renumbering of their
-vertices, so each orbit shares one local assembly, one LU factorization and
-one DtN eigenproblem, made on its representative.  Every member is gathered
-from and prolonged to its dofs in the representative's vertex order,
-sub.dofs[order]; a translated copy of the representative has bitwise its
+vertices, so each orbit shares one local assembly and one DtN eigenproblem,
+made on its representative.  The Robin matrix A_local carries the Robin term
+on the whole box boundary and so depends on the box widths alone: the
+one-level part shares one assembly and one LU per width class (boxes of equal
+widths up to an axis permutation), 3 in 2d and 4 in 3d.  Every member is
+gathered from and prolonged to its dofs in the representative's vertex order,
+sub.dofs[order]; a member with the representative's key has bitwise its
 matrix, a mirrored or axis-swapped one its matrix to rounding (about 1e-16).
 """
 
@@ -84,13 +87,16 @@ def selection_policy(kind: str, m: int | None = None) -> SelectionPolicy:
     raise ValueError(f"unknown selection kind {kind!r}")
 
 
-def _class_matrices(mesh: SimplicialMesh, decomposition: Decomposition, params: HelmholtzParams):
-    """(key, members, orders, local matrices of the representative) of every orbit.
+def _class_matrices(
+    mesh: SimplicialMesh, decomposition: Decomposition, params: HelmholtzParams, sides: bool = True
+):
+    """(key, members, orders, local matrices of the representative) of every class.
 
+    The classes are the symmetry orbits, or the width classes without sides.
     The representative is members[0], whose order is the identity; see
     congruence_classes.
     """
-    for key, members, orders in congruence_classes(decomposition):
+    for key, members, orders in congruence_classes(decomposition, sides=sides):
         rep = decomposition.subdomains[members[0]]
         yield key, members, orders, assemble_subdomain(mesh, rep, params)
 
@@ -98,22 +104,22 @@ def _class_matrices(mesh: SimplicialMesh, decomposition: Decomposition, params: 
 class OneLevelORAS:
     """sum_j R~_j^T A_{j,eps}^{-1} R_j; immutable after construction.
 
-    orbits[c] lists the (subdomain, vertex order) pairs of orbit c and
+    classes[c] lists the (subdomain, vertex order) pairs of width class c and
     factorizations[c] is their shared LU, in the representative's numbering.
-    apply stacks R_j v of all members of an orbit, each in that numbering, as
+    apply stacks R_j v of all members of a class, each in that numbering, as
     the columns of one multi-right-hand-side solve and scatters every result
     back through the weighted prolongation [R~_j^T ...], an n x sum_j n_j
     sparse matrix built once.
     """
 
-    def __init__(self, decomposition: Decomposition, orbits: list, factorizations: list):
+    def __init__(self, decomposition: Decomposition, classes: list, factorizations: list):
         self.decomposition = decomposition
         self.factorizations = factorizations
         subs = decomposition.subdomains
-        # (members, n_local) global dofs per orbit; v[g].T is the stacked R_j v
-        self._gather = [np.stack([subs[j].dofs[o] for j, o in orbit]) for orbit in orbits]
+        # (members, n_local) global dofs per class; v[g].T is the stacked R_j v
+        self._gather = [np.stack([subs[j].dofs[o] for j, o in group]) for group in classes]
         rows = np.concatenate([g.ravel() for g in self._gather])
-        weights = np.concatenate([subs[j].pou[o] for orbit in orbits for j, o in orbit])
+        weights = np.concatenate([subs[j].pou[o] for group in classes for j, o in group])
         self._prolong = sp.csr_matrix(
             (weights.astype(np.complex128), (rows, np.arange(len(rows)))),
             shape=(self.n, len(rows)),
@@ -136,18 +142,18 @@ def build_one_level(
     k: float,
     epsilon_prec: float,
 ) -> OneLevelORAS:
-    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every orbit."""
+    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every width class."""
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    orbits, factorizations = [], []
-    for _, members, orders, mats in _class_matrices(mesh, decomposition, params):
+    classes, factorizations = [], []
+    for _, members, orders, mats in _class_matrices(mesh, decomposition, params, sides=False):
         try:
             factorizations.append(factorize(mats.A_local))
         except Exception as exc:
             raise PreconditionerError(
                 f"local matrix of subdomain {members[0]} could not be factorized: {exc}"
             ) from exc
-        orbits.append(list(zip(members, orders)))
-    return OneLevelORAS(decomposition, orbits, factorizations)
+        classes.append(list(zip(members, orders)))
+    return OneLevelORAS(decomposition, classes, factorizations)
 
 
 @dataclass(eq=False)

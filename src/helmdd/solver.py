@@ -108,9 +108,9 @@ class SolveReport:
     seed: int
     final_residual: float  # independently recomputed ||f - A0 x|| / ||f||
     orthogonality_loss: float  # GMRES basis: max_i |<v_i, v_{m-1}>|
-    # L.nnz + U.nnz: "local" summed over the orbit LUs, "coarse" of E (0 where absent)
+    # L.nnz + U.nnz: "local" summed over the width-class LUs, "coarse" of E (0 where absent)
     lu_fill_nnz: dict
-    local_factorizations: int  # one-level LUs, one per subdomain symmetry orbit
+    local_factorizations: int  # one-level LUs, one per subdomain width class
     coarse_info: dict | None = None
     solution: np.ndarray | None = None  # not serialized
 

@@ -11,6 +11,7 @@ from helmdd.assembly import (
     HelmholtzParams,
     _box_matrices,
     _global_box,
+    _incidence,
     _stiffness_kernel,
     assemble_global,
     assemble_rhs,
@@ -113,6 +114,15 @@ def test_rhs_constant_total():
         assert abs(f.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dim,m", [(2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (3, 5)])
+def test_rhs_incidence_counts_the_simplices_at_each_vertex(dim, m):
+    mesh = build_uniform_mesh(dim, m)
+    expected = np.bincount(mesh.simplices.ravel(), minlength=mesh.n_vertices)
+    got = _incidence(dim, m)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_rhs_gaussian_sign_and_total():
     mesh = build_uniform_mesh(2, 8)
     f = assemble_rhs(mesh, "gauss2d")
@@ -196,18 +206,31 @@ def assert_close(got, want):
     assert abs(got - want).max() <= 1e-14 * scale, (abs(got - want).max(), scale)
 
 
+def assert_same_pattern(got, want):
+    # the stored entries drive every LU's fill, and assert_close cannot see an
+    # explicit zero or a missing entry
+    want = want.tocsr()
+    want.sort_indices()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+
+
 @pytest.mark.parametrize("dim,m", [(2, 8), (2, 40), (3, 6), (3, 12)])
 def test_global_matrices_match_the_element_oracle(dim, m):
+    # the oracle's B holds the facets that belong to one simplex only, so the
+    # pattern of B_box checks that the box faces are exactly the boundary facets
     mesh = build_uniform_mesh(dim, m)
     K, M, B, empty = p1_oracle.box_matrices(mesh, (0,) * dim, (m,) * dim)
     assert empty.nnz == 0
     K_box, M_box, B_box, empty_box = _global_box(mesh)
     assert empty_box.nnz == 0
-    assert_close(K_box, K)
-    assert_close(M_box, M)
-    assert_close(B_box, B)
+    for got, want in ((K_box, K), (M_box, M), (B_box, B)):
+        assert_close(got, want)
+        assert_same_pattern(got, want)
     params = HelmholtzParams(k=7.0, epsilon=3.0, eta=5.0)
-    assert_close(assemble_global(mesh, params), K - (49 + 3j) * M - 5j * B)
+    A = assemble_global(mesh, params)
+    assert_close(A, K - (49 + 3j) * M - 5j * B)
+    assert_same_pattern(A, K)
 
 
 @pytest.mark.parametrize("dim,m,n1d", [(2, 24, 4), (2, 8, 8), (3, 6, 3), (3, 6, 6)])
@@ -215,7 +238,8 @@ def test_subdomain_matrices_match_the_element_oracle(dim, m, n1d):
     mesh = build_uniform_mesh(dim, m)
     params = HelmholtzParams(k=7.0, epsilon=3.0, eta=5.0)
     for sub in build_decomposition(mesh, n1d, 2).subdomains:
-        K, M, B_phys, B_intf = p1_oracle.box_matrices(mesh, sub.cell_lo, sub.cell_hi)
+        oracle = p1_oracle.box_matrices(mesh, sub.cell_lo, sub.cell_hi)
+        K, M, B_phys, B_intf = oracle
         A_neu = K - (49 + 3j) * M - 5j * B_phys
         mats = assemble_subdomain(mesh, sub, params)
         assert_close(mats.A_local, A_neu - 5j * B_intf)
@@ -224,6 +248,13 @@ def test_subdomain_matrices_match_the_element_oracle(dim, m, n1d):
             assert_close(mats.M_interface, B_intf)
         else:
             assert mats.M_interface.nnz == 0
+        widths = [hi - lo for lo, hi in zip(sub.cell_lo, sub.cell_hi)]
+        physical = [(lo == 0, hi == m) for lo, hi in zip(sub.cell_lo, sub.cell_hi)]
+        for got, want in zip(_box_matrices(widths, 1.0 / m, physical), oracle):
+            assert_same_pattern(got, want)
+        for got in (mats.A_local, mats.A_neu):
+            assert_same_pattern(got, K)
+        assert_same_pattern(mats.M_interface, B_intf)
 
 
 def assert_bitwise_symmetric(A):

@@ -184,6 +184,14 @@ def test_congruence_classes_count(dim, m, n1d, overlap):
         np.testing.assert_array_equal(orders[0], np.arange(rep.n_dofs))
         for j, order in zip(group, orders):
             assert sorted(order) == list(range(dec.subdomains[j].n_dofs))
+    # by widths alone: corners, edges (and in 3d faces) and interior
+    widths = congruence_classes(dec, sides=False)
+    assert len(widths) == {2: 3, 3: 4}[dim]
+    assert sorted(j for _, group, _ in widths for j in group) == list(range(dec.n_subdomains))
+    for key, group, orders in widths:
+        rep = dec.subdomains[group[0]]
+        assert key == tuple((hi - lo,) for lo, hi in zip(rep.cell_lo, rep.cell_hi))
+        np.testing.assert_array_equal(orders[0], np.arange(rep.n_dofs))
 
 
 def test_congruence_classes_two_per_axis_pair_mirrored_boxes():

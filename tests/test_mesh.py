@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import p1_oracle
-from helmdd.assembly import _face_simplices
 from helmdd.mesh import (
     build_uniform_mesh,
     coarse_resolution,
@@ -63,22 +62,6 @@ def test_volumes_positive_and_conserved(dim, m):
     assert abs(vols.sum() - 1.0) < 1e-12
     assert mesh.n_vertices == (m + 1) ** dim
     assert mesh.n_simplices == (2 if dim == 2 else 6) * m**dim
-
-
-@pytest.mark.parametrize("dim,m", [(2, 3), (3, 3)])
-def test_boundary_facets_lie_in_domain_faces(dim, m):
-    # the face simplices of the assembly kernel are exactly the boundary facets
-    # found by sorting all faces of the mesh
-    mesh = build_uniform_mesh(dim, m)
-    faces = [_face_simplices((m,) * dim, axis, side) for axis in range(dim) for side in (0, 1)]
-    facets = np.sort(np.concatenate(faces), axis=1)
-    coords = mesh.grid_coordinates(facets.ravel()).reshape(facets.shape + (dim,))
-    on_face = ((coords == 0).all(axis=1) | (coords == m).all(axis=1)).any(axis=1)
-    assert on_face.all()
-    expected = 4 * m if dim == 2 else 12 * m * m
-    assert len(facets) == expected
-    reference = p1_oracle.boundary_facets(mesh.simplices)
-    np.testing.assert_array_equal(np.unique(facets, axis=0), reference)
 
 
 @settings(max_examples=20, deadline=None)

@@ -299,15 +299,18 @@ def test_dtn_z_full_column_rank():
 # symmetry orbits: shared assembly, factorization and eigenproblem
 
 
-def assert_members_match_representative(mesh, dec, params):
+def assert_members_match_representative(mesh, dec, params, sides=True):
     """Every member's own matrices are the representative's in its vertex order:
-    bitwise for translated copies (identity order), to 1e-14 relative otherwise."""
-    classes = congruence_classes(dec)
+    bitwise for translated copies (identity order), to 1e-14 relative otherwise.
+    A width class (sides=False) shares A_local alone, also across boxes that
+    touch different sides of the domain."""
+    classes = congruence_classes(dec, sides=sides)
+    names = ("A_local", "A_neu", "M_interface") if sides else ("A_local",)
     for _, members, orders in classes:
         ref = assemble_subdomain(mesh, dec.subdomains[members[0]], params)
         for j, order in zip(members, orders):
             own = assemble_subdomain(mesh, dec.subdomains[j], params)
-            for name in ("A_local", "A_neu", "M_interface"):
+            for name in names:
                 a, b = getattr(own, name), getattr(ref, name)
                 if np.array_equal(order, np.arange(len(order))):
                     np.testing.assert_array_equal(a.indptr, b.indptr)
@@ -327,6 +330,11 @@ def test_class_members_share_the_local_matrix():
     )
     assert len(classes) == 4
     assert sorted(len(members) for _, members, _ in classes) == [2, 2, 4, 8]
+    # corners, edges and interior by width: the one-level part needs 3 LUs
+    widths = assert_members_match_representative(
+        mesh, dec, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0), sides=False
+    )
+    assert [len(members) for _, members, _ in widths] == [4, 8, 4]
 
 
 @pytest.mark.parametrize(
@@ -347,10 +355,30 @@ def test_orbit_members_match_the_representative(dim, m, n1d, overlap, orbits):
     assert len(classes) == orbits
 
 
+@pytest.mark.parametrize(
+    "dim,m,n1d,overlap,width_classes",
+    [
+        (2, 8, 8, 2, 6),  # clipped: widths 3, 4 and 5 per axis
+        (2, 8, 2, 2, 1),
+        (3, 9, 3, 1, 4),
+        (3, 8, 2, 1, 1),
+    ],
+)
+def test_width_class_members_match_the_representative(dim, m, n1d, overlap, width_classes):
+    # boxes of equal widths up to an axis permutation share A_local, whichever
+    # sides of the domain they touch
+    mesh = build_uniform_mesh(dim, m)
+    dec = build_decomposition(mesh, n1d, overlap)
+    classes = assert_members_match_representative(
+        mesh, dec, HelmholtzParams(k=6.0, epsilon=6.0, eta=6.0), sides=False
+    )
+    assert len(classes) == width_classes
+
+
 def test_one_level_with_shared_classes_matches_dense_oracle():
     mesh, dec, _ = sharing_setup()
     one = build_one_level(mesh, dec, 10.0, 10.0)
-    assert len(one.factorizations) == 4
+    assert len(one.factorizations) == 3
     M1 = dense_one_level(mesh, dec, 10.0, 10.0)
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -359,12 +387,12 @@ def test_one_level_with_shared_classes_matches_dense_oracle():
 
 
 def test_one_level_3d_orbits_match_dense_oracle():
-    # 27 subdomains on 6 LUs: mirrored and axis-swapped members are solved
-    # and extended in their own numbering
+    # 27 subdomains on 4 LUs, one per width class: mirrored and axis-swapped
+    # members are solved and extended in their own numbering
     mesh = build_uniform_mesh(3, 9)
     dec = build_decomposition(mesh, 3, 1, pou="ramp")
     one = build_one_level(mesh, dec, 6.0, 6.0)
-    assert len(one.factorizations) == 6
+    assert len(one.factorizations) == 4
     M1 = dense_one_level(mesh, dec, 6.0, 6.0)
     rng = np.random.default_rng(8)
     for _ in range(3):
@@ -453,7 +481,11 @@ def test_dtn_context_assembles_each_class_once(monkeypatch):
     monkeypatch.setattr(precond, "assemble_subdomain", counting)
     ctx = SolverContext(SolveConfig(k=10.0, alpha=1.0, precon="two_level_dtn"))
     assert ctx.n_subdomains == 100
-    # build_one_level and build_dtn_cs each assemble once per orbit, on its representative
-    representatives = [members[0] for _, members, _ in congruence_classes(ctx.decomposition)]
-    assert len(representatives) == 4
-    assert calls == representatives * 2
+    # build_one_level assembles once per width class and build_dtn_cs once per
+    # orbit, each on its representative
+    width_reps, orbit_reps = (
+        [members[0] for _, members, _ in congruence_classes(ctx.decomposition, sides=sides)]
+        for sides in (False, True)
+    )
+    assert (len(width_reps), len(orbit_reps)) == (3, 4)
+    assert calls == width_reps + orbit_reps

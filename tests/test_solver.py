@@ -131,10 +131,10 @@ def test_report_serialization(tmp_path):
     assert local > 0 and coarse >= ctx.precon.coarse.E.nnz
     one_level = solve(SolveConfig(dim=2, k=10.0, alpha=0.6, precon="one_level")).to_dict()
     assert one_level["lu_fill_nnz"] == {"local": local, "coarse": 0}
-    # one Robin LU per symmetry orbit of the 3 x 3 boxes, and one margin entry per orbit
+    # one Robin LU per width class of the 3 x 3 boxes, and one margin entry per orbit
     assert report.N_sub == 9
-    assert parsed["local_factorizations"] == one_level["local_factorizations"] == 4
-    assert len(ctx.precon.one_level.factorizations) == 4
+    assert parsed["local_factorizations"] == one_level["local_factorizations"] == 3
+    assert len(ctx.precon.one_level.factorizations) == 3
     margins = parsed["coarse_info"]["selection_margin"]
     assert [entry["members"] for entry in margins] == [2, 4, 2, 1]
     assert all(len(entry["key"]) == 2 and entry["margin"] >= 0 for entry in margins)
