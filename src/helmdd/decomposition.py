@@ -27,21 +27,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Subdomain:
-    """One overlapping box of cells: its global dofs and dof classification.
+    """One overlapping box of cells: its global dofs and interface.
 
-    interior/interface/physical_boundary are local indices into dofs and
-    partition it; interface dofs lie on the subdomain boundary but not on the
-    physical boundary.  pou holds the partition-of-unity diagonal D_j aligned
-    with dofs.
+    interface_dofs are local indices into dofs of the dofs that lie on the
+    subdomain boundary but not on the physical boundary.  pou holds the
+    partition-of-unity diagonal D_j aligned with dofs.
     """
 
     index: int
     cell_lo: tuple
     cell_hi: tuple
     dofs: np.ndarray
-    interior_dofs: np.ndarray
     interface_dofs: np.ndarray
-    physical_boundary_dofs: np.ndarray
     pou: np.ndarray
 
     @property
@@ -52,11 +49,7 @@ class Subdomain:
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     mesh: SimplicialMesh
-    n_subdomains_1d: int
-    overlap_layers: int
-    pou_kind: str
     subdomains: list
-    multiplicity: np.ndarray
 
     @property
     def n_subdomains(self) -> int:
@@ -70,17 +63,28 @@ def _box_ranges(m: int, n1d: int, box: tuple, overlap: int):
     return lo, hi
 
 
+def _ramp(coords: np.ndarray, lo: tuple, hi: tuple, m: int) -> np.ndarray:
+    """Lattice distance of each point to the box faces that are not on the physical boundary."""
+    dist = np.full(len(coords), float(m + 1))
+    for axis in range(coords.shape[1]):
+        if lo[axis] > 0:
+            dist = np.minimum(dist, coords[:, axis] - lo[axis])
+        if hi[axis] < m:
+            dist = np.minimum(dist, hi[axis] - coords[:, axis])
+    return dist
+
+
 def build_decomposition(
     mesh: SimplicialMesh,
     n_subdomains_1d: int,
     overlap_layers: int = 2,
-    pou: str = "multiplicity",
+    pou: str = "ramp",
 ) -> Decomposition:
     """Regular overlapping decomposition into n_subdomains_1d^dim boxes.
 
-    pou selects the partition-of-unity weights: "multiplicity" (1/#covering
-    subdomains, the default) or "ramp" (linear distance-to-interface weights,
-    normalized so the algebraic identity still holds exactly).
+    pou selects the partition-of-unity weights: "ramp" (linear
+    distance-to-interface weights, normalized so the algebraic identity still
+    holds exactly; the default) or "multiplicity" (1/#covering subdomains).
     """
     m = mesh.intervals_per_edge
     n1d = n_subdomains_1d
@@ -94,75 +98,35 @@ def build_decomposition(
     if pou not in ("multiplicity", "ramp"):
         raise ValueError(f"unknown partition-of-unity kind {pou!r}")
 
-    boxes = []
-    for combo in product(range(n1d), repeat=d):
-        box = combo[::-1]  # x fastest
-        boxes.append(box)
-
-    raw = []
-    for index, box in enumerate(boxes):
-        lo, hi = _box_ranges(m, n1d, box, overlap_layers)
-        dofs = _lattice_points(lo, [b + 1 for b in hi], (m + 1) ** np.arange(d))  # ascending
-        raw.append((index, lo, hi, dofs))
+    boxes = [combo[::-1] for combo in product(range(n1d), repeat=d)]  # x fastest
+    ranges = [_box_ranges(m, n1d, box, overlap_layers) for box in boxes]
+    strides = (m + 1) ** np.arange(d)
+    dofs = [_lattice_points(lo, [h + 1 for h in hi], strides) for lo, hi in ranges]  # ascending
 
     multiplicity = np.zeros(mesh.n_vertices, dtype=np.int64)
-    for _, _, _, dofs in raw:
-        multiplicity[dofs] += 1
+    for ids in dofs:
+        multiplicity[ids] += 1
     assert multiplicity.min() >= 1  # covering is guaranteed by construction
-
     if pou == "ramp":
-        raw_weights = []
+        ramps = [_ramp(mesh.grid_coordinates(ids), lo, hi, m) for (lo, hi), ids in zip(ranges, dofs)]
         total = np.zeros(mesh.n_vertices)
-        for _, lo, hi, dofs in raw:
-            coords = mesh.grid_coordinates(dofs)
-            dist = np.full(len(dofs), float(m + 1))
-            for axis in range(d):
-                if lo[axis] > 0:
-                    dist = np.minimum(dist, coords[:, axis] - lo[axis])
-                if hi[axis] < m:
-                    dist = np.minimum(dist, hi[axis] - coords[:, axis])
-            raw_weights.append(dist)
-            total[dofs] += dist
+        for ids, ramp in zip(dofs, ramps):
+            total[ids] += ramp
         # dofs covered only at interface distance 0 cannot occur for overlap >= 1
-        assert (total[np.concatenate([r[3] for r in raw])] > 0).all()
+        assert (total > 0).all()
+        weights = [ramp / total[ids] for ids, ramp in zip(dofs, ramps)]
+    else:
+        weights = [1.0 / multiplicity[ids] for ids in dofs]
 
     subdomains = []
-    for slot, (index, lo, hi, dofs) in enumerate(raw):
-        coords = mesh.grid_coordinates(dofs)
-        on_box = np.zeros(len(dofs), dtype=bool)
-        on_physical = np.zeros(len(dofs), dtype=bool)
-        for axis in range(d):
-            on_box |= (coords[:, axis] == lo[axis]) | (coords[:, axis] == hi[axis])
-            on_physical |= (coords[:, axis] == 0) | (coords[:, axis] == m)
-        local = np.arange(len(dofs))
-        interface = local[on_box & ~on_physical]
-        physical = local[on_physical]
-        interior = local[~on_box & ~on_physical]
-        if pou == "ramp":
-            weights = raw_weights[slot] / total[dofs]
-        else:
-            weights = 1.0 / multiplicity[dofs]
-        subdomains.append(
-            Subdomain(
-                index=index,
-                cell_lo=lo,
-                cell_hi=hi,
-                dofs=dofs,
-                interior_dofs=interior,
-                interface_dofs=interface,
-                physical_boundary_dofs=physical,
-                pou=weights,
-            )
-        )
-
-    return Decomposition(
-        mesh=mesh,
-        n_subdomains_1d=n1d,
-        overlap_layers=overlap_layers,
-        pou_kind=pou,
-        subdomains=subdomains,
-        multiplicity=multiplicity,
-    )
+    for index, ((lo, hi), ids, pou_weights) in enumerate(zip(ranges, dofs, weights)):
+        coords = mesh.grid_coordinates(ids)
+        on_box = ((coords == lo) | (coords == hi)).any(axis=1)
+        on_physical = ((coords == 0) | (coords == m)).any(axis=1)
+        interface = np.flatnonzero(on_box & ~on_physical)
+        subdomains.append(Subdomain(index=index, cell_lo=lo, cell_hi=hi, dofs=ids,
+                                    interface_dofs=interface, pou=pou_weights))
+    return Decomposition(mesh=mesh, subdomains=subdomains)
 
 
 def _vertex_order(widths, perm, flip: bool) -> np.ndarray:

@@ -14,7 +14,9 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import product
 
 from .solver import SolveConfig, SolverContext
 
@@ -29,13 +31,13 @@ __all__ = [
     "main",
 ]
 
-CSV_COLUMNS = [
-    "k", "d", "alpha", "alpha_prime", "beta", "precon", "mode",
+GROUP_COLUMNS = ["k", "d", "alpha", "alpha_prime", "beta", "precon", "mode"]
+
+CSV_COLUMNS = GROUP_COLUMNS + [
     "N_sub", "n", "n_CS", "iterations", "converged", "solve_seconds",
 ]
 
-SUMMARY_COLUMNS = [
-    "k", "d", "alpha", "alpha_prime", "beta", "precon", "mode",
+SUMMARY_COLUMNS = GROUP_COLUMNS + [
     "N_sub", "n", "n_CS", "median_iterations", "n_seeds", "all_converged",
     "median_solve_seconds",
 ]
@@ -78,26 +80,25 @@ class SweepSpec:
 
     def configs(self) -> list:
         out = []
-        for k in self.ks:
-            for alpha, alpha_prime in self.alphas:
-                for beta in self.betas:
-                    for precon in self.precons:
-                        name, sel = _split_precon(precon, self.selection)
-                        out.append(
-                            SolveConfig(
-                                dim=self.dim,
-                                k=float(k),
-                                alpha=float(alpha),
-                                alpha_prime=None if alpha_prime is None else float(alpha_prime),
-                                beta=None if beta is None else float(beta),
-                                precon=name,
-                                mode=self.mode,
-                                selection=sel,
-                                tol=self.tol,
-                                max_iter=self.max_iter,
-                                overlap_layers=self.overlap_layers,
-                            )
-                        )
+        for k, (alpha, alpha_prime), beta, precon in product(
+            self.ks, self.alphas, self.betas, self.precons
+        ):
+            name, sel = _split_precon(precon, self.selection)
+            out.append(
+                SolveConfig(
+                    dim=self.dim,
+                    k=float(k),
+                    alpha=float(alpha),
+                    alpha_prime=None if alpha_prime is None else float(alpha_prime),
+                    beta=None if beta is None else float(beta),
+                    precon=name,
+                    mode=self.mode,
+                    selection=sel,
+                    tol=self.tol,
+                    max_iter=self.max_iter,
+                    overlap_layers=self.overlap_layers,
+                )
+            )
         return out
 
 
@@ -109,8 +110,8 @@ def _split_precon(entry: str, default_selection: str):
     return canonical_precon(entry), default_selection
 
 
-def _row_from_report(report) -> dict:
-    cfg = report.config
+def _row(cfg: dict, N_sub=0, n=0, n_CS=0, iterations=-1, converged=False, solve_seconds=0.0) -> dict:
+    """One CSV row of a solve; the defaults describe a failed one."""
     return {
         "k": cfg["k"],
         "d": cfg["dim"],
@@ -119,13 +120,23 @@ def _row_from_report(report) -> dict:
         "beta": "" if cfg["beta"] is None else cfg["beta"],
         "precon": _precon_label(cfg),
         "mode": cfg["mode"],
-        "N_sub": report.N_sub,
-        "n": report.n,
-        "n_CS": report.n_CS,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "solve_seconds": report.timings["solve"],
+        "N_sub": N_sub,
+        "n": n,
+        "n_CS": n_CS,
+        "iterations": iterations,
+        "converged": converged,
+        "solve_seconds": solve_seconds,
     }
+
+
+def _row_from_report(report) -> dict:
+    return _row(report.config, report.N_sub, report.n, report.n_CS, report.iterations,
+                report.converged, report.timings["solve"])
+
+
+def _failure_row(config: SolveConfig, ctx: SolverContext | None = None) -> dict:
+    sizes = () if ctx is None else (ctx.n_subdomains, ctx.n, ctx.n_cs)
+    return _row(config.to_dict(), *sizes)
 
 
 def _precon_label(cfg: dict) -> str:
@@ -135,24 +146,6 @@ def _precon_label(cfg: dict) -> str:
     if name == "two_level_grid" and cfg.get("coarse_m") is not None:
         return f"{name}:m{cfg['coarse_m']}"
     return name
-
-
-def _failure_row(config: SolveConfig, ctx: SolverContext | None = None) -> dict:
-    return {
-        "k": config.k,
-        "d": config.dim,
-        "alpha": config.alpha,
-        "alpha_prime": config.alpha_prime,
-        "beta": "" if config.beta is None else config.beta,
-        "precon": _precon_label(config.to_dict()),
-        "mode": config.mode,
-        "N_sub": 0 if ctx is None else ctx.n_subdomains,
-        "n": 0 if ctx is None else ctx.n,
-        "n_CS": 0 if ctx is None else ctx.n_cs,
-        "iterations": -1,
-        "converged": False,
-        "solve_seconds": 0.0,
-    }
 
 
 def run_config_group(config: SolveConfig, seeds) -> tuple:
@@ -182,33 +175,30 @@ def run_config_group(config: SolveConfig, seeds) -> tuple:
 def run_sweep(spec: SweepSpec, jobs: int = 1, echo=None):
     """Execute every (config, seed) pair; returns (rows, summary_rows, errors).
 
-    Writes rows to spec.out (and the median summary to <out>_summary.csv) when
-    an output path is set.  Failures are recorded per row (iterations = -1) and
-    collected in the error list; the sweep always continues.
+    With jobs > 1 the config groups run on that many threads.  Progress lines
+    go to echo in config order either way.  Writes rows to spec.out (and the
+    median summary to <out>_summary.csv) when an output path is set.  Failures
+    are recorded per row (iterations = -1) and collected in the error list; the
+    sweep always continues.
     """
     configs = spec.configs()
-    results = [None] * len(configs)
-
-    def work(i):
-        results[i] = run_config_group(configs[i], spec.seeds)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, range(len(configs))))
-    else:
-        for i in range(len(configs)):
-            work(i)
-            if echo is not None:
-                rows = results[i][0]
-                for row in rows:
-                    echo(_format_progress(row))
-
     rows, errors = [], []
-    for (group_rows, _, err), config in zip(results, configs):
-        rows.extend(group_rows)
-        if err is not None:
-            errors.append({"config": config.to_dict(), "error": err})
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(lambda c: run_config_group(c, spec.seeds), configs)
+        for config, result in zip(configs, results):
+            _collect(config, result, rows, errors, echo)
     return _summarize_and_write(rows, errors, spec.out)
+
+
+def _collect(config, result, rows, errors, echo) -> None:
+    """Add one run_config_group result to the rows and errors, echoing its progress."""
+    group_rows, _, err = result
+    rows.extend(group_rows)
+    if err is not None:
+        errors.append({"config": config.to_dict(), "error": err})
+    if echo is not None:
+        for row in group_rows:
+            echo(_format_progress(row))
 
 
 def _summarize_and_write(rows, errors, out) -> tuple:
@@ -234,29 +224,21 @@ def _format_progress(row: dict) -> str:
 
 
 def _summary_path(out: str) -> str:
-    text = str(out)
-    if text.endswith(".csv"):
-        return text[:-4] + "_summary.csv"
-    return text + "_summary.csv"
-
-
-def _group_key(row: dict) -> tuple:
-    return tuple(row[c] for c in ("k", "d", "alpha", "alpha_prime", "beta", "precon", "mode"))
+    return str(out).removesuffix(".csv") + "_summary.csv"
 
 
 def summarize(rows) -> list:
     """Median-over-seeds summary, one row per config group, deterministic order."""
     groups: dict = {}
     for row in rows:
-        groups.setdefault(_group_key(row), []).append(row)
+        groups.setdefault(tuple(row[c] for c in GROUP_COLUMNS), []).append(row)
     summary = []
     for key in sorted(groups, key=lambda t: tuple(str(x) for x in t)):
         members = groups[key]
         ok = [r for r in members if r["iterations"] >= 0]
         summary.append(
             {
-                "k": key[0], "d": key[1], "alpha": key[2], "alpha_prime": key[3],
-                "beta": key[4], "precon": key[5], "mode": key[6],
+                **dict(zip(GROUP_COLUMNS, key)),
                 "N_sub": members[0]["N_sub"],
                 "n": members[0]["n"],
                 "n_CS": members[0]["n_CS"],
@@ -326,13 +308,16 @@ _FULL_WARNING = (
 )
 
 
-def table1_desk(kmax=40.0, alphas=(0.6, 0.8, 1.0), betas=(1.0, 2.0),
+def _preset_ks(full, kmax, desk=(10.0, 20.0, 40.0), extra=(60.0, 80.0)) -> tuple:
+    """The desk wavenumbers, with --full also the extra ones, up to kmax if given."""
+    return tuple(k for k in desk + (extra if full else ()) if kmax is None or k <= kmax)
+
+
+def table1_desk(kmax=None, alphas=(0.6, 0.8, 1.0), betas=(1.0, 2.0),
                 seeds=(0, 1, 2), full=False, dim=2, **kw) -> SweepSpec:
-    ks = (10.0, 20.0, 40.0, 60.0, 80.0) if full else (10.0, 20.0, 40.0)
-    ks = tuple(k for k in ks if k <= kmax)
     return SweepSpec(
         dim=dim,
-        ks=ks,
+        ks=_preset_ks(full, kmax),
         alphas=tuple((a, None) for a in alphas),
         betas=tuple(betas),
         precons=("one_level", "two_level_grid", "two_level_dtn"),
@@ -341,28 +326,24 @@ def table1_desk(kmax=40.0, alphas=(0.6, 0.8, 1.0), betas=(1.0, 2.0),
     )
 
 
-def run_table2_desk(kmax=20.0, alphas=(0.6, 0.8, 1.0), seeds=(0, 1, 2), full=False,
+def run_table2_desk(kmax=None, alphas=(0.6, 0.8, 1.0), seeds=(0, 1, 2), full=False,
                     out=None, echo=None, tol=1e-6, max_iter=500):
     """Forced coarse-space-size comparison: DtN shrunk to m_i = 2 per subdomain
     (left block), then the grid coarse space grown to the size the automatic DtN
     selection produced (right block).  Sequential by construction: the right
-    block depends on the automatic DtN size of the same configuration."""
-    ks = (10.0, 20.0, 40.0, 60.0, 80.0) if full else (10.0, 20.0, 40.0)
-    ks = tuple(k for k in ks if k <= kmax)
+    block depends on the automatic DtN size of the same configuration.  Without
+    kmax the desk range stops at k = 20 and the full range runs to k = 80."""
+    if kmax is None and not full:
+        kmax = 20.0
     rows, errors = [], []
 
     def run_one(config):
-        group_rows, reports, err = run_config_group(config, seeds)
-        rows.extend(group_rows)
-        if err:
-            errors.append({"config": config.to_dict(), "error": err})
-        if echo is not None:
-            for row in group_rows:
-                echo(_format_progress(row))
-        return reports
+        result = run_config_group(config, seeds)
+        _collect(config, result, rows, errors, echo)
+        return result[1]
 
     for alpha in alphas:
-        for k in ks:
+        for k in _preset_ks(full, kmax):
             base = SolveConfig(dim=2, k=k, alpha=alpha, beta=1.0, tol=tol, max_iter=max_iter)
             # left block: grid at its natural size vs DtN forced small
             run_one(replace(base, precon="two_level_grid"))
@@ -378,14 +359,13 @@ def run_table2_desk(kmax=20.0, alphas=(0.6, 0.8, 1.0), seeds=(0, 1, 2), full=Fal
 
 
 def table3_desk(with_dtn=False, pairs=((0.5, 1.0), (0.6, 0.9), (0.7, 0.8), (0.8, 0.7)),
-                seeds=(0, 1, 2), full=False, **kw) -> SweepSpec:
-    ks = (10.0, 20.0) if full else (10.0,)
+                seeds=(0, 1, 2), full=False, kmax=None, **kw) -> SweepSpec:
     precons = ["one_level", "two_level_grid"]
     if with_dtn:
         precons.append("two_level_dtn:capped20")
     return SweepSpec(
         dim=3,
-        ks=ks,
+        ks=_preset_ks(full, kmax, desk=(10.0,), extra=(20.0,)),
         alphas=tuple(pairs),
         betas=(1.0,),
         precons=tuple(precons),
@@ -398,8 +378,41 @@ def table3_desk(with_dtn=False, pairs=((0.5, 1.0), (0.6, 0.9), (0.7, 0.8), (0.8,
 # Sweep spec files: one "key = value" pair per line, '#' comments, lists are
 # comma separated, alpha entries may be "alpha:alpha_prime" pairs.
 
+def _items(text: str) -> list:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in _items(text))
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(v) for v in _items(text))
+
+
+def _alpha_pair(item: str) -> tuple:
+    alpha, _, alpha_prime = item.partition(":")
+    return float(alpha), float(alpha_prime) if alpha_prime else None
+
+
+_SPEC_KEYS = {  # key -> parser of its value
+    "dim": int,
+    "ks": _floats,
+    "alphas": lambda text: tuple(_alpha_pair(v) for v in _items(text)),
+    "betas": lambda text: tuple(None if v == "none" else float(v) for v in _items(text)),
+    "precons": lambda text: tuple(_items(text)),
+    "mode": str,
+    "selection": str,
+    "seeds": _ints,
+    "tol": float,
+    "max_iter": int,
+    "overlap_layers": int,
+    "out": str,
+}
+
+
 def load_sweep_spec(path) -> SweepSpec:
-    spec = SweepSpec()
+    fields = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -408,48 +421,40 @@ def load_sweep_spec(path) -> SweepSpec:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            spec = _apply_spec_key(spec, key, value, f"{path}:{lineno}")
-    return spec
-
-
-def _apply_spec_key(spec: SweepSpec, key: str, value: str, where: str) -> SweepSpec:
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    if key == "dim":
-        return replace(spec, dim=int(value))
-    if key == "ks":
-        return replace(spec, ks=tuple(float(v) for v in items))
-    if key == "alphas":
-        pairs = []
-        for item in items:
-            if ":" in item:
-                a, ap = item.split(":", 1)
-                pairs.append((float(a), float(ap)))
-            else:
-                pairs.append((float(item), None))
-        return replace(spec, alphas=tuple(pairs))
-    if key == "betas":
-        return replace(spec, betas=tuple(None if v == "none" else float(v) for v in items))
-    if key == "precons":
-        return replace(spec, precons=tuple(items))
-    if key == "mode":
-        return replace(spec, mode=value)
-    if key == "selection":
-        return replace(spec, selection=value)
-    if key == "seeds":
-        return replace(spec, seeds=tuple(int(v) for v in items))
-    if key == "tol":
-        return replace(spec, tol=float(value))
-    if key == "max_iter":
-        return replace(spec, max_iter=int(value))
-    if key == "overlap_layers":
-        return replace(spec, overlap_layers=int(value))
-    if key == "out":
-        return replace(spec, out=value)
-    raise ValueError(f"{where}: unknown key {key!r}")
+            if key not in _SPEC_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            fields[key] = _SPEC_KEYS[key](value)
+    return SweepSpec(**fields)
 
 
 # ----------------------------------------------------------------------------
 # CLI
+
+def _sweep_preset(build):
+    """A runner that builds the preset's SweepSpec and runs it on jobs threads."""
+    def run(jobs=1, echo=None, **kw):
+        return run_sweep(build(**kw), jobs=jobs, echo=echo)
+    return run
+
+
+_JOBS = ("--jobs", {"type": int, "default": 1})
+_ALPHAS = ("--alphas", {"type": _floats, "help": "comma-separated alpha values"})
+
+# CLI name -> (runner, its own flags); a runner takes the preset's keywords and
+# echo, and returns (rows, summary_rows, errors).  A flag left unset leaves the
+# preset's default in place.
+_PRESETS = {
+    "table1-desk": (_sweep_preset(table1_desk), [
+        _JOBS, _ALPHAS, ("--betas", {"type": _floats, "help": "comma-separated beta values"}),
+    ]),
+    "table2-desk": (run_table2_desk, [_ALPHAS]),
+    "table3-desk": (_sweep_preset(table3_desk), [
+        _JOBS,
+        ("--with-dtn", {"action": "store_true",
+                        "help": "include the DtN coarse space (slow 3d eigenproblems)"}),
+    ]),
+}
+
 
 def _add_common(parser):
     parser.add_argument("--tol", type=float, default=1e-6)
@@ -489,21 +494,14 @@ def _build_parser():
     p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
 
-    for name in ("table1-desk", "table2-desk", "table3-desk"):
+    for name, (_, flags) in _PRESETS.items():
         p = sub.add_parser(name, help=f"desk-scale preset mirroring {name.split('-')[0]}")
         p.add_argument("--kmax", type=float, default=None)
         p.add_argument("--full", action="store_true",
                        help="full wavenumber range (slow; prints a warning)")
-        p.add_argument("--seeds", type=str, default="0,1,2")
-        p.add_argument("--jobs", type=int, default=1)
-        if name == "table1-desk":
-            p.add_argument("--alphas", type=str, default="0.6,0.8,1.0")
-            p.add_argument("--betas", type=str, default="1,2")
-        if name == "table2-desk":
-            p.add_argument("--alphas", type=str, default="0.6,0.8,1.0")
-        if name == "table3-desk":
-            p.add_argument("--with-dtn", action="store_true",
-                           help="include the DtN coarse space (slow 3d eigenproblems)")
+        p.add_argument("--seeds", type=_ints, default=None)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
         _add_common(p)
     return parser
 
@@ -568,64 +566,19 @@ def _dispatch(args) -> int:
             spec = replace(spec, out=args.out)
         spec = replace(spec, tol=args.tol, max_iter=args.max_iter)
         _, summary, errors = run_sweep(spec, jobs=args.jobs, echo=print)
-        print(format_table(summary))
-        _report_errors(errors)
-        return 0
-
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    if args.full:
-        sys.stderr.write(_FULL_WARNING)
-
-    if args.command == "table1-desk":
-        spec = table1_desk(
-            kmax=args.kmax if args.kmax is not None else (80.0 if args.full else 40.0),
-            alphas=tuple(float(a) for a in args.alphas.split(",")),
-            betas=tuple(float(b) for b in args.betas.split(",")),
-            seeds=seeds,
-            full=args.full,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            out=args.out,
-        )
-        _, summary, errors = run_sweep(spec, jobs=args.jobs, echo=print)
-        print(format_table(summary))
-        _report_errors(errors)
-        return 0
-
-    if args.command == "table2-desk":
-        _, summary, errors = run_table2_desk(
-            kmax=args.kmax if args.kmax is not None else (80.0 if args.full else 20.0),
-            alphas=tuple(float(a) for a in args.alphas.split(",")),
-            seeds=seeds,
-            full=args.full,
-            out=args.out,
-            echo=print,
-            tol=args.tol,
-            max_iter=args.max_iter,
-        )
-        print(format_table(summary))
-        _report_errors(errors)
-        return 0
-
-    if args.command == "table3-desk":
-        spec = table3_desk(
-            with_dtn=args.with_dtn,
-            seeds=seeds,
-            full=args.full,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            out=args.out,
-        )
-        if args.kmax is not None:
-            spec = replace(spec, ks=tuple(k for k in spec.ks if k <= args.kmax))
-        if args.with_dtn:
+    else:
+        run, flags = _PRESETS[args.command]
+        names = ["kmax", "full", "seeds", "tol", "max_iter", "out"]
+        names += [flag[2:].replace("-", "_") for flag, _ in flags]
+        options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+        if args.full:
+            sys.stderr.write(_FULL_WARNING)
+        if options.get("with_dtn"):
             sys.stderr.write("note: 3d DtN eigenproblems are dense and take minutes per run\n")
-        _, summary, errors = run_sweep(spec, jobs=args.jobs, echo=print)
-        print(format_table(summary))
-        _report_errors(errors)
-        return 0
-
-    raise ValueError(f"unhandled command {args.command!r}")
+        _, summary, errors = run(echo=print, **options)
+    print(format_table(summary))
+    _report_errors(errors)
+    return 0
 
 
 def _report_errors(errors) -> None:

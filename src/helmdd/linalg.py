@@ -58,7 +58,6 @@ class SparseFactorization:
     SciPy keep a CSC copy of both factors for the handle's lifetime.
     """
 
-    shape: tuple
     fill: int
     _lu: object
 
@@ -100,7 +99,7 @@ def factorize(A) -> SparseFactorization:
         raise FactorizationError(
             f"backward error {error:.2e} of the LU solve exceeds {BACKWARD_ERROR_TOL:g}"
         )
-    return SparseFactorization(shape=A.shape, fill=int(lu.nnz), _lu=lu)
+    return SparseFactorization(fill=int(lu.nnz), _lu=lu)
 
 
 def random_initial_guess(n: int, seed: int) -> np.ndarray:
@@ -258,9 +257,6 @@ class EigenPairs:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def generalized_eig(S: np.ndarray, M: np.ndarray) -> EigenPairs:

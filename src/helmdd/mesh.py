@@ -5,7 +5,7 @@ cell into the d! simplices of its Kuhn subdivision, which all share the
 diagonal from the cell's lowest to its highest corner (two triangles in 2d,
 six tetrahedra in 3d).  The pattern is nested under integer refinement, so a
 coarse mesh with m_c | m_f is exactly contained in the fine one.  A mesh is
-defined by (dim, m) alone; vertices and simplices are derived from it.
+defined by (dim, m) alone; its vertices are derived from it.
 """
 
 from __future__ import annotations
@@ -61,19 +61,6 @@ def _lattice_points(lo, hi, strides) -> np.ndarray:
     return ids
 
 
-def _lattice_simplices(widths) -> np.ndarray:
-    """Kuhn simplices of a box of widths cells, as rows of vertex ids.
-
-    Vertices and cells are numbered with x fastest, and cell c owns the d!
-    simplices d!*c .. d!*c + d! - 1.
-    """
-    widths = tuple(int(w) for w in widths)
-    strides = np.cumprod((1,) + tuple(w + 1 for w in widths[:-1]))
-    corners = _lattice_points((0,) * len(widths), widths, strides)
-    offsets = _kuhn_simplices(len(widths)) @ strides
-    return (corners[:, None, None] + offsets[None, :, :]).reshape(-1, len(widths) + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class SimplicialMesh:
     """Uniform simplicial mesh of [0,1]^dim with m intervals per edge."""
@@ -93,18 +80,9 @@ class SimplicialMesh:
         return (self.intervals_per_edge + 1) ** self.dim
 
     @property
-    def n_simplices(self) -> int:
-        return math.factorial(self.dim) * self.intervals_per_edge**self.dim
-
-    @property
     def vertices(self) -> np.ndarray:
         """(n_vertices, dim) coordinates; x varies fastest."""
         return self.grid_coordinates() / self.intervals_per_edge
-
-    @property
-    def simplices(self) -> np.ndarray:
-        """(n_simplices, dim+1) vertex ids, positively oriented (see _lattice_simplices)."""
-        return _lattice_simplices((self.intervals_per_edge,) * self.dim)
 
     def grid_coordinates(self, vertex_ids=None) -> np.ndarray:
         """Integer lattice coordinates (ix, iy[, iz]) of vertices; x varies fastest."""

@@ -148,7 +148,6 @@ class SolverContext:
         n1d = config.n_subdomains_1d
         if n1d is None:
             n1d = meshmod.subdomains_per_dimension(k, config.alpha)
-        self.n1d = n1d
         m = meshmod.fine_resolution(k, n1d)
         self.mesh = meshmod.build_uniform_mesh(config.dim, m)
         params = HelmholtzParams(k=k, eta=k)

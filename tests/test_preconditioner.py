@@ -404,7 +404,7 @@ def test_one_level_with_clipped_boxes_matches_dense_oracle():
     # boxes one cell wide grow by two layers, so several touch the same side of
     # the domain with different extents; they must land in different orbits
     mesh = build_uniform_mesh(2, 8)
-    dec = build_decomposition(mesh, 8, 2)
+    dec = build_decomposition(mesh, 8, 2, pou="multiplicity")
     one = build_one_level(mesh, dec, 6.0, 6.0)
     M1 = dense_one_level(mesh, dec, 6.0, 6.0)
     v = np.random.default_rng(7).standard_normal(mesh.n_vertices) + 0j
