@@ -200,29 +200,6 @@ def _faces(physical, flag: bool | None = None) -> list:
     ]
 
 
-def _box_matrices(widths, h: float, physical) -> tuple:
-    """K, M, B_phys and B_intf of a box of widths cells with spacing h (CSR).
-
-    physical holds per axis whether the (lo, hi) sides lie on the physical
-    boundary; B_phys is the boundary mass of those sides and B_intf that of
-    the others.  Vertices are numbered in the box with x fastest.
-    """
-    K, M, pattern = _volume(widths, h)
-    B_phys, B_intf = (_boundary(widths, h, _faces(physical, flag)) for flag in (True, False))
-    return (
-        _csr(K, pattern, widths),
-        _csr(M, pattern, widths),
-        _csr(B_phys, B_phys > 0, widths),
-        _csr(B_intf, B_intf > 0, widths),
-    )
-
-
-def _global_box(mesh: SimplicialMesh):
-    """K, M, B and the (empty) interface mass of the whole mesh."""
-    m = mesh.intervals_per_edge
-    return _box_matrices((m,) * mesh.dim, 1.0 / m, ((True, True),) * mesh.dim)
-
-
 def _volume_part(K, M, params: HelmholtzParams) -> np.ndarray:
     return K + (-(params.k**2) - 1j * params.epsilon) * M
 

@@ -1,4 +1,4 @@
-"""Overlapping box decompositions, restriction operators and partitions of unity.
+"""Overlapping box decompositions and their partition of unity.
 
 Subdomains start from the non-overlapping partition of the cell grid into
 N_1d^d equal boxes and grow by overlap_layers cell layers in every direction
@@ -20,8 +20,6 @@ __all__ = [
     "Decomposition",
     "build_decomposition",
     "congruence_classes",
-    "restrict",
-    "prolongate_weighted",
 ]
 
 
@@ -78,13 +76,12 @@ def build_decomposition(
     mesh: SimplicialMesh,
     n_subdomains_1d: int,
     overlap_layers: int = 2,
-    pou: str = "ramp",
 ) -> Decomposition:
     """Regular overlapping decomposition into n_subdomains_1d^dim boxes.
 
-    pou selects the partition-of-unity weights: "ramp" (linear
-    distance-to-interface weights, normalized so the algebraic identity still
-    holds exactly; the default) or "multiplicity" (1/#covering subdomains).
+    The partition of unity is the ramp: each box weighs a dof by its lattice
+    distance to the box's interface faces, normalized by the sum over the
+    boxes that hold the dof, so sum_j R_j^T D_j R_j = I.
     """
     m = mesh.intervals_per_edge
     n1d = n_subdomains_1d
@@ -95,28 +92,19 @@ def build_decomposition(
         raise ValueError(f"mesh intervals ({m}) must be divisible by n_subdomains_1d ({n1d})")
     if overlap_layers < 1:
         raise ValueError(f"overlap_layers must be >= 1, got {overlap_layers}")
-    if pou not in ("multiplicity", "ramp"):
-        raise ValueError(f"unknown partition-of-unity kind {pou!r}")
 
     boxes = [combo[::-1] for combo in product(range(n1d), repeat=d)]  # x fastest
     ranges = [_box_ranges(m, n1d, box, overlap_layers) for box in boxes]
     strides = (m + 1) ** np.arange(d)
     dofs = [_lattice_points(lo, [h + 1 for h in hi], strides) for lo, hi in ranges]  # ascending
 
-    multiplicity = np.zeros(mesh.n_vertices, dtype=np.int64)
-    for ids in dofs:
-        multiplicity[ids] += 1
-    assert multiplicity.min() >= 1  # covering is guaranteed by construction
-    if pou == "ramp":
-        ramps = [_ramp(mesh.grid_coordinates(ids), lo, hi, m) for (lo, hi), ids in zip(ranges, dofs)]
-        total = np.zeros(mesh.n_vertices)
-        for ids, ramp in zip(dofs, ramps):
-            total[ids] += ramp
-        # dofs covered only at interface distance 0 cannot occur for overlap >= 1
-        assert (total > 0).all()
-        weights = [ramp / total[ids] for ids, ramp in zip(dofs, ramps)]
-    else:
-        weights = [1.0 / multiplicity[ids] for ids in dofs]
+    ramps = [_ramp(mesh.grid_coordinates(ids), lo, hi, m) for (lo, hi), ids in zip(ranges, dofs)]
+    total = np.zeros(mesh.n_vertices)
+    for ids, ramp in zip(dofs, ramps):
+        total[ids] += ramp
+    # the boxes cover every dof, and none only at interface distance 0 for overlap >= 1
+    assert (total > 0).all()
+    weights = [ramp / total[ids] for ids, ramp in zip(dofs, ramps)]
 
     subdomains = []
     for index, ((lo, hi), ids, pou_weights) in enumerate(zip(ranges, dofs, weights)):
@@ -193,19 +181,3 @@ def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
         out.append((canonical, [j for j, _, _ in entries], [order for _, order, _ in entries]))
     return out
 
-
-def restrict(sub: Subdomain, v: np.ndarray) -> np.ndarray:
-    """Gather v at the subdomain's global dofs (R_j v)."""
-    v = np.asarray(v)
-    if v.shape[0] <= sub.dofs[-1]:
-        raise ValueError(f"vector of size {v.shape[0]} too short for subdomain dofs")
-    return v[sub.dofs]
-
-
-def prolongate_weighted(sub: Subdomain, w: np.ndarray, accumulator: np.ndarray) -> np.ndarray:
-    """Scatter-add the weighted local vector: accumulator += R_j^T D_j w."""
-    w = np.asarray(w)
-    if w.shape[0] != sub.n_dofs:
-        raise ValueError(f"local vector has size {w.shape[0]}, expected {sub.n_dofs}")
-    accumulator[sub.dofs] += sub.pou * w
-    return accumulator

@@ -310,7 +310,11 @@ _FULL_WARNING = (
 
 def _preset_ks(full, kmax, desk=(10.0, 20.0, 40.0), extra=(60.0, 80.0)) -> tuple:
     """The desk wavenumbers, with --full also the extra ones, up to kmax if given."""
-    return tuple(k for k in desk + (extra if full else ()) if kmax is None or k <= kmax)
+    ks = desk + (extra if full else ())
+    kept = tuple(k for k in ks if kmax is None or k <= kmax)
+    if not kept:
+        raise ValueError(f"kmax {kmax:g} excludes every wavenumber of this preset {ks}")
+    return kept
 
 
 def table1_desk(kmax=None, alphas=(0.6, 0.8, 1.0), betas=(1.0, 2.0),
@@ -483,7 +487,6 @@ def _build_parser():
                    help="automatic | fixed:M | capped:M")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--overlap-layers", type=int, default=2)
-    p.add_argument("--pou", type=str, default="ramp", choices=("multiplicity", "ramp"))
     p.add_argument("--n1d", type=int, default=None, help="override subdomains per dimension")
     p.add_argument("--coarse-m", type=int, default=None, help="force the grid coarse resolution")
     p.add_argument("--residuals", type=str, default=None, help="write residual history CSV here")
@@ -542,7 +545,6 @@ def _dispatch(args) -> int:
             max_iter=args.max_iter,
             seed=args.seed,
             overlap_layers=args.overlap_layers,
-            pou=args.pou,
             n_subdomains_1d=args.n1d,
             coarse_m=args.coarse_m,
         )

@@ -153,52 +153,24 @@ def interpolation_matrix(coarse: SimplicialMesh, fine: SimplicialMesh) -> sp.csr
     mc, mf = coarse.intervals_per_edge, fine.intervals_per_edge
     if mf < mc:
         raise ValueError(f"fine mesh (m={mf}) must be at least as fine as coarse (m={mc})")
-    mc1 = mc + 1
 
-    gidx = fine.grid_coordinates()  # (nv, d) ints in [0, mf]
-    num = gidx * mc  # position times mf, in coarse-grid units
+    # a fine vertex lies in the Kuhn simplex of its coarse cell that walks the
+    # axes by descending frac; its barycentric weights, times mf, are the gaps
+    # between mf, the sorted frac and 0
+    num = fine.grid_coordinates() * mc  # position times mf, in coarse-grid units
     cell = np.minimum(num // mf, mc - 1)
     frac = num - cell * mf  # integer in [0, mf]
-    den = float(mf)
-
+    order = np.argsort(-frac, axis=1, kind="stable")  # ties keep axis order
+    fsort = np.take_along_axis(frac, order, axis=1)
     nv = fine.n_vertices
-    if d == 2:
-        c00 = cell[:, 1] * mc1 + cell[:, 0]
-        c10 = c00 + 1
-        c01 = c00 + mc1
-        c11 = c01 + 1
-        fx, fy = frac[:, 0], frac[:, 1]
-        lower = fx >= fy
-        cols = np.where(
-            lower[:, None],
-            np.column_stack([c00, c10, c11]),
-            np.column_stack([c00, c11, c01]),
-        )
-        w_lower = np.column_stack([mf - fx, fx - fy, fy])
-        w_upper = np.column_stack([mf - fy, fx, fy - fx])
-        weights = np.where(lower[:, None], w_lower, w_upper) / den
-        rows = np.repeat(np.arange(nv), 3)
-    else:
-        strides = np.array([1, mc1, mc1 * mc1], dtype=np.int64)
-        c0 = cell @ strides
-        order = np.argsort(-frac, axis=1, kind="stable")  # descending, ties keep axis order
-        fsort = np.take_along_axis(frac, order, axis=1)
-        weights = np.column_stack(
-            [mf - fsort[:, 0], fsort[:, 0] - fsort[:, 1], fsort[:, 1] - fsort[:, 2], fsort[:, 2]]
-        ) / den
-        step = strides[order]  # (nv, 3)
-        cols = np.empty((nv, 4), dtype=np.int64)
-        cols[:, 0] = c0
-        cols[:, 1] = c0 + step[:, 0]
-        cols[:, 2] = cols[:, 1] + step[:, 1]
-        cols[:, 3] = c0 + strides.sum()
-        rows = np.repeat(np.arange(nv), 4)
+    bounds = np.column_stack([np.full(nv, mf), fsort, np.zeros(nv, np.int64)])
+    w = (-np.diff(bounds) / float(mf)).ravel()
+    strides = (mc + 1) ** np.arange(d)
+    walk = np.column_stack([np.zeros(nv, np.int64), np.cumsum(strides[order], axis=1)])
+    cols = (cell @ strides)[:, None] + walk
+    rows = np.repeat(np.arange(nv), d + 1)
 
-    w = weights.ravel()
     keep = w != 0.0
-    Z = sp.csr_matrix(
-        (w[keep], (rows[keep], cols.ravel()[keep])),
-        shape=(nv, mc1**d),
-    )
+    Z = sp.csr_matrix((w[keep], (rows[keep], cols.ravel()[keep])), shape=(nv, (mc + 1) ** d))
     Z.sort_indices()
     return Z

@@ -51,7 +51,6 @@ class SolveConfig:
     max_iter: int = 500
     seed: int = 0
     overlap_layers: int = 2
-    pou: str = "ramp"  # ramp weights reproduce the reference iteration counts
     n_subdomains_1d: int | None = None
     coarse_m: int | None = None
 
@@ -62,8 +61,6 @@ class SolveConfig:
             raise ValueError(f"precon must be one of {PRECONDITIONERS}, got {self.precon!r}")
         if self.mode not in ("additive", "hybrid"):
             raise ValueError(f"mode must be additive or hybrid, got {self.mode!r}")
-        if self.pou not in ("ramp", "multiplicity"):
-            raise ValueError(f"pou must be ramp or multiplicity, got {self.pou!r}")
         if self.overlap_layers < 1:
             raise ValueError(f"overlap_layers must be >= 1, got {self.overlap_layers}")
         if not self.tol > 0:
@@ -165,9 +162,7 @@ class SolverContext:
         self.lu_fill_nnz = {"local": 0, "coarse": 0}
         self.local_factorizations = 0
         if config.precon != "none":
-            self.decomposition = build_decomposition(
-                self.mesh, n1d, config.overlap_layers, pou=config.pou
-            )
+            self.decomposition = build_decomposition(self.mesh, n1d, config.overlap_layers)
             one_level = build_one_level(self.mesh, self.decomposition, k, config.epsilon_prec)
             self.lu_fill_nnz["local"] = sum(lu.fill for lu in one_level.factorizations)
             self.local_factorizations = len(one_level.factorizations)
@@ -247,12 +242,8 @@ def solve(config: SolveConfig) -> SolveReport:
     return SolverContext(config).run()
 
 
-def verify_solution(solution, A0, f) -> float:
-    """Recompute ||f - A0 x|| / ||f|| independently of the GMRES internals.
-
-    Accepts a SolveReport or a raw solution vector.
-    """
-    x = solution.solution if isinstance(solution, SolveReport) else np.asarray(solution)
+def verify_solution(x, A0, f) -> float:
+    """Recompute ||f - A0 x|| / ||f|| independently of the GMRES internals."""
     norm_f = np.linalg.norm(f)
     if norm_f == 0:
         return float(np.linalg.norm(A0 @ x))

@@ -2,7 +2,9 @@
 
 Every simplex gets its own float det and inverse, boundary facets are the
 faces that belong to one simplex only, and a facet is physical when all its
-vertices share the coordinate 0 or m on some axis.
+vertices share the coordinate 0 or m on some axis.  stencil_box and
+global_box give the same four matrices from the library's stencil kernel,
+which assembly itself only returns combined into Helmholtz operators.
 """
 
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from helmdd.assembly import _boundary, _csr, _faces, _volume
 from helmdd.mesh import _kuhn_simplices, _lattice_points
 
 
@@ -77,3 +80,26 @@ def box_matrices(mesh, lo, hi):
     physical = ((fc == 0).all(axis=1) | (fc == mesh.intervals_per_edge).all(axis=1)).any(axis=1)
     B_phys, B_intf = (facet_mass(vertices, facets[mask], n) for mask in (physical, ~physical))
     return K, M, B_phys, B_intf
+
+
+def stencil_box(widths, h, physical):
+    """K, M, B_phys and B_intf of a box of widths cells with spacing h, from the stencil kernel.
+
+    physical holds per axis whether the (lo, hi) sides lie on the physical
+    boundary; B_phys is the boundary mass of those sides and B_intf that of
+    the others.  Vertices are numbered in the box with x fastest.
+    """
+    K, M, pattern = _volume(widths, h)
+    B_phys, B_intf = (_boundary(widths, h, _faces(physical, flag)) for flag in (True, False))
+    return (
+        _csr(K, pattern, widths),
+        _csr(M, pattern, widths),
+        _csr(B_phys, B_phys > 0, widths),
+        _csr(B_intf, B_intf > 0, widths),
+    )
+
+
+def global_box(mesh):
+    """K, M, B and the (empty) interface mass of the whole mesh, from the stencil kernel."""
+    m = mesh.intervals_per_edge
+    return stencil_box((m,) * mesh.dim, 1.0 / m, ((True, True),) * mesh.dim)

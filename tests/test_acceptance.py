@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from helmdd.assembly import HelmholtzParams, assemble_global, assemble_subdomain
-from helmdd.decomposition import build_decomposition, prolongate_weighted, restrict
+from helmdd.decomposition import build_decomposition
 from helmdd.linalg import factorize, generalized_eig, gmres
 from helmdd.mesh import build_uniform_mesh
 from helmdd.preconditioner import TwoLevelPreconditioner, build_dtn_cs, build_one_level, selection_policy
@@ -129,14 +129,13 @@ def test_criterion_1_exact_identities():
 
     mesh = build_uniform_mesh(2, 40)
     v = np.ones(mesh.n_vertices, dtype=complex)
-    for pou in ("multiplicity", "ramp"):
-        dec = build_decomposition(mesh, 10, 2, pou=pou)
-        acc = np.zeros(mesh.n_vertices, dtype=complex)
-        for sub in dec.subdomains:
-            prolongate_weighted(sub, restrict(sub, v), acc)
-        err = np.abs(acc - v).max()
-        if err > 1e-15:
-            failures.append(f"partition of unity ({pou}) error {err:.2e}")
+    dec = build_decomposition(mesh, 10, 2)
+    acc = np.zeros(mesh.n_vertices, dtype=complex)
+    for sub in dec.subdomains:  # sum_j R_j^T D_j R_j v
+        acc[sub.dofs] += sub.pou * v[sub.dofs]
+    err = np.abs(acc - v).max()
+    if err > 1e-15:
+        failures.append(f"partition of unity error {err:.2e}")
 
     k = 10.0
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k))
@@ -146,7 +145,7 @@ def test_criterion_1_exact_identities():
 
     # hybrid coarse annihilation Z* P w = 0 for the DtN coarse space at m=8
     toy = build_uniform_mesh(2, 8)
-    toy_dec = build_decomposition(toy, 2, 2, pou="multiplicity")
+    toy_dec = build_decomposition(toy, 2, 2)
     A_toy = assemble_global(toy, HelmholtzParams(k=6.0, epsilon=6.0))
     cs = build_dtn_cs(toy, toy_dec, 6.0, 6.0, selection_policy("fixed", 2), A_toy)
     rng = np.random.default_rng(0)
@@ -172,7 +171,7 @@ def test_criterion_2_oracle_equivalence():
     failures = []
     k = 6.0
     mesh = build_uniform_mesh(2, 8)
-    dec = build_decomposition(mesh, 2, 2, pou="multiplicity")
+    dec = build_decomposition(mesh, 2, 2)
     n = mesh.n_vertices
     params = HelmholtzParams(k=k, epsilon=k)
     A_eps = assemble_global(mesh, params)

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 import p1_oracle
 from helmdd.assembly import (
     HelmholtzParams,
-    _box_matrices,
-    _global_box,
     _incidence,
     _stiffness_kernel,
     assemble_global,
@@ -26,7 +24,8 @@ def test_unit_right_triangle_stiffness():
     lower = 0.5 * np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     upper = 0.5 * np.array([[1, 0, -1], [0, 1, -1], [-1, -1, 2]])
     np.testing.assert_array_equal(_stiffness_kernel(2, 0.25), [lower, upper])
-    K = _global_box(build_uniform_mesh(2, 1))[0].toarray()  # vertices (0,0),(1,0),(0,1),(1,1)
+    # vertices (0,0),(1,0),(0,1),(1,1)
+    K = p1_oracle.global_box(build_uniform_mesh(2, 1))[0].toarray()
     expected = np.array([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]) / 2
     np.testing.assert_array_equal(K, expected)
     # 3d: the six Kuhn tetrahedra against the element geometry of the oracle
@@ -39,7 +38,7 @@ def test_unit_right_triangle_stiffness():
 def test_zero_wavenumber_limit_is_pure_stiffness():
     mesh = build_uniform_mesh(2, 5)
     # k -> 0 limit: stiffness only; constants lie in the kernel
-    K = _global_box(mesh)[0]
+    K = p1_oracle.global_box(mesh)[0]
     assert np.abs(K @ np.ones(mesh.n_vertices)).max() < 1e-12
     assert not np.iscomplexobj(K.data)
 
@@ -49,7 +48,7 @@ def test_mass_part_integrates_domain_measure(dim, m):
     mesh = build_uniform_mesh(dim, m)
     params = HelmholtzParams(k=3.0, epsilon=2.0)
     ones = np.ones(mesh.n_vertices)
-    _, M, B, _ = _global_box(mesh)
+    _, M, B, _ = p1_oracle.global_box(mesh)
     # 1^T M 1 = |Omega| = 1
     assert abs(ones @ (M @ ones) - 1.0) < 1e-12
     # K 1 = 0 and 1^T B 1 is the boundary measure, so the mass part -(k^2 + i eps) M
@@ -76,7 +75,7 @@ def test_absorption_linearity():
     A_0, M = assemble_global(mesh, params_0, with_mass=True)
     # the pair is the plain operator and the M of the same box pass, to the last bit
     plain = assemble_global(mesh, params_0)
-    for got, want in ((A_0, plain), (M, _global_box(mesh)[1])):
+    for got, want in ((A_0, plain), (M, p1_oracle.global_box(mesh)[1])):
         np.testing.assert_array_equal(got.indptr, want.indptr)
         np.testing.assert_array_equal(got.indices, want.indices)
         np.testing.assert_array_equal(got.data, want.data)
@@ -88,7 +87,7 @@ def test_coercivity_proxy_imaginary_part():
     mesh = build_uniform_mesh(2, 6)
     k, eps = 4.0, 4.0
     A = assemble_global(mesh, HelmholtzParams(k=k, epsilon=eps))  # eta = k
-    M = _global_box(mesh)[1]
+    M = p1_oracle.global_box(mesh)[1]
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
@@ -186,8 +185,8 @@ def test_interface_mass_spd_on_interface_dofs():
 
 def test_facet_mass_empty():
     # a box with no interface side has an empty interface mass, and vice versa
-    all_physical = _box_matrices((2, 3), 0.5, [(True, True)] * 2)
-    none_physical = _box_matrices((2, 3), 0.5, [(False, False)] * 2)
+    all_physical = p1_oracle.stencil_box((2, 3), 0.5, [(True, True)] * 2)
+    none_physical = p1_oracle.stencil_box((2, 3), 0.5, [(False, False)] * 2)
     for B in (all_physical[3], none_physical[2]):
         assert B.shape == (12, 12) and B.nnz == 0
     np.testing.assert_array_equal(all_physical[2].toarray(), none_physical[3].toarray())
@@ -195,7 +194,7 @@ def test_facet_mass_empty():
 
 def test_boundary_mass_total():
     mesh3 = build_uniform_mesh(3, 2)
-    B = _global_box(mesh3)[2]
+    B = p1_oracle.global_box(mesh3)[2]
     ones = np.ones(mesh3.n_vertices)
     assert abs(ones @ (B @ ones) - 6.0) < 1e-12  # cube surface area
 
@@ -222,7 +221,7 @@ def test_global_matrices_match_the_element_oracle(dim, m):
     mesh = build_uniform_mesh(dim, m)
     K, M, B, empty = p1_oracle.box_matrices(mesh, (0,) * dim, (m,) * dim)
     assert empty.nnz == 0
-    K_box, M_box, B_box, empty_box = _global_box(mesh)
+    K_box, M_box, B_box, empty_box = p1_oracle.global_box(mesh)
     assert empty_box.nnz == 0
     for got, want in ((K_box, K), (M_box, M), (B_box, B)):
         assert_close(got, want)
@@ -250,7 +249,7 @@ def test_subdomain_matrices_match_the_element_oracle(dim, m, n1d):
             assert mats.M_interface.nnz == 0
         widths = [hi - lo for lo, hi in zip(sub.cell_lo, sub.cell_hi)]
         physical = [(lo == 0, hi == m) for lo, hi in zip(sub.cell_lo, sub.cell_hi)]
-        for got, want in zip(_box_matrices(widths, 1.0 / m, physical), oracle):
+        for got, want in zip(p1_oracle.stencil_box(widths, 1.0 / m, physical), oracle):
             assert_same_pattern(got, want)
         for got in (mats.A_local, mats.A_neu):
             assert_same_pattern(got, K)
@@ -274,7 +273,7 @@ def test_box_kernel_properties(dim, m, data):
     widths = [b - a for a, b in zip(lo, hi)]
     physical = [(a == 0, b == m) for a, b in zip(lo, hi)]
     h = 1.0 / m
-    K, M, B_phys, B_intf = _box_matrices(widths, h, physical)
+    K, M, B_phys, B_intf = p1_oracle.stencil_box(widths, h, physical)
     ones = np.ones(math.prod(w + 1 for w in widths))
     assert abs(K @ ones).max() <= 1e-13
     assert ones @ (M @ ones) == pytest.approx(math.prod(widths) * h**dim, rel=1e-13)

@@ -3,20 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmdd.decomposition import (
-    build_decomposition,
-    congruence_classes,
-    prolongate_weighted,
-    restrict,
-)
+from helmdd.decomposition import build_decomposition, congruence_classes
 from helmdd.mesh import build_uniform_mesh
 
 
 def pou_identity_error(mesh, dec):
+    # sum_j R_j^T D_j R_j v for v = 1
     acc = np.zeros(mesh.n_vertices, dtype=complex)
     v = np.ones(mesh.n_vertices, dtype=complex)
     for sub in dec.subdomains:
-        prolongate_weighted(sub, restrict(sub, v), acc)
+        acc[sub.dofs] += sub.pou * v[sub.dofs]
     return np.abs(acc - v).max()
 
 
@@ -35,7 +31,7 @@ def test_two_by_two_box_geometry_and_weights():
     # expected geometry enumerated by hand: base boxes of 4x4 cells grow by 2
     # layers and clip at the boundary, giving 6x6-cell boxes
     mesh = build_uniform_mesh(2, 8)
-    dec = build_decomposition(mesh, 2, 2, pou="multiplicity")
+    dec = build_decomposition(mesh, 2, 2)
     expected_boxes = {
         0: ((0, 0), (6, 6)),
         1: ((2, 0), (8, 6)),
@@ -45,75 +41,51 @@ def test_two_by_two_box_geometry_and_weights():
     for sub in dec.subdomains:
         assert (sub.cell_lo, sub.cell_hi) == expected_boxes[sub.index]
 
-    # reference multiplicity from the boxes themselves
+    # reference multiplicity and ramp from the boxes themselves: the ramp is the
+    # lattice distance to the nearest box side inside the domain (0 < side < 8)
     mult = np.zeros(mesh.n_vertices, dtype=int)
-    for lo, hi in expected_boxes.values():
+    ramp = np.zeros((4, mesh.n_vertices))
+    for j, (lo, hi) in expected_boxes.items():
         for iy in range(lo[1], hi[1] + 1):
             for ix in range(lo[0], hi[0] + 1):
                 mult[iy * 9 + ix] += 1
+                ramp[j, iy * 9 + ix] = min(abs(c - side) for a, c in enumerate((ix, iy))
+                                           for side in (lo[a], hi[a]) if 0 < side < 8)
     for sub in dec.subdomains:
-        np.testing.assert_array_equal(sub.pou, 1.0 / mult[sub.dofs])
+        np.testing.assert_allclose(sub.pou, (ramp[sub.index] / ramp.sum(axis=0))[sub.dofs],
+                                   rtol=1e-15)
 
-    # dofs in the central overlap band (outside the 4-fold center square) weigh 1/2
+    # dofs in the central overlap band (outside the 4-fold center square) are
+    # held by two boxes; on the bottom edge the weights are the two ramps,
+    # 3:1 at x = 3 and 1:1 at x = 4
     coords = mesh.grid_coordinates()
     band = (coords[:, 0] >= 2) & (coords[:, 0] <= 6) & (coords[:, 1] < 2)
     assert (mult[band] == 2).all()
+    left, right = dec.subdomains[0], dec.subdomains[1]
+    for x, weights in ((3, (0.75, 0.25)), (4, (0.5, 0.5))):
+        got = [sub.pou[np.searchsorted(sub.dofs, x)] for sub in (left, right)]
+        assert got == list(weights)
 
 
-@pytest.mark.parametrize("pou", ["multiplicity", "ramp"])
+@pytest.mark.parametrize("pou", ["ramp"])
 def test_partition_of_unity_identity_exact(pou):
     mesh = build_uniform_mesh(2, 12)
-    dec = build_decomposition(mesh, 3, 2, pou=pou)
+    dec = build_decomposition(mesh, 3, 2)
     assert pou_identity_error(mesh, dec) < 1e-15
 
 
 def test_partition_of_unity_3d():
     mesh = build_uniform_mesh(3, 6)
-    for pou in ("multiplicity", "ramp"):
-        dec = build_decomposition(mesh, 2, 2, pou=pou)
-        assert pou_identity_error(mesh, dec) < 1e-15
+    dec = build_decomposition(mesh, 2, 2)
+    assert pou_identity_error(mesh, dec) < 1e-15
 
 
 def test_ramp_weights_vanish_on_interfaces():
     mesh = build_uniform_mesh(2, 12)
-    dec = build_decomposition(mesh, 3, 2, pou="ramp")
+    dec = build_decomposition(mesh, 3, 2)
     for sub in dec.subdomains:
         assert np.all(sub.pou[sub.interface_dofs] == 0.0)
         assert np.all(sub.pou >= 0.0)
-
-
-def test_restrict_and_prolongate():
-    mesh = build_uniform_mesh(2, 8)
-    dec = build_decomposition(mesh, 2, 2)
-    v = np.arange(mesh.n_vertices, dtype=complex)
-
-    single = build_decomposition(mesh, 1, 2).subdomains[0]
-    np.testing.assert_array_equal(restrict(single, v), v)
-
-    sub = dec.subdomains[0]
-    outside = np.setdiff1d(np.arange(mesh.n_vertices), sub.dofs)[0]
-    basis = np.zeros(mesh.n_vertices, dtype=complex)
-    basis[outside] = 1.0
-    assert np.all(restrict(sub, basis) == 0.0)
-
-    acc = np.zeros(mesh.n_vertices, dtype=complex)
-    for s in dec.subdomains:
-        prolongate_weighted(s, restrict(s, v), acc)
-    np.testing.assert_allclose(acc, v, atol=1e-12)
-
-    # zero local vector does not change the accumulator
-    before = acc.copy()
-    prolongate_weighted(sub, np.zeros(sub.n_dofs, dtype=complex), acc)
-    np.testing.assert_array_equal(acc, before)
-
-
-def test_restrict_prolongate_dimension_errors():
-    mesh = build_uniform_mesh(2, 4)
-    sub = build_decomposition(mesh, 2, 1).subdomains[0]
-    with pytest.raises(ValueError):
-        restrict(sub, np.zeros(3))
-    with pytest.raises(ValueError):
-        prolongate_weighted(sub, np.zeros(2), np.zeros(mesh.n_vertices, dtype=complex))
 
 
 def test_overlap_strip_width():
@@ -166,8 +138,6 @@ def test_build_decomposition_errors():
         build_decomposition(mesh, 2, 0)  # overlap must be >= 1
     with pytest.raises(ValueError):
         build_decomposition(mesh, 0, 2)
-    with pytest.raises(ValueError):
-        build_decomposition(mesh, 2, 2, pou="bogus")
     tiny = build_uniform_mesh(2, 1)
     with pytest.raises(ValueError):
         build_decomposition(tiny, 2, 1)

@@ -242,6 +242,25 @@ def test_cli_preset_wavenumbers_and_config_counts(monkeypatch, capsys, argv, ks,
     assert len(calls) == count
 
 
+@pytest.mark.parametrize(
+    "argv,listed",
+    [
+        (["table1-desk", "--kmax", "5"], "(10.0, 20.0, 40.0)"),
+        (["table2-desk", "--kmax", "5"], "(10.0, 20.0, 40.0)"),
+        (["table3-desk", "--kmax", "5"], "(10.0,)"),
+        (["table3-desk", "--kmax", "5", "--full"], "(10.0, 20.0)"),
+    ],
+)
+def test_cli_preset_kmax_excluding_every_wavenumber_exits_2(monkeypatch, capsys, argv, listed):
+    calls = _record_configs(monkeypatch)
+    assert cli_main(argv) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "kmax 5 excludes every wavenumber" in err and listed in err
+    with pytest.raises(ValueError, match="excludes every wavenumber"):
+        run_table2_desk(kmax=5.0, alphas=(1.0,), seeds=(0,))
+
+
 def test_cli_table2_desk_has_no_jobs_flag(capsys):
     # table2 runs in order by construction: its right block needs the left's DtN size
     assert cli_main(["table2-desk", "--jobs", "2"]) == 2
@@ -283,6 +302,7 @@ def test_cli_solve_prints_and_writes(tmp_path, capsys):
 
 def test_cli_unknown_flag_exits_2(capsys):
     assert cli_main(["solve", "--frobnicate"]) == 2
+    assert cli_main(["solve", "--pou", "ramp"]) == 2  # the ramp is the only partition of unity
     assert cli_main(["conquer"]) == 2
 
 

@@ -143,6 +143,40 @@ def test_interpolation_reproduces_linears(dim, mc, mf, data):
     assert np.abs(Z @ np.ones(coarse.n_vertices) - 1.0).max() < 1e-12
 
 
+def hat_functions(coarse, points):
+    """Coarse P1 hat functions at points, from barycentric coordinates on the coarse simplices.
+
+    Each point takes the values of the first simplex that contains it; the hat
+    functions are continuous, so any containing simplex gives the same ones.
+    """
+    cells = p1_oracle.simplices(coarse)
+    corners = coarse.vertices[cells]
+    edges_inv = np.linalg.inv(corners[:, 1:] - corners[:, :1])
+    lam = np.einsum("spd,sde->spe", points[None] - corners[:, :1], edges_inv)
+    bary = np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
+    inside = (bary >= -1e-12).all(axis=-1)
+    assert inside.any(axis=0).all(), "a point lies in no coarse simplex"
+    first = inside.argmax(axis=0)
+    values = np.zeros((len(points), coarse.n_vertices))
+    rows = np.arange(len(points))[:, None]
+    values[rows, cells[first]] = bary[first, np.arange(len(points))]
+    return values
+
+
+@pytest.mark.parametrize(
+    "dim,mc,mf", [(2, 3, 7), (2, 7, 20), (2, 7, 90), (2, 4, 8), (3, 3, 5), (3, 4, 11), (3, 2, 6)]
+)
+def test_interpolation_is_the_coarse_hat_functions(dim, mc, mf):
+    # linear reproduction and unit row sums hold for barycentric weights on the
+    # wrong Kuhn simplex of a coarse cell too, but those weights go negative;
+    # (7, 90) is Table 2's forced grid at k = 20, alpha = 0.8
+    coarse, fine = build_uniform_mesh(dim, mc), build_uniform_mesh(dim, mf)
+    Z = interpolation_matrix(coarse, fine)
+    assert ((Z.data >= 0.0) & (Z.data <= 1.0)).all()
+    np.testing.assert_allclose(Z.toarray(), hat_functions(coarse, fine.vertices),
+                               rtol=0, atol=1e-13)
+
+
 def test_interpolation_rejects_coarser_fine_mesh():
     with pytest.raises(ValueError):
         interpolation_matrix(build_uniform_mesh(2, 4), build_uniform_mesh(2, 2))

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import p1_oracle
 from helmdd.assembly import (
     HelmholtzParams,
-    _global_box,
     assemble_global,
     assemble_subdomain,
 )
@@ -36,19 +36,19 @@ def dense_one_level(mesh, dec, k, eps):
     return M1
 
 
-def toy_setup(k=6.0, eps=None, pou="multiplicity"):
+def toy_setup(k=6.0, eps=None):
     mesh = build_uniform_mesh(2, 8)
-    dec = build_decomposition(mesh, 2, 2, pou=pou)
+    dec = build_decomposition(mesh, 2, 2)
     eps = k if eps is None else eps
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=eps, eta=k))
     return mesh, dec, A_eps
 
 
-def sharing_setup(k=10.0, pou="ramp"):
+def sharing_setup(k=10.0):
     """m = 24, N_1d = 4: 16 subdomains in 4 orbits (corners, edges, interior and
     the two corners that touch one lo and one hi side)."""
     mesh = build_uniform_mesh(2, 24)
-    dec = build_decomposition(mesh, 4, 2, pou=pou)
+    dec = build_decomposition(mesh, 4, 2)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
     return mesh, dec, A_eps
 
@@ -143,8 +143,8 @@ def test_grid_cs_equals_direct_coarse_assembly():
     Z = interpolation_matrix(coarse, fine)
     # stiffness+mass Galerkin products equal the direct coarse assembly (nested
     # meshes); the Robin part is compared through the Galerkin product itself
-    K_c, M_c, _, _ = (X.toarray() for X in _global_box(coarse))
-    B_gal = (Z.T @ (_global_box(fine)[2] @ Z)).toarray()
+    K_c, M_c, _, _ = (X.toarray() for X in p1_oracle.global_box(coarse))
+    B_gal = (Z.T @ (p1_oracle.global_box(fine)[2] @ Z)).toarray()
     expected = K_c - (k**2 + 1j * k) * M_c - 1j * k * B_gal
     assert np.abs(cs.E.toarray() - expected).max() < 1e-10
 
@@ -184,7 +184,7 @@ def test_dtn_fixed_selection_size_is_combinatorial():
     # floor(20^0.6) = 6 subdomains per dimension: 36 subdomains x 2 vectors
     k = 20.0
     mesh = build_uniform_mesh(2, 90)
-    dec = build_decomposition(mesh, 6, 2, pou="ramp")
+    dec = build_decomposition(mesh, 6, 2)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k))
     cs = build_dtn_cs(mesh, dec, k, k, selection_policy("fixed", 2), A_eps)
     assert cs.n_cs == 72
@@ -390,7 +390,7 @@ def test_one_level_3d_orbits_match_dense_oracle():
     # 27 subdomains on 4 LUs, one per width class: mirrored and axis-swapped
     # members are solved and extended in their own numbering
     mesh = build_uniform_mesh(3, 9)
-    dec = build_decomposition(mesh, 3, 1, pou="ramp")
+    dec = build_decomposition(mesh, 3, 1)
     one = build_one_level(mesh, dec, 6.0, 6.0)
     assert len(one.factorizations) == 4
     M1 = dense_one_level(mesh, dec, 6.0, 6.0)
@@ -404,7 +404,7 @@ def test_one_level_with_clipped_boxes_matches_dense_oracle():
     # boxes one cell wide grow by two layers, so several touch the same side of
     # the domain with different extents; they must land in different orbits
     mesh = build_uniform_mesh(2, 8)
-    dec = build_decomposition(mesh, 8, 2, pou="multiplicity")
+    dec = build_decomposition(mesh, 8, 2)
     one = build_one_level(mesh, dec, 6.0, 6.0)
     M1 = dense_one_level(mesh, dec, 6.0, 6.0)
     v = np.random.default_rng(7).standard_normal(mesh.n_vertices) + 0j
@@ -442,7 +442,7 @@ def test_dtn_blocks_match_per_member_construction():
 def test_dtn_blocks_match_per_member_construction_3d():
     k = 6.0
     mesh = build_uniform_mesh(3, 9)
-    dec = build_decomposition(mesh, 3, 1, pou="ramp")
+    dec = build_decomposition(mesh, 3, 1)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
     assert_dtn_blocks_match_per_member(mesh, dec, k, A_eps)
 

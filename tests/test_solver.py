@@ -30,7 +30,7 @@ def test_config_validation_and_defaults():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("pou", "linear"), ("overlap_layers", 0), ("tol", 0.0), ("tol", -1e-6), ("max_iter", 0)],
+    [("overlap_layers", 0), ("tol", 0.0), ("tol", -1e-6), ("max_iter", 0)],
 )
 def test_config_rejects_invalid_value(field, value):
     with pytest.raises(ValueError, match=field):
@@ -82,7 +82,7 @@ def test_verify_solution_cases():
     ctx = SolverContext(SolveConfig(dim=2, k=10.0, alpha=0.6, precon="two_level_dtn"))
     report = ctx.run(0)
     assert report.converged
-    assert verify_solution(report, ctx.A0, ctx.f) <= 1e-5
+    assert verify_solution(report.solution, ctx.A0, ctx.f) <= 1e-5
 
 
 def test_final_residual_consistent_with_history():
