@@ -19,11 +19,11 @@ from .mesh import (
 from .preconditioner import (
     CoarseSpace,
     OneLevelORAS,
+    SelectionPolicy,
     TwoLevelPreconditioner,
     build_dtn_cs,
     build_grid_cs,
     build_one_level,
-    selection_policy,
 )
 from .solver import SolveConfig, SolveReport, SolverContext, solve, verify_solution
 
@@ -50,11 +50,11 @@ __all__ = [
     "subdomains_per_dimension",
     "CoarseSpace",
     "OneLevelORAS",
+    "SelectionPolicy",
     "TwoLevelPreconditioner",
     "build_dtn_cs",
     "build_grid_cs",
     "build_one_level",
-    "selection_policy",
     "SolveConfig",
     "SolveReport",
     "SolverContext",

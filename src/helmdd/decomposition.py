@@ -147,14 +147,14 @@ def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
     which carries the Robin term on the whole box boundary, reads nothing
     else.  There are 3 such classes in 2d and 4 in 3d when N_1d >= 3.
 
-    Returns (key, members, orders) per orbit, in the order of the orbit's
+    Returns (key, members, dofs, pou) per orbit, in the order of the orbit's
     lowest subdomain index.  key is the canonical (smallest) image of the
     members' keys.  members[0] is the representative, the lowest-indexed
     member whose own key is the canonical one; the other members follow in
-    index order.  orders[i] lists member i's local dofs in the vertex order of
-    the representative box, so sub.dofs[orders[i]] are its global dofs in that
-    order; it is the identity for the representative and for every member
-    with its key, and one array is shared by all members of a key.
+    index order.  Row i of the (members, n_local) arrays dofs and pou holds
+    member i's global dofs and partition-of-unity weights in the vertex order
+    of the representative box; for the representative, and for every member
+    with its key, that is the member's own (ascending) order.
     """
     m = dec.mesh.intervals_per_edge
     flips = (False, True) if sides else (False,)  # the reflection fixes a width key
@@ -174,10 +174,13 @@ def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
             by_key[key] = canonical, _vertex_order([axis[-1] for axis in key], p, flip)
         canonical, order = by_key[key]
         orbits.setdefault(canonical, []).append((sub.index, order, key == canonical))
+    subs = dec.subdomains
     out = []
     for canonical, entries in orbits.items():  # entries are in index order
         rep = next(i for i, (_, _, is_canonical) in enumerate(entries) if is_canonical)
         entries.insert(0, entries.pop(rep))
-        out.append((canonical, [j for j, _, _ in entries], [order for _, order, _ in entries]))
+        dofs = np.stack([subs[j].dofs[order] for j, order, _ in entries])
+        pou = np.stack([subs[j].pou[order] for j, order, _ in entries])
+        out.append((canonical, [j for j, _, _ in entries], dofs, pou))
     return out
 

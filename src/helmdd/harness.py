@@ -455,7 +455,7 @@ _PRESETS = {
     "table3-desk": (_sweep_preset(table3_desk), [
         _JOBS,
         ("--with-dtn", {"action": "store_true",
-                        "help": "include the DtN coarse space (slow 3d eigenproblems)"}),
+                        "help": "include the DtN coarse space (3-30 s of setup per k = 10 context)"}),
     ]),
 }
 
@@ -576,7 +576,8 @@ def _dispatch(args) -> int:
         if args.full:
             sys.stderr.write(_FULL_WARNING)
         if options.get("with_dtn"):
-            sys.stderr.write("note: 3d DtN eigenproblems are dense and take minutes per run\n")
+            sys.stderr.write("note: 3d DtN eigenproblems are dense; at k = 10 each context's "
+                             "setup takes 3-30 s\n")
         _, summary, errors = run(echo=print, **options)
     print(format_table(summary))
     _report_errors(errors)

@@ -14,8 +14,9 @@ on the whole box boundary and so depends on the box widths alone: the
 one-level part shares one assembly and one LU per width class (boxes of equal
 widths up to an axis permutation), 3 in 2d and 4 in 3d.  Every member is
 gathered from and prolonged to its dofs in the representative's vertex order,
-sub.dofs[order]; a member with the representative's key has bitwise its
-matrix, a mirrored or axis-swapped one its matrix to rounding (about 1e-16).
+the class gathers of congruence_classes; a member with the representative's
+key has bitwise its matrix, a mirrored or axis-swapped one its matrix to
+rounding (about 1e-16).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .mesh import SimplicialMesh, interpolation_matrix
 __all__ = [
     "PreconditionerError",
     "SelectionPolicy",
-    "selection_policy",
     "OneLevelORAS",
     "CoarseSpace",
     "TwoLevelPreconditioner",
@@ -62,72 +62,57 @@ class SelectionPolicy:
     kind: str
     count: int | None = None
 
-    def select(self, eigenvalues: np.ndarray, k: float) -> np.ndarray:
-        n = len(eigenvalues)
+    def __post_init__(self):
         if self.kind == "automatic":
-            return np.flatnonzero(eigenvalues.real < k)
+            if self.count is not None:
+                raise ValueError(f"automatic selection takes no m, got {self.count}")
+        elif self.kind in ("fixed", "capped"):
+            if self.count is None or self.count < 1:
+                raise ValueError(f"{self.kind} selection needs m >= 1, got {self.count}")
+        else:
+            raise ValueError(f"unknown selection kind {self.kind!r}")
+
+    @classmethod
+    def parse(cls, text: str) -> SelectionPolicy:
+        """automatic (or auto), fixedM or cappedM (also fixed:M, capped:M)."""
+        if text in ("automatic", "auto"):
+            return cls("automatic")
+        for kind in ("fixed", "capped"):
+            if text.startswith(kind):
+                return cls(kind, int(text[len(kind):].lstrip(":")))
+        raise ValueError(f"cannot parse selection policy {text!r}")
+
+    def select(self, eigenvalues: np.ndarray, k: float) -> np.ndarray:
         if self.kind == "fixed":
-            return np.arange(min(self.count, n))
-        if self.kind == "capped":
-            auto = np.flatnonzero(eigenvalues.real < k)
-            return auto[: self.count]
-        raise PreconditionerError(f"unknown selection kind {self.kind!r}")
+            return np.arange(min(self.count, len(eigenvalues)))
+        return np.flatnonzero(eigenvalues.real < k)[: self.count]
 
     def label(self) -> str:
         return self.kind if self.count is None else f"{self.kind}{self.count}"
 
 
-def selection_policy(kind: str, m: int | None = None) -> SelectionPolicy:
-    if kind == "automatic":
-        return SelectionPolicy("automatic")
-    if kind in ("fixed", "capped"):
-        if m is None or m < 1:
-            raise ValueError(f"{kind} selection needs m >= 1, got {m}")
-        return SelectionPolicy(kind, m)
-    raise ValueError(f"unknown selection kind {kind!r}")
-
-
-def _class_matrices(
-    mesh: SimplicialMesh, decomposition: Decomposition, params: HelmholtzParams, sides: bool = True
-):
-    """(key, members, orders, local matrices of the representative) of every class.
-
-    The classes are the symmetry orbits, or the width classes without sides.
-    The representative is members[0], whose order is the identity; see
-    congruence_classes.
-    """
-    for key, members, orders in congruence_classes(decomposition, sides=sides):
-        rep = decomposition.subdomains[members[0]]
-        yield key, members, orders, assemble_subdomain(mesh, rep, params)
-
-
 class OneLevelORAS:
     """sum_j R~_j^T A_{j,eps}^{-1} R_j; immutable after construction.
 
-    classes[c] lists the (subdomain, vertex order) pairs of width class c and
-    factorizations[c] is their shared LU, in the representative's numbering.
-    apply stacks R_j v of all members of a class, each in that numbering, as
-    the columns of one multi-right-hand-side solve and scatters every result
-    back through the weighted prolongation [R~_j^T ...], an n x sum_j n_j
-    sparse matrix built once.
+    classes[c] holds the (members, n_local) global dofs and partition-of-unity
+    weights of width class c, each row in the representative's numbering (see
+    congruence_classes), and factorizations[c] is their shared LU.  apply
+    stacks R_j v of all members of a class as the columns of one
+    multi-right-hand-side solve and scatters every result back through the
+    weighted prolongation [R~_j^T ...], an n x sum_j n_j sparse matrix built
+    once.
     """
 
-    def __init__(self, decomposition: Decomposition, classes: list, factorizations: list):
-        self.decomposition = decomposition
+    def __init__(self, n: int, classes: list, factorizations: list):
+        self.n = n
         self.factorizations = factorizations
-        subs = decomposition.subdomains
-        # (members, n_local) global dofs per class; v[g].T is the stacked R_j v
-        self._gather = [np.stack([subs[j].dofs[o] for j, o in group]) for group in classes]
-        rows = np.concatenate([g.ravel() for g in self._gather])
-        weights = np.concatenate([subs[j].pou[o] for group in classes for j, o in group])
+        self._gather = [dofs for dofs, _ in classes]  # v[dofs].T is the stacked R_j v
+        rows = np.concatenate([dofs.ravel() for dofs in self._gather])
+        weights = np.concatenate([pou.ravel() for _, pou in classes])
         self._prolong = sp.csr_matrix(
             (weights.astype(np.complex128), (rows, np.arange(len(rows)))),
-            shape=(self.n, len(rows)),
+            shape=(n, len(rows)),
         )
-
-    @property
-    def n(self) -> int:
-        return self.decomposition.mesh.n_vertices
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         local = [
@@ -145,15 +130,16 @@ def build_one_level(
     """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every width class."""
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
     classes, factorizations = [], []
-    for _, members, orders, mats in _class_matrices(mesh, decomposition, params, sides=False):
+    for _, members, dofs, pou in congruence_classes(decomposition, sides=False):
+        mats = assemble_subdomain(mesh, decomposition.subdomains[members[0]], params)
         try:
             factorizations.append(factorize(mats.A_local))
         except Exception as exc:
             raise PreconditionerError(
                 f"local matrix of subdomain {members[0]} could not be factorized: {exc}"
             ) from exc
-        classes.append(list(zip(members, orders)))
-    return OneLevelORAS(decomposition, classes, factorizations)
+        classes.append((dofs, pou))
+    return OneLevelORAS(mesh.n_vertices, classes, factorizations)
 
 
 @dataclass(eq=False)
@@ -233,23 +219,25 @@ def build_dtn_cs(
     interface mass matrix, select eigenvectors and extend each into the
     subdomain by the discrete Helmholtz extension W = [G; -A_II^{-1} A_IG G].
     Every member then contributes W at its dofs in the representative's
-    vertex order, sub.dofs[order], scaled by its own partition of unity
-    sub.pou[order]; eigenvalues and selection are shared by the orbit.
+    vertex order, scaled by its own partition of unity (the class gathers of
+    congruence_classes); eigenvalues and selection are shared by the orbit.
     Columns of Z live in exactly one subdomain block, in subdomain order; rows
     are shared across overlapping blocks.  The subdomain matrices are those of the shifted problem
     (epsilon_prec, eta = k).
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    extensions = {}  # subdomain index -> (selected eigenvalues, unscaled W or None, order)
+    counts = np.zeros(decomposition.n_subdomains, dtype=np.int64)
+    eigs = [[] for _ in decomposition.subdomains]  # selected eigenvalues per subdomain
+    blocks = []  # (members, dofs, pou, unscaled W) of every orbit that selects a mode
     margins = []
-    for key, members, orders, mats in _class_matrices(mesh, decomposition, params):
+    for key, members, dofs, pou in congruence_classes(decomposition):
         rep = decomposition.subdomains[members[0]]
         gamma = rep.interface_dofs
         if gamma.size == 0:
-            extensions.update((j, ([], None, None)) for j in members)
             continue
         inner = np.setdiff1d(np.arange(rep.n_dofs), gamma, assume_unique=True)
 
+        mats = assemble_subdomain(mesh, rep, params)
         A = mats.A_neu.tocsc()
         A_II = A[inner][:, inner]
         A_IG = np.asarray(A[inner][:, gamma].todense())
@@ -285,7 +273,10 @@ def build_dtn_cs(
         )
 
         chosen = selection.select(pairs.values, k)
-        W = None
+        values = list(pairs.values[chosen])
+        counts[members] = len(values)
+        for j in members:
+            eigs[j] = values
         if len(chosen):
             G = pairs.vectors[:, chosen]
             norms = np.sqrt(np.real(np.einsum("ij,ij->j", G.conj(), M_GG @ G)))
@@ -294,32 +285,21 @@ def build_dtn_cs(
             W[gamma] = G
             if inner.size:
                 W[inner] = -X @ G
-        values = list(pairs.values[chosen])
-        extensions.update((j, (values, W, order)) for j, order in zip(members, orders))
+            blocks.append((members, dofs, pou, W))
 
-    rows_parts = []
-    cols_parts = []
-    vals_parts = []
-    counts = []
-    eigs = []
-    col_offset = 0
-    for sub in decomposition.subdomains:
-        values, W, order = extensions[sub.index]
-        counts.append(len(values))
-        eigs.append(values)
-        if W is None:
-            continue
-        n_sel = W.shape[1]
-        rows_parts.append(np.tile(sub.dofs[order], n_sel))
-        cols_parts.append(np.repeat(col_offset + np.arange(n_sel), sub.n_dofs))
-        vals_parts.append((W * sub.pou[order][:, None]).T.ravel())
-        col_offset += n_sel
-
-    n_cs = col_offset
+    n_cs = int(counts.sum())
     if n_cs == 0:
         raise PreconditionerError("selection produced an empty coarse space")
+    offsets = np.cumsum(counts) - counts  # first column of each subdomain's block
+    rows, cols, vals = [], [], []
+    for members, dofs, pou, W in blocks:  # axes: member, local dof, mode
+        block = pou[:, :, None] * W
+        first = offsets[members][:, None, None]
+        vals.append(block.ravel())
+        rows.append(np.broadcast_to(dofs[:, :, None], block.shape).ravel())
+        cols.append(np.broadcast_to(first + np.arange(W.shape[1]), block.shape).ravel())
     Z = sp.csr_matrix(
-        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mesh.n_vertices, n_cs),
     )
     Z.eliminate_zeros()
@@ -332,7 +312,7 @@ def build_dtn_cs(
         Z=Z,
         E=E,
         E_fact=E_fact,
-        per_subdomain_counts=counts,
+        per_subdomain_counts=counts.tolist(),
         eigenvalues=eigs,
         selection_margin=margins,
     )

@@ -23,7 +23,6 @@ from .preconditioner import (
     build_dtn_cs,
     build_grid_cs,
     build_one_level,
-    selection_policy,
 )
 
 __all__ = ["SolveConfig", "SolveReport", "SolverContext", "solve", "verify_solution"]
@@ -46,7 +45,7 @@ class SolveConfig:
     beta: float | None = 1.0  # eps_prec = k^beta; None -> 0
     precon: str = "two_level_dtn"
     mode: str = "hybrid"
-    selection: SelectionPolicy = field(default_factory=lambda: selection_policy("automatic"))
+    selection: SelectionPolicy = field(default_factory=lambda: SelectionPolicy("automatic"))
     tol: float = 1e-6
     max_iter: int = 500
     seed: int = 0
@@ -70,7 +69,7 @@ class SolveConfig:
         if self.alpha_prime is None:
             self.alpha_prime = self.alpha
         if isinstance(self.selection, str):
-            self.selection = _parse_selection(self.selection)
+            self.selection = SelectionPolicy.parse(self.selection)
 
     @property
     def epsilon_prec(self) -> float:
@@ -80,16 +79,6 @@ class SolveConfig:
         d = asdict(self)
         d["selection"] = self.selection.label()
         return d
-
-
-def _parse_selection(text: str) -> SelectionPolicy:
-    if text in ("automatic", "auto"):
-        return selection_policy("automatic")
-    for kind in ("fixed", "capped"):
-        if text.startswith(kind):
-            rest = text[len(kind):].lstrip(":")
-            return selection_policy(kind, int(rest))
-    raise ValueError(f"cannot parse selection policy {text!r}")
 
 
 @dataclass

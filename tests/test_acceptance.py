@@ -16,7 +16,7 @@ from helmdd.assembly import HelmholtzParams, assemble_global, assemble_subdomain
 from helmdd.decomposition import build_decomposition
 from helmdd.linalg import factorize, generalized_eig, gmres
 from helmdd.mesh import build_uniform_mesh
-from helmdd.preconditioner import TwoLevelPreconditioner, build_dtn_cs, build_one_level, selection_policy
+from helmdd.preconditioner import SelectionPolicy, TwoLevelPreconditioner, build_dtn_cs, build_one_level
 from helmdd.solver import SolveConfig, SolverContext
 
 SEEDS = (0, 1, 2)
@@ -147,7 +147,7 @@ def test_criterion_1_exact_identities():
     toy = build_uniform_mesh(2, 8)
     toy_dec = build_decomposition(toy, 2, 2)
     A_toy = assemble_global(toy, HelmholtzParams(k=6.0, epsilon=6.0))
-    cs = build_dtn_cs(toy, toy_dec, 6.0, 6.0, selection_policy("fixed", 2), A_toy)
+    cs = build_dtn_cs(toy, toy_dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_toy)
     rng = np.random.default_rng(0)
     for _ in range(20):
         w = rng.standard_normal(toy.n_vertices) + 1j * rng.standard_normal(toy.n_vertices)
@@ -184,7 +184,7 @@ def test_criterion_2_oracle_equivalence():
         M1 += R.T @ (np.diag(sub.pou) @ np.linalg.solve(A_loc, R))
 
     one = build_one_level(mesh, dec, k, k)
-    cs = build_dtn_cs(mesh, dec, k, k, selection_policy("fixed", 2), A_eps)
+    cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("fixed", 2), A_eps)
     two = TwoLevelPreconditioner(one, cs, "hybrid", A_eps)
     Z = cs.Z.toarray()
     A = A_eps.toarray()

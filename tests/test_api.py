@@ -44,17 +44,16 @@ def test_benchmark_span_targets_resolve():
     assert missing == []
 
 
-def _direct_solver_calls(tree):
-    """(enclosing function, line) of every call of a SciPy sparse direct solver."""
+def _calls(tree, names):
+    """(enclosing function, call node) of every call of a function or method in names."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in ("splu", "spsolve", "factorized"):
-                found.append((function, node.lineno))
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) in names:
+                found.append((function, node))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -66,12 +65,30 @@ def test_every_sparse_lu_goes_through_factorize():
     # one ordering and one backward-error guard hold only if nothing bypasses them
     outside = []
     for path in sorted(SOURCES.glob("*.py")):
-        calls = _direct_solver_calls(ast.parse(path.read_text(encoding="utf-8")))
+        calls = _calls(ast.parse(path.read_text(encoding="utf-8")), ("splu", "spsolve", "factorized"))
         allowed = "factorize" if path.name == "linalg.py" else None
-        outside += [f"{path.name}:{line} in {fn}" for fn, line in calls if fn != allowed]
+        outside += [f"{path.name}:{node.lineno} in {fn}" for fn, node in calls if fn != allowed]
         if allowed:
             assert calls, "linalg.factorize no longer calls splu"
     assert outside == []
+
+
+def test_no_qz_on_a_pencil():
+    # generalized_eig reduces the pencil with the Cholesky factor of M; QZ, an
+    # eig or eigvals call given a second (b) matrix, is left to the tests
+    outside, pencils = [], []
+    for path in sorted(SOURCES.glob("*.py")):
+        calls = _calls(ast.parse(path.read_text(encoding="utf-8")), ("eig", "eigvals"))
+        allowed = "generalized_eig" if path.name == "linalg.py" else None
+        for fn, node in calls:
+            where = f"{path.name}:{node.lineno} in {fn}"
+            if fn != allowed:
+                outside.append(where)
+            if len(node.args) > 1 or any(kw.arg in ("b", None) for kw in node.keywords):
+                pencils.append(where)
+        if allowed:
+            assert calls, "linalg.generalized_eig no longer calls eig"
+    assert outside == [] and pencils == []
 
 
 def _output_uses(tree):

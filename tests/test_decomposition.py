@@ -152,25 +152,36 @@ def test_congruence_classes_count(dim, m, n1d, overlap):
     dec = build_decomposition(build_uniform_mesh(dim, m), n1d, overlap)
     classes = congruence_classes(dec)
     assert len(classes) == {2: 4, 3: 6}[dim]
-    members = sorted(j for _, group, _ in classes for j in group)
+    members = sorted(j for _, group, _, _ in classes for j in group)
     assert members == list(range(dec.n_subdomains))
     # the interior orbit holds every box that touches no side of the domain
-    (interior,) = [g for key, g, _ in classes if not any(lo or hi for lo, hi, _ in key)]
+    (interior,) = [g for key, g, _, _ in classes if not any(lo or hi for lo, hi, _ in key)]
     assert len(interior) == (n1d - 2) ** dim
-    for key, group, orders in classes:
+    for key, group, dofs, pou in classes:
         rep = dec.subdomains[group[0]]
         assert key == tuple((lo == 0, hi == m, hi - lo) for lo, hi in zip(rep.cell_lo, rep.cell_hi))
-        np.testing.assert_array_equal(orders[0], np.arange(rep.n_dofs))
-        for j, order in zip(group, orders):
-            assert sorted(order) == list(range(dec.subdomains[j].n_dofs))
+        assert_gathers_are_member_permutations(dec, group, dofs, pou)
     # by widths alone: corners, edges (and in 3d faces) and interior
     widths = congruence_classes(dec, sides=False)
     assert len(widths) == {2: 3, 3: 4}[dim]
-    assert sorted(j for _, group, _ in widths for j in group) == list(range(dec.n_subdomains))
-    for key, group, orders in widths:
+    assert sorted(j for _, group, _, _ in widths for j in group) == list(range(dec.n_subdomains))
+    for key, group, dofs, pou in widths:
         rep = dec.subdomains[group[0]]
         assert key == tuple((hi - lo,) for lo, hi in zip(rep.cell_lo, rep.cell_hi))
-        np.testing.assert_array_equal(orders[0], np.arange(rep.n_dofs))
+        assert_gathers_are_member_permutations(dec, group, dofs, pou)
+
+
+def assert_gathers_are_member_permutations(dec, group, dofs, pou):
+    """Row i of dofs and pou is member i's dofs and weights, reordered; the
+    representative's rows are its own, in its own order."""
+    assert dofs.shape == pou.shape == (len(group), dec.subdomains[group[0]].n_dofs)
+    for i, j in enumerate(group):
+        sub = dec.subdomains[j]
+        order = np.searchsorted(sub.dofs, dofs[i])  # sub.dofs is ascending
+        assert sorted(order) == list(range(sub.n_dofs))
+        np.testing.assert_array_equal(sub.dofs[order], dofs[i])
+        np.testing.assert_array_equal(sub.pou[order], pou[i])
+    np.testing.assert_array_equal(dofs[0], dec.subdomains[group[0]].dofs)
 
 
 def test_congruence_classes_two_per_axis_pair_mirrored_boxes():
@@ -178,8 +189,8 @@ def test_congruence_classes_two_per_axis_pair_mirrored_boxes():
     # point reflection pairs 0 with 3 and the axis swap pairs 1 with 2
     dec = build_decomposition(build_uniform_mesh(2, 8), 2, 2)
     classes = congruence_classes(dec)
-    assert sorted(sorted(group) for _, group, _ in classes) == [[0, 3], [1, 2]]
+    assert sorted(sorted(group) for _, group, _, _ in classes) == [[0, 3], [1, 2]]
     dec3 = build_decomposition(build_uniform_mesh(3, 8), 2, 1)
     classes3 = congruence_classes(dec3)
-    assert sorted(len(group) for _, group, _ in classes3) == [2, 6]
-    assert sorted(sorted(group) for _, group, _ in classes3)[0] == [0, 7]
+    assert sorted(len(group) for _, group, _, _ in classes3) == [2, 6]
+    assert sorted(sorted(group) for _, group, _, _ in classes3)[0] == [0, 7]

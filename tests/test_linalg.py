@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -414,6 +415,25 @@ def test_generalized_eig_residual_invariant():
     for lam, v in zip(pairs.values, pairs.vectors.T):
         resid = np.linalg.norm(S @ v - lam * (M @ v))
         assert resid <= 1e-8 * (np.linalg.norm(S) + abs(lam) * np.linalg.norm(M))
+
+
+def assert_eig_matches_qz(S, M, k):
+    """generalized_eig against QZ on the pencil itself (scipy.linalg.eigvals(S, M)):
+    sorted eigenvalues within 1e-10 of the largest, and the same count below Re = k."""
+    ours = generalized_eig(S, M).values
+    qz = scipy.linalg.eigvals(S, M)
+    qz = qz[np.lexsort((qz.imag, qz.real))]
+    assert np.abs(ours - qz).max() <= 1e-10 * np.abs(qz).max()
+    assert (ours.real < k).sum() == (qz.real < k).sum()
+
+
+def test_generalized_eig_matches_qz():
+    rng = np.random.default_rng(12)
+    n = 40
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q = rng.standard_normal((n, n))
+    M = Q @ Q.T + n * np.eye(n)  # dense SPD
+    assert_eig_matches_qz(S, M, k=0.0)
 
 
 def test_generalized_eig_rejects_bad_mass():

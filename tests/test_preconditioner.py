@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import p1_oracle
+from test_linalg import assert_eig_matches_qz
 from helmdd.assembly import (
     HelmholtzParams,
     assemble_global,
@@ -14,11 +15,11 @@ from helmdd.linalg import gmres, random_initial_guess
 from helmdd.mesh import build_uniform_mesh, interpolation_matrix
 from helmdd.preconditioner import (
     PreconditionerError,
+    SelectionPolicy,
     TwoLevelPreconditioner,
     build_dtn_cs,
     build_grid_cs,
     build_one_level,
-    selection_policy,
 )
 
 
@@ -73,14 +74,20 @@ def dtn_pencil(mesh, sub, params):
 def test_selection_policies():
     k = 10.0
     lams = np.array([0.5 * k, 0.9 * k, 1.1 * k], dtype=complex)
-    assert list(selection_policy("automatic").select(lams, k)) == [0, 1]
-    assert list(selection_policy("fixed", 1).select(lams, k)) == [0]
-    assert list(selection_policy("capped", 1).select(lams, k)) == [0]
-    assert list(selection_policy("fixed", 5).select(lams, k)) == [0, 1, 2]
+    assert list(SelectionPolicy("automatic").select(lams, k)) == [0, 1]
+    assert list(SelectionPolicy("fixed", 1).select(lams, k)) == [0]
+    assert list(SelectionPolicy("capped", 1).select(lams, k)) == [0]
+    assert list(SelectionPolicy("capped", 5).select(lams, k)) == [0, 1]
+    assert list(SelectionPolicy("fixed", 5).select(lams, k)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "args", [("fixed",), ("capped",), ("fixed", 0), ("capped", -1), ("automatic", 3), ("nope",)]
+)
+def test_selection_policy_rejects_invalid_construction(args):
+    # the constructor validates, so an invalid policy cannot reach setup
     with pytest.raises(ValueError):
-        selection_policy("fixed")
-    with pytest.raises(ValueError):
-        selection_policy("nope")
+        SelectionPolicy(*args)
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +176,7 @@ def test_grid_cs_sizes_and_rank():
 
 def test_dtn_columns_supported_on_their_subdomain():
     mesh, dec, A_eps = toy_setup()
-    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, selection_policy("fixed", 2), A_eps)
+    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
     assert cs.per_subdomain_counts == [2, 2, 2, 2]
     Z = cs.Z.tocsc()
     col = 0
@@ -186,17 +193,18 @@ def test_dtn_fixed_selection_size_is_combinatorial():
     mesh = build_uniform_mesh(2, 90)
     dec = build_decomposition(mesh, 6, 2)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k))
-    cs = build_dtn_cs(mesh, dec, k, k, selection_policy("fixed", 2), A_eps)
+    cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("fixed", 2), A_eps)
     assert cs.n_cs == 72
 
 
-def test_dtn_rejects_empty_selection():
-    from helmdd.preconditioner import SelectionPolicy
-
+def test_dtn_rejects_empty_selection(monkeypatch):
+    # on the small pencils here every valid policy keeps the lowest DtN mode
+    # (its Re lambda lies below k for k from 1e-3 to 20), so a policy that
+    # selects nothing is made by replacing select
     mesh, dec, A_eps = toy_setup()
-    nothing = SelectionPolicy("fixed", 0)  # bypasses the factory's m >= 1 check
+    monkeypatch.setattr(SelectionPolicy, "select", lambda self, values, k: np.arange(0))
     with pytest.raises(PreconditionerError, match="empty"):
-        build_dtn_cs(mesh, dec, 6.0, 6.0, nothing, A_eps)
+        build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("automatic"), A_eps)
 
 
 def test_dtn_eigenvalues_nonnegative_for_laplacian_dominated_problem():
@@ -204,14 +212,14 @@ def test_dtn_eigenvalues_nonnegative_for_laplacian_dominated_problem():
     mesh = build_uniform_mesh(2, 8)
     dec = build_decomposition(mesh, 2, 2)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=0.0))
-    cs = build_dtn_cs(mesh, dec, k, 0.0, selection_policy("fixed", 4), A_eps)
+    cs = build_dtn_cs(mesh, dec, k, 0.0, SelectionPolicy("fixed", 4), A_eps)
     for lams in cs.eigenvalues:
         assert all(lam.real > -1e-6 for lam in lams)
 
 
 def test_dtn_summary_contents():
     mesh, dec, A_eps = toy_setup()
-    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, selection_policy("fixed", 1), A_eps)
+    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 1), A_eps)
     info = cs.summary()
     assert info["kind"] == "dtn" and info["n_cs"] == 4
     assert len(info["selected_eigenvalues"]) == 4
@@ -224,7 +232,7 @@ def test_dtn_summary_contents():
 def test_two_level_hybrid_matches_dense_oracle():
     mesh, dec, A_eps = toy_setup()
     one = build_one_level(mesh, dec, 6.0, 6.0)
-    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, selection_policy("fixed", 2), A_eps)
+    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
     two = TwoLevelPreconditioner(one, cs, "hybrid", A_eps)
 
     M1 = dense_one_level(mesh, dec, 6.0, 6.0)
@@ -264,7 +272,7 @@ def test_two_level_rejects_unknown_mode():
 
 def test_hybrid_projection_annihilates_coarse_residual():
     mesh, dec, A_eps = toy_setup()
-    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, selection_policy("fixed", 2), A_eps)
+    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
     Z = cs.Z.toarray()
     A = A_eps.toarray()
     P = np.eye(mesh.n_vertices) - A @ (Z @ np.linalg.solve(cs.E.toarray(), Z.conj().T))
@@ -277,7 +285,7 @@ def test_hybrid_projection_annihilates_coarse_residual():
 def test_two_level_apply_linearity():
     mesh, dec, A_eps = toy_setup()
     one = build_one_level(mesh, dec, 6.0, 6.0)
-    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, selection_policy("fixed", 2), A_eps)
+    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
     for mode in ("additive", "hybrid"):
         two = TwoLevelPreconditioner(one, cs, mode, A_eps)
         rng = np.random.default_rng(5)
@@ -290,7 +298,7 @@ def test_two_level_apply_linearity():
 
 def test_dtn_z_full_column_rank():
     mesh, dec, A_eps = toy_setup()
-    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, selection_policy("automatic"), A_eps)
+    cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("automatic"), A_eps)
     sv = np.linalg.svd(cs.Z.toarray(), compute_uv=False)
     assert sv.min() > 1e-8
 
@@ -306,10 +314,12 @@ def assert_members_match_representative(mesh, dec, params, sides=True):
     touch different sides of the domain."""
     classes = congruence_classes(dec, sides=sides)
     names = ("A_local", "A_neu", "M_interface") if sides else ("A_local",)
-    for _, members, orders in classes:
+    for _, members, dofs, _ in classes:
         ref = assemble_subdomain(mesh, dec.subdomains[members[0]], params)
-        for j, order in zip(members, orders):
-            own = assemble_subdomain(mesh, dec.subdomains[j], params)
+        for j, member_dofs in zip(members, dofs):
+            sub = dec.subdomains[j]
+            order = np.searchsorted(sub.dofs, member_dofs)  # sub.dofs is ascending
+            own = assemble_subdomain(mesh, sub, params)
             for name in names:
                 a, b = getattr(own, name), getattr(ref, name)
                 if np.array_equal(order, np.arange(len(order))):
@@ -329,12 +339,12 @@ def test_class_members_share_the_local_matrix():
         mesh, dec, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0)
     )
     assert len(classes) == 4
-    assert sorted(len(members) for _, members, _ in classes) == [2, 2, 4, 8]
+    assert sorted(len(members) for _, members, _, _ in classes) == [2, 2, 4, 8]
     # corners, edges and interior by width: the one-level part needs 3 LUs
     widths = assert_members_match_representative(
         mesh, dec, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0), sides=False
     )
-    assert [len(members) for _, members, _ in widths] == [4, 8, 4]
+    assert [len(members) for _, members, _, _ in widths] == [4, 8, 4]
 
 
 @pytest.mark.parametrize(
@@ -412,7 +422,7 @@ def test_one_level_with_clipped_boxes_matches_dense_oracle():
 
 
 def assert_dtn_blocks_match_per_member(mesh, dec, k, A_eps):
-    cs = build_dtn_cs(mesh, dec, k, k, selection_policy("automatic"), A_eps)
+    cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("automatic"), A_eps)
     params = HelmholtzParams(k=k, epsilon=k, eta=k)
     Z = cs.Z.tocsc()
     col = 0
@@ -452,12 +462,12 @@ def test_dtn_selection_margin_matches_dense_eig():
     mesh = build_uniform_mesh(2, 12)
     dec = build_decomposition(mesh, 3, 2)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
-    cs = build_dtn_cs(mesh, dec, k, k, selection_policy("automatic"), A_eps)
+    cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("automatic"), A_eps)
     margins = cs.summary()["selection_margin"]
     params = HelmholtzParams(k=k, epsilon=k, eta=k)
     classes = congruence_classes(dec)
     assert len(margins) == len(classes) == 4
-    for entry, (key, members, _) in zip(margins, classes):
+    for entry, (key, members, _, _) in zip(margins, classes):
         assert entry["key"] == [list(axis) for axis in key]
         assert entry["members"] == len(members)
         for j in members:
@@ -465,6 +475,18 @@ def test_dtn_selection_margin_matches_dense_eig():
             lams = scipy.linalg.eigvals(S, M)
             expected = np.abs(lams.real - k).min() / k
             assert entry["margin"] == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("dim,m,n1d,k", [(2, 100, 20, 20.0), (3, 9, 3, 6.0)])
+def test_orbit_pencils_match_qz(dim, m, n1d, k):
+    # the Cholesky reduction of generalized_eig against QZ on every DtN orbit
+    # pencil: 2d k = 20 at alpha = 1 (m = 100, N_1d = 20) and 3d m = 9, N_1d = 3
+    mesh = build_uniform_mesh(dim, m)
+    dec = build_decomposition(mesh, n1d, 2 if dim == 2 else 1)
+    params = HelmholtzParams(k=k, epsilon=k, eta=k)
+    for _, members, _, _ in congruence_classes(dec):
+        S, M, *_ = dtn_pencil(mesh, dec.subdomains[members[0]], params)
+        assert_eig_matches_qz(S, M, k)
 
 
 def test_dtn_context_assembles_each_class_once(monkeypatch):
@@ -484,7 +506,7 @@ def test_dtn_context_assembles_each_class_once(monkeypatch):
     # build_one_level assembles once per width class and build_dtn_cs once per
     # orbit, each on its representative
     width_reps, orbit_reps = (
-        [members[0] for _, members, _ in congruence_classes(ctx.decomposition, sides=sides)]
+        [members[0] for _, members, _, _ in congruence_classes(ctx.decomposition, sides=sides)]
         for sides in (False, True)
     )
     assert (len(width_reps), len(orbit_reps)) == (3, 4)
