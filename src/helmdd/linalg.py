@@ -138,6 +138,22 @@ def _mgs_pass(V: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
     return w
 
 
+def _available_memory() -> int:
+    """Bytes of memory the process can still get without swapping.
+
+    MemAvailable of /proc/meminfo (free memory plus the page cache the kernel
+    can reclaim); where that is missing, the free pages of sysconf.
+    """
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_AVPHYS_PAGES")
+
+
 def gmres(
     apply_A,
     b: np.ndarray,
@@ -151,8 +167,8 @@ def gmres(
     apply_A / apply_M are callables (or matrices) applying A and the
     preconditioner M^{-1}.  Iteration count is the number of Arnoldi steps;
     residuals are relative to ||b||.  The Krylov basis takes (max_iter+1) * n * 16
-    bytes of address space; a basis larger than physical memory is refused
-    with MemoryError before anything is allocated.
+    bytes; a basis larger than the memory still available (_available_memory)
+    is refused with MemoryError before anything is allocated.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -161,12 +177,12 @@ def gmres(
     b = np.asarray(b, dtype=np.complex128)
     n = b.size
     basis_bytes = (max_iter + 1) * n * 16
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if basis_bytes > physical:
+    available = _available_memory()
+    if basis_bytes > available:
         raise MemoryError(
             f"GMRES Krylov basis of (max_iter+1) x n = {max_iter + 1} x {n} complex vectors "
-            f"needs {basis_bytes / 2**30:.3g} GiB, more than the {physical / 2**30:.3g} GiB "
-            f"of physical memory; lower max_iter"
+            f"needs {basis_bytes / 2**30:.3g} GiB, more than the {available / 2**30:.3g} GiB "
+            f"of memory available; lower max_iter"
         )
     x0 = np.zeros(n, dtype=np.complex128) if x0 is None else np.asarray(x0, dtype=np.complex128)
     if x0.size != n:

@@ -21,6 +21,8 @@ rounding (about 1e-16).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,34 +93,116 @@ class SelectionPolicy:
         return self.kind if self.count is None else f"{self.kind}{self.count}"
 
 
+# Threads the local solves may run on: the process's CPU affinity set.  The
+# caller of apply runs one share of the solves and the pool the others; the
+# pool starts its threads on first use and never nests (its tasks submit none).
+LOCAL_SOLVE_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_POOL = ThreadPoolExecutor(max(LOCAL_SOLVE_WORKERS - 1, 1), thread_name_prefix="helmdd-local")
+
+# Right-hand sides per solve call of a class that is split over shares.  Small
+# blocks keep the pool threads' temporaries small, and glibc's per-thread heaps
+# (which keep freed memory) small with them.
+BLOCK_BYTES = 1 << 20
+
+
+def plan_local_solves(fills, shapes, workers: int) -> list:
+    """Shares of about equal work, fill x columns, over the width classes.
+
+    shapes[c] is (members, n_local) of class c and fills[c] the fill of its LU.
+    A class whose work fits in one share (total / workers) stays whole, and the
+    whole classes go, largest first, to the least-loaded share: rereading a big
+    factor for a second block costs more than it balances.  The columns of a
+    larger class then fill the shares in turn up to the quota, in contiguous
+    blocks of at most BLOCK_BYTES of right-hand sides.  Returns per share a
+    list of (class, first member, end member) tasks; empty shares are dropped.
+    """
+    work = [fill * members for fill, (members, _) in zip(fills, shapes)]
+    quota = sum(work) / workers
+    loads = [0.0] * workers
+    shares = [[] for _ in range(workers)]
+    split = []
+    for c in sorted(range(len(work)), key=lambda c: -work[c]):
+        if work[c] > quota:
+            split.append(c)
+            continue
+        s = loads.index(min(loads))
+        shares[s].append((c, 0, shapes[c][0]))
+        loads[s] += work[c]
+    s = 0
+    for c in split:
+        members, n_local = shapes[c]
+        block = max(1, BLOCK_BYTES // (16 * n_local))
+        first = 0
+        while first < members:
+            end = members
+            if s < workers - 1:
+                end = min(end, first + round((quota - loads[s]) / fills[c]))
+                if end <= first:  # share s is full
+                    s += 1
+                    continue
+            shares[s] += [(c, b, min(b + block, end)) for b in range(first, end, block)]
+            loads[s] += (end - first) * fills[c]
+            first = end
+    return [share for share in shares if share]
+
+
+def _solve_share(tasks, v: np.ndarray, out: np.ndarray) -> None:
+    for lu, dofs, start, stop in tasks:
+        out[start:stop] = lu.solve(v[dofs].T).ravel(order="F")
+
+
 class OneLevelORAS:
     """sum_j R~_j^T A_{j,eps}^{-1} R_j; immutable after construction.
 
     classes[c] holds the (members, n_local) global dofs and partition-of-unity
     weights of width class c, each row in the representative's numbering (see
     congruence_classes), and factorizations[c] is their shared LU.  apply
-    stacks R_j v of all members of a class as the columns of one
+    stacks R_j v of a block of members of a class as the columns of one
     multi-right-hand-side solve and scatters every result back through the
     weighted prolongation [R~_j^T ...], an n x sum_j n_j sparse matrix built
-    once.
+    once.  The blocks are split into LOCAL_SOLVE_WORKERS shares by
+    plan_local_solves and solved concurrently; SuperLU solves every column on
+    its own, so the result does not depend on the split.
     """
 
     def __init__(self, n: int, classes: list, factorizations: list):
         self.n = n
         self.factorizations = factorizations
-        self._gather = [dofs for dofs, _ in classes]  # v[dofs].T is the stacked R_j v
-        rows = np.concatenate([dofs.ravel() for dofs in self._gather])
+        rows = np.concatenate([dofs.ravel() for dofs, _ in classes])
         weights = np.concatenate([pou.ravel() for _, pou in classes])
         self._prolong = sp.csr_matrix(
             (weights.astype(np.complex128), (rows, np.arange(len(rows)))),
             shape=(n, len(rows)),
         )
+        gathers = [dofs for dofs, _ in classes]
+        offsets = np.cumsum([0] + [dofs.size for dofs in gathers])
+        width = [dofs.shape[1] for dofs in gathers]
+        shares = plan_local_solves(
+            [lu.fill for lu in factorizations],
+            [dofs.shape for dofs in gathers],
+            LOCAL_SOLVE_WORKERS,
+        )
+        # v[dofs].T is the stacked R_j v of a block; its solutions fill out[start:stop]
+        self._shares = [
+            [
+                (factorizations[c], gathers[c][first:end],
+                 offsets[c] + first * width[c], offsets[c] + end * width[c])
+                for c, first, end in share
+            ]
+            for share in shares
+        ]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        local = [
-            lu.solve(v[g].T).ravel(order="F") for lu, g in zip(self.factorizations, self._gather)
-        ]
-        return self._prolong @ np.concatenate(local)
+        out = np.empty(self._prolong.shape[1], dtype=np.complex128)
+        futures = [_POOL.submit(_solve_share, share, v, out) for share in self._shares[1:]]
+        try:
+            _solve_share(self._shares[0], v, out)
+        finally:
+            for future in futures:
+                future.result()
+        return self._prolong @ out
 
 
 def build_one_level(

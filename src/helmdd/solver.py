@@ -18,6 +18,7 @@ from .assembly import HelmholtzParams, assemble_global, assemble_rhs
 from .decomposition import build_decomposition
 from .linalg import gmres, random_initial_guess
 from .preconditioner import (
+    LOCAL_SOLVE_WORKERS,
     SelectionPolicy,
     TwoLevelPreconditioner,
     build_dtn_cs,
@@ -97,6 +98,7 @@ class SolveReport:
     # L.nnz + U.nnz: "local" summed over the width-class LUs, "coarse" of E (0 where absent)
     lu_fill_nnz: dict
     local_factorizations: int  # one-level LUs, one per subdomain width class
+    local_solve_workers: int  # threads the local solves may use (CPU affinity set); 0 if none
     coarse_info: dict | None = None
     solution: np.ndarray | None = None  # not serialized
 
@@ -115,6 +117,7 @@ class SolveReport:
             "orthogonality_loss": float(self.orthogonality_loss),
             "lu_fill_nnz": {k: int(v) for k, v in self.lu_fill_nnz.items()},
             "local_factorizations": int(self.local_factorizations),
+            "local_solve_workers": int(self.local_solve_workers),
             "coarse_info": self.coarse_info,
         }
 
@@ -150,11 +153,13 @@ class SolverContext:
         self.coarse_info = None
         self.lu_fill_nnz = {"local": 0, "coarse": 0}
         self.local_factorizations = 0
+        self.local_solve_workers = 0
         if config.precon != "none":
             self.decomposition = build_decomposition(self.mesh, n1d, config.overlap_layers)
             one_level = build_one_level(self.mesh, self.decomposition, k, config.epsilon_prec)
             self.lu_fill_nnz["local"] = sum(lu.fill for lu in one_level.factorizations)
             self.local_factorizations = len(one_level.factorizations)
+            self.local_solve_workers = LOCAL_SOLVE_WORKERS
             if config.precon == "one_level":
                 self.precon = one_level
             else:
@@ -221,6 +226,7 @@ class SolverContext:
             orthogonality_loss=outcome.orthogonality_loss,
             lu_fill_nnz=dict(self.lu_fill_nnz),
             local_factorizations=self.local_factorizations,
+            local_solve_workers=self.local_solve_workers,
             coarse_info=self.coarse_info,
             solution=outcome.solution,
         )

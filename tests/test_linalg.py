@@ -1,3 +1,6 @@
+import io
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -452,3 +455,28 @@ def test_gmres_refuses_a_krylov_basis_larger_than_memory():
     A = sp.eye(4, format="csr", dtype=complex)
     with pytest.raises(MemoryError, match="Krylov basis"):
         gmres(A, np.ones(4, dtype=complex), max_iter=10**12)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 0 < linalg._available_memory() <= physical
+
+
+@pytest.mark.parametrize("meminfo", [True, False])
+def test_gmres_refuses_a_basis_larger_than_the_available_memory(monkeypatch, meminfo):
+    # 4 GiB of physical memory of which 1 MiB is available: a 1.6 MB basis
+    # (n = 1000, max_iter = 99) is refused, a 0.16 MB one solves
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20, "SC_AVPHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes[name])
+    if meminfo:
+        fake = "MemTotal:       4194304 kB\nMemFree:        4000000 kB\nMemAvailable:   1024 kB\n"
+        monkeypatch.setattr(linalg, "open", lambda *a, **kw: io.StringIO(fake), raising=False)
+    else:  # no /proc/meminfo: the free pages of sysconf
+
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("/proc/meminfo")
+
+        monkeypatch.setattr(linalg, "open", missing, raising=False)
+    assert linalg._available_memory() == 2**20
+    A = sp.eye(1000, format="csr", dtype=complex)
+    b = np.ones(1000, dtype=complex)
+    with pytest.raises(MemoryError, match="available"):
+        gmres(A, b, max_iter=99)
+    assert gmres(A, b, max_iter=9).converged

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +8,7 @@ import scipy.sparse as sp
 
 import p1_oracle
 from test_linalg import assert_eig_matches_qz
+from helmdd import preconditioner
 from helmdd.assembly import (
     HelmholtzParams,
     assemble_global,
@@ -12,14 +16,16 @@ from helmdd.assembly import (
 )
 from helmdd.decomposition import build_decomposition, congruence_classes
 from helmdd.linalg import gmres, random_initial_guess
-from helmdd.mesh import build_uniform_mesh, interpolation_matrix
+from helmdd.mesh import build_uniform_mesh, fine_resolution, interpolation_matrix
 from helmdd.preconditioner import (
+    BLOCK_BYTES,
     PreconditionerError,
     SelectionPolicy,
     TwoLevelPreconditioner,
     build_dtn_cs,
     build_grid_cs,
     build_one_level,
+    plan_local_solves,
 )
 
 
@@ -124,6 +130,120 @@ def test_one_level_matches_dense_oracle():
     for _ in range(10):
         v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
         assert np.abs(one.apply(v) - M1 @ v).max() <= 1e-10 * np.abs(M1 @ v).max()
+
+
+# 2d k = 10 and 20 at alpha = 0.8 (N_1d = floor(k^0.8) = 6 and 10), and 3d m = 9 with N_1d = 3
+SPLIT_SETUPS = [
+    (2, fine_resolution(10.0, 6), 6, 10.0),
+    (2, fine_resolution(20.0, 10), 10, 20.0),
+    (3, 9, 3, 6.0),
+]
+
+
+def serial_one_level(mesh, dec, one):
+    """The apply of one solve per class: _prolong @ concatenate(lu.solve(v[g].T))."""
+    gathers = [dofs for _, _, dofs, _ in congruence_classes(dec, sides=False)]
+    return lambda v: one._prolong @ np.concatenate(
+        [lu.solve(v[g].T).ravel(order="F") for lu, g in zip(one.factorizations, gathers)]
+    )
+
+
+@pytest.mark.parametrize("dim, m, n1d, k", SPLIT_SETUPS)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_one_level_apply_is_bitwise_the_serial_class_solves(monkeypatch, dim, m, n1d, k, workers):
+    # every column is solved on its own, so no split over shares changes a bit
+    monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", workers)
+    mesh = build_uniform_mesh(dim, m)
+    dec = build_decomposition(mesh, n1d, 2 if dim == 2 else 1)
+    one = build_one_level(mesh, dec, k, k)
+    assert 1 <= len(one._shares) <= workers
+    serial = serial_one_level(mesh, dec, one)
+    rng = np.random.default_rng(workers)
+    for _ in range(3):
+        v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
+        assert np.array_equal(one.apply(v), serial(v))
+
+
+@pytest.mark.parametrize(
+    "fills, shapes",
+    [
+        ([1516, 1950, 2516], [(4, 100), (152, 120), (1444, 144)]),  # 2d k = 40, alpha = 1
+        ([6488, 7694, 8720], [(4, 289), (68, 323), (289, 361)]),  # 2d k = 40, alpha = 0.8
+        ([587342, 775272, 888812, 1140290], [(8, 2744), (12, 3136), (6, 3584), (1, 4096)]),  # 3d
+        ([5], [(1, 7)]),
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+def test_local_solve_plan_covers_every_member_once(fills, shapes, workers):
+    shares = plan_local_solves(fills, shapes, workers)
+    assert 1 <= len(shares) <= workers and all(shares)
+    tasks = [task for share in shares for task in share]
+    covered = sorted((c, j) for c, first, end in tasks for j in range(first, end))
+    assert covered == [(c, j) for c, (members, _) in enumerate(shapes) for j in range(members)]
+    work = [f * members for f, (members, _) in zip(fills, shapes)]
+    quota = sum(work) / workers
+    for c, first, end in tasks:
+        members, n_local = shapes[c]
+        if work[c] <= quota:  # a class that fits one share stays whole
+            assert (first, end) == (0, members)
+        else:
+            assert end - first == 1 or (end - first) * n_local * 16 <= BLOCK_BYTES
+    # whole classes go to the least-loaded share, split columns fill up to the quota
+    loads = [sum(fills[c] * (end - first) for c, first, end in share) for share in shares]
+    whole = max((w for w in work if w <= quota), default=0)
+    assert max(loads) <= quota + max(whole, workers * max(fills))
+    if workers == 1:  # the serial apply: one share of whole classes
+        assert sorted(shares[0]) == [(c, 0, members) for c, (members, _) in enumerate(shapes)]
+
+
+def test_one_level_tasks_fill_the_stacked_solution_once(monkeypatch):
+    # the output slices of all tasks tile the member-major vector of local solutions
+    monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", 3)
+    mesh = build_uniform_mesh(2, fine_resolution(20.0, 10))
+    dec = build_decomposition(mesh, 10, 2)
+    one = build_one_level(mesh, dec, 20.0, 20.0)
+    tasks = sorted(
+        ((start, stop, dofs) for share in one._shares for _, dofs, start, stop in share),
+        key=lambda task: task[0],
+    )
+    assert len(tasks) > len(one.factorizations)  # the interior class is split
+    assert tasks[0][0] == 0 and tasks[-1][1] == one._prolong.shape[1]
+    assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
+    assert all(stop - start == dofs.size for start, stop, dofs in tasks)
+    rows = np.concatenate([dofs.ravel() for _, _, dofs in tasks])
+    assert np.array_equal(rows, one._prolong.tocsc().indices)
+
+
+def test_one_level_concurrent_applies_match_serial(monkeypatch):
+    # two threads share one preconditioner (and the pool) and get the serial results
+    monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", 2)
+    mesh = build_uniform_mesh(2, fine_resolution(20.0, 10))
+    dec = build_decomposition(mesh, 10, 2)
+    one = build_one_level(mesh, dec, 20.0, 20.0)
+    serial = serial_one_level(mesh, dec, one)
+    rng = np.random.default_rng(11)
+    vs = [rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
+          for _ in range(2)]
+    expected = [serial(v) for v in vs]
+    mismatches = []
+
+    def run(i):
+        for _ in range(20):
+            if not np.array_equal(one.apply(vs[i]), expected[i]):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 
 import numpy as np
 import pytest
@@ -134,6 +135,9 @@ def test_report_serialization(tmp_path):
     # one Robin LU per width class of the 3 x 3 boxes, and one margin entry per orbit
     assert report.N_sub == 9
     assert parsed["local_factorizations"] == one_level["local_factorizations"] == 3
+    # the local solves run on the threads of the CPU affinity set
+    workers = len(os.sched_getaffinity(0))
+    assert parsed["local_solve_workers"] == one_level["local_solve_workers"] == workers
     assert len(ctx.precon.one_level.factorizations) == 3
     margins = parsed["coarse_info"]["selection_margin"]
     assert [entry["members"] for entry in margins] == [2, 4, 2, 1]
@@ -146,6 +150,7 @@ def test_unpreconditioned_solve_path():
     )
     assert report.converged and report.N_sub == 0 and report.n_CS == 0
     assert report.to_dict()["local_factorizations"] == 0
+    assert report.to_dict()["local_solve_workers"] == 0
     assert report.final_residual <= 1e-5
 
 
