@@ -6,7 +6,7 @@ coarse-mesh (grid) or a Dirichlet-to-Neumann spectral coarse space.
 """
 
 from .assembly import HelmholtzParams, assemble_global, assemble_rhs, assemble_subdomain
-from .decomposition import Decomposition, Subdomain, build_decomposition
+from .decomposition import BoxClass, Decomposition, build_decomposition
 from .harness import SweepSpec, run_sweep, table1_desk, table3_desk
 from .linalg import factorize, generalized_eig, gmres, random_initial_guess
 from .mesh import (
@@ -32,8 +32,8 @@ __all__ = [
     "assemble_global",
     "assemble_rhs",
     "assemble_subdomain",
+    "BoxClass",
     "Decomposition",
-    "Subdomain",
     "build_decomposition",
     "SweepSpec",
     "run_sweep",

@@ -52,7 +52,7 @@ class HelmholtzParams:
 
 @dataclass(frozen=True)
 class SubdomainMatrices:
-    """Local matrices of one subdomain, all in the subdomain's dof indexing.
+    """Local matrices of one box, all in the box's vertex numbering.
 
     A_local carries the Robin term on the whole subdomain boundary (the ORAS
     local problem); A_neu carries it only on the physical-boundary part, so its
@@ -275,20 +275,20 @@ def _incidence(dim: int, m: int) -> np.ndarray:
     return counts.ravel()
 
 
-def assemble_subdomain(mesh: SimplicialMesh, subdomain, params: HelmholtzParams) -> SubdomainMatrices:
-    """Assemble the local Robin, Neumann-type and interface-mass matrices.
+def assemble_subdomain(mesh: SimplicialMesh, box, params: HelmholtzParams) -> SubdomainMatrices:
+    """Assemble the local Robin, Neumann-type and interface-mass matrices of a box.
 
-    Only the subdomain's cell box (cell_lo, cell_hi) is read: a side is
-    physical where it lies on the domain boundary, and the box numbers its
-    vertices with x fastest, which is the order of subdomain.dofs.  A_local
+    Only box.cell_lo and box.cell_hi are read (a BoxClass holds them): a side
+    is physical where it lies on the domain boundary, and the box numbers its
+    vertices with x fastest, the order of a row of the class's dofs.  A_local
     is the volume part minus i*eta times the mass of the whole box boundary,
     so boxes of equal widths get bitwise the same A_local, and translated
     boxes bitwise the same matrices (see congruence_classes).
     """
     m = mesh.intervals_per_edge
-    box = list(zip(subdomain.cell_lo, subdomain.cell_hi))
-    widths, h = [hi - lo for lo, hi in box], 1.0 / m
-    physical = [(lo == 0, hi == m) for lo, hi in box]
+    extents = list(zip(box.cell_lo, box.cell_hi))
+    widths, h = [hi - lo for lo, hi in extents], 1.0 / m
+    physical = [(lo == 0, hi == m) for lo, hi in extents]
     K, M, pattern = _volume(widths, h)
     volume = _volume_part(K, M, params)
     robin = -1j * params.eta

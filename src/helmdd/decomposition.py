@@ -3,7 +3,12 @@
 Subdomains start from the non-overlapping partition of the cell grid into
 N_1d^d equal boxes and grow by overlap_layers cell layers in every direction
 (clipped at the domain boundary), so facing subdomains overlap in a strip of
-2*overlap_layers cells.  Dof classification is exact lattice arithmetic.
+2*overlap_layers cells.  Box j = sum_a b_a N_1d^a (x fastest) is the product
+of one one-dimensional box b_a per axis.  Everything a box carries in its own
+vertex numbering (its dofs relative to its origin, its ramp and its
+interface) depends only on its translation key, per axis (touches lo,
+touches hi, width), so the decomposition is built and kept per translation
+class, never per box.  Dof classification is exact lattice arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from .mesh import SimplicialMesh, _lattice_points
 
 __all__ = [
-    "Subdomain",
+    "BoxClass",
     "Decomposition",
     "build_decomposition",
     "congruence_classes",
@@ -24,52 +29,42 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Subdomain:
-    """One overlapping box of cells: its global dofs and interface.
+class BoxClass:
+    """Boxes that share one local numbering: a translation class or an orbit.
 
-    interface_dofs are local indices into dofs of the dofs that lie on the
-    subdomain boundary but not on the physical boundary.  pou holds the
-    partition-of-unity diagonal D_j aligned with dofs.
+    members holds the subdomain indices, the representative first.  Row i of
+    the (members, n_local) arrays dofs and pou holds member i's global dofs
+    and partition-of-unity weights D_j in the vertex order of the
+    representative's box, cells cell_lo to cell_hi, x fastest.  interface
+    holds the local indices of the representative's dofs that lie on its box
+    boundary but not on the physical boundary.
     """
 
-    index: int
+    key: tuple
     cell_lo: tuple
     cell_hi: tuple
+    members: np.ndarray
     dofs: np.ndarray
-    interface_dofs: np.ndarray
     pou: np.ndarray
-
-    @property
-    def n_dofs(self) -> int:
-        return len(self.dofs)
+    interface: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
+    """The boxes' translation classes, in the order of their lowest member."""
+
     mesh: SimplicialMesh
-    subdomains: list
+    n_subdomains_1d: int
+    classes: list
 
     @property
     def n_subdomains(self) -> int:
-        return len(self.subdomains)
+        return self.n_subdomains_1d**self.mesh.dim
 
 
-def _box_ranges(m: int, n1d: int, box: tuple, overlap: int):
-    base = m // n1d
-    lo = tuple(max(0, b * base - overlap) for b in box)
-    hi = tuple(min(m, (b + 1) * base + overlap) for b in box)
-    return lo, hi
-
-
-def _ramp(coords: np.ndarray, lo: tuple, hi: tuple, m: int) -> np.ndarray:
-    """Lattice distance of each point to the box faces that are not on the physical boundary."""
-    dist = np.full(len(coords), float(m + 1))
-    for axis in range(coords.shape[1]):
-        if lo[axis] > 0:
-            dist = np.minimum(dist, coords[:, axis] - lo[axis])
-        if hi[axis] < m:
-            dist = np.minimum(dist, hi[axis] - coords[:, axis])
-    return dist
+def _outer_sum(terms) -> np.ndarray:
+    """terms[0][i_0] + terms[1][i_1] + ... over every index tuple, x fastest."""
+    return sum(np.ix_(*terms[::-1])).ravel()
 
 
 def build_decomposition(
@@ -81,11 +76,10 @@ def build_decomposition(
 
     The partition of unity is the ramp: each box weighs a dof by its lattice
     distance to the box's interface faces, normalized by the sum over the
-    boxes that hold the dof, so sum_j R_j^T D_j R_j = I.
+    boxes that hold the dof, so sum_j R_j^T D_j R_j = I.  The ramps are small
+    integers, so their sums are exact in any order.
     """
-    m = mesh.intervals_per_edge
-    n1d = n_subdomains_1d
-    d = mesh.dim
+    m, n1d, d = mesh.intervals_per_edge, n_subdomains_1d, mesh.dim
     if n1d < 1:
         raise ValueError(f"n_subdomains_1d must be >= 1, got {n1d}")
     if m % n1d != 0:
@@ -93,28 +87,38 @@ def build_decomposition(
     if overlap_layers < 1:
         raise ValueError(f"overlap_layers must be >= 1, got {overlap_layers}")
 
-    boxes = [combo[::-1] for combo in product(range(n1d), repeat=d)]  # x fastest
-    ranges = [_box_ranges(m, n1d, box, overlap_layers) for box in boxes]
+    base = m // n1d
+    axis_classes: dict = {}  # 1-D key -> [(box, lo)], in the order of the first box
+    for b in range(n1d):
+        lo, hi = max(0, b * base - overlap_layers), min(m, (b + 1) * base + overlap_layers)
+        axis_classes.setdefault((lo == 0, hi == m, hi - lo), []).append((b, lo))
     strides = (m + 1) ** np.arange(d)
-    dofs = [_lattice_points(lo, [h + 1 for h in hi], strides) for lo, hi in ranges]  # ascending
-
-    ramps = [_ramp(mesh.grid_coordinates(ids), lo, hi, m) for (lo, hi), ids in zip(ranges, dofs)]
+    classes = []
     total = np.zeros(mesh.n_vertices)
-    for ids, ramp in zip(dofs, ramps):
-        total[ids] += ramp
-    # the boxes cover every dof, and none only at interface distance 0 for overlap >= 1
-    assert (total > 0).all()
-    weights = [ramp / total[ids] for ids, ramp in zip(dofs, ramps)]
-
-    subdomains = []
-    for index, ((lo, hi), ids, pou_weights) in enumerate(zip(ranges, dofs, weights)):
-        coords = mesh.grid_coordinates(ids)
+    for combo in product(axis_classes.items(), repeat=d):  # ascending lowest member
+        key = tuple(axis_key for axis_key, _ in combo[::-1])
+        axes = [np.array(entries) for _, entries in combo[::-1]]  # per axis: (box, lo) rows
+        members = _outer_sum([e[:, 0] * n1d**a for a, e in enumerate(axes)])
+        origins = _outer_sum([e[:, 1] * strides[a] for a, e in enumerate(axes)])
+        lo = tuple(int(e[0, 1]) for e in axes)
+        hi = tuple(l + w for l, (*_, w) in zip(lo, key))
+        dofs = origins[:, None] + _lattice_points((0,) * d, [w + 1 for *_, w in key], strides)
+        coords = mesh.grid_coordinates(dofs[0])
+        # lattice distance to the box faces off the physical boundary (m + 1 if none)
+        faces = [coords[:, a] - lo[a] for a in range(d) if lo[a] > 0]
+        faces += [hi[a] - coords[:, a] for a in range(d) if hi[a] < m]
+        ramp = np.min([np.full(len(coords), m + 1.0)] + faces, axis=0)
+        ramps = np.tile(ramp, (len(members), 1))  # normalized below, once every box is summed
+        total += np.bincount(dofs.ravel(), ramps.ravel(), mesh.n_vertices)
         on_box = ((coords == lo) | (coords == hi)).any(axis=1)
         on_physical = ((coords == 0) | (coords == m)).any(axis=1)
         interface = np.flatnonzero(on_box & ~on_physical)
-        subdomains.append(Subdomain(index=index, cell_lo=lo, cell_hi=hi, dofs=ids,
-                                    interface_dofs=interface, pou=pou_weights))
-    return Decomposition(mesh=mesh, subdomains=subdomains)
+        classes.append(BoxClass(key, lo, hi, members, dofs, ramps, interface))
+    # the boxes cover every dof, and none only at interface distance 0 for overlap >= 1
+    assert (total > 0).all()
+    for cls in classes:
+        cls.pou[...] /= total[cls.dofs]
+    return Decomposition(mesh, n1d, classes)
 
 
 def _vertex_order(widths, perm, flip: bool) -> np.ndarray:
@@ -131,7 +135,7 @@ def _vertex_order(widths, perm, flip: bool) -> np.ndarray:
 
 
 def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
-    """Group the subdomains into orbits of one box under the lattice symmetries.
+    """Merge the translation classes into orbits of one box under the lattice symmetries.
 
     A box's translation key holds, per axis, whether it touches the lo side
     and the hi side of the domain and its extent in cells; assemble_subdomain
@@ -140,47 +144,42 @@ def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
     lo and hi sides of every axis), so boxes whose keys are images of one
     another under this group of order 2*dim! have the same local matrices up
     to a renumbering of their vertices.  There are 4 orbits in 2d and 6 in 3d
-    when every box is at least overlap_layers cells wide and N_1d >= 3.
+    when the base boxes are wider than the overlap (m / N_1d > overlap_layers)
+    and N_1d >= 3.
 
     With sides=False the key holds the widths alone, (width,) per axis, and
     the boxes are grouped by their widths up to an axis permutation: A_local,
     which carries the Robin term on the whole box boundary, reads nothing
     else.  There are 3 such classes in 2d and 4 in 3d when N_1d >= 3.
 
-    Returns (key, members, dofs, pou) per orbit, in the order of the orbit's
-    lowest subdomain index.  key is the canonical (smallest) image of the
-    members' keys.  members[0] is the representative, the lowest-indexed
-    member whose own key is the canonical one; the other members follow in
-    index order.  Row i of the (members, n_local) arrays dofs and pou holds
-    member i's global dofs and partition-of-unity weights in the vertex order
-    of the representative box; for the representative, and for every member
-    with its key, that is the member's own (ascending) order.
+    Returns a BoxClass per orbit, in the order of the orbit's lowest member.
+    Its key is the canonical (smallest) image of the members' keys.  The
+    representative, members[0], is the lowest member whose own key is the
+    canonical one; the other members follow in index order.  For the
+    representative, and for every member with its key, a row of dofs and pou
+    is in the member's own (ascending) order.
     """
-    m = dec.mesh.intervals_per_edge
     flips = (False, True) if sides else (False,)  # the reflection fixes a width key
     symmetries = [(p, flip) for flip in flips for p in permutations(range(dec.mesh.dim))]
-    by_key: dict = {}  # key -> (canonical key, vertex order)
-    orbits: dict = {}
-    for sub in dec.subdomains:
-        box = zip(sub.cell_lo, sub.cell_hi)
-        key = tuple((lo == 0, hi == m, hi - lo) if sides else (hi - lo,) for lo, hi in box)
-        if key not in by_key:
-            images = [
-                tuple((axis[1], axis[0], axis[2]) if flip else axis for axis in (key[a] for a in p))
-                for p, flip in symmetries
-            ]
-            canonical = min(images)
-            p, flip = symmetries[images.index(canonical)]  # the identity when key is canonical
-            by_key[key] = canonical, _vertex_order([axis[-1] for axis in key], p, flip)
-        canonical, order = by_key[key]
-        orbits.setdefault(canonical, []).append((sub.index, order, key == canonical))
-    subs = dec.subdomains
+    orbits: dict = {}  # canonical key -> [(translation class, vertex order, own key canonical)]
+    for tc in dec.classes:
+        key = tc.key if sides else tuple((w,) for *_, w in tc.key)
+        images = [
+            tuple((axis[1], axis[0], axis[2]) if flip else axis for axis in (key[a] for a in p))
+            for p, flip in symmetries
+        ]
+        canonical = min(images)
+        p, flip = symmetries[images.index(canonical)]  # the identity when key is canonical
+        order = _vertex_order([axis[-1] for axis in key], p, flip)
+        orbits.setdefault(canonical, []).append((tc, order, key == canonical))
     out = []
-    for canonical, entries in orbits.items():  # entries are in index order
-        rep = next(i for i, (_, _, is_canonical) in enumerate(entries) if is_canonical)
-        entries.insert(0, entries.pop(rep))
-        dofs = np.stack([subs[j].dofs[order] for j, order, _ in entries])
-        pou = np.stack([subs[j].pou[order] for j, order, _ in entries])
-        out.append((canonical, [j for j, _, _ in entries], dofs, pou))
+    for canonical, parts in orbits.items():
+        rep = min((tc for tc, _, own in parts if own), key=lambda tc: tc.members[0])
+        members = np.concatenate([tc.members for tc, _, _ in parts])
+        rank = np.lexsort((members, members != rep.members[0]))  # representative first
+        dofs, pou = (np.concatenate([getattr(tc, name)[:, order] for tc, order, _ in parts])[rank]
+                     for name in ("dofs", "pou"))
+        out.append(
+            BoxClass(canonical, rep.cell_lo, rep.cell_hi, members[rank], dofs, pou, rep.interface)
+        )
     return out
-

@@ -175,12 +175,14 @@ def run_config_group(config: SolveConfig, seeds) -> tuple:
 def run_sweep(spec: SweepSpec, jobs: int = 1, echo=None):
     """Execute every (config, seed) pair; returns (rows, summary_rows, errors).
 
-    With jobs > 1 the config groups run on that many threads.  Progress lines
-    go to echo in config order either way.  Writes rows to spec.out (and the
-    median summary to <out>_summary.csv) when an output path is set.  Failures
-    are recorded per row (iterations = -1) and collected in the error list; the
-    sweep always continues.
+    With jobs > 1 the config groups run on that many threads; jobs < 1 is a
+    ValueError.  Progress lines go to echo in config order either way.
+    Writes rows to spec.out (and the median summary to <out>_summary.csv)
+    when an output path is set.  Failures are recorded per row (iterations =
+    -1) and collected in the error list; the sweep always continues.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     configs = spec.configs()
     rows, errors = [], []
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:

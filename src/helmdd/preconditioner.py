@@ -156,27 +156,28 @@ def _solve_share(tasks, v: np.ndarray, out: np.ndarray) -> None:
 class OneLevelORAS:
     """sum_j R~_j^T A_{j,eps}^{-1} R_j; immutable after construction.
 
-    classes[c] holds the (members, n_local) global dofs and partition-of-unity
-    weights of width class c, each row in the representative's numbering (see
-    congruence_classes), and factorizations[c] is their shared LU.  apply
-    stacks R_j v of a block of members of a class as the columns of one
-    multi-right-hand-side solve and scatters every result back through the
-    weighted prolongation [R~_j^T ...], an n x sum_j n_j sparse matrix built
-    once.  The blocks are split into LOCAL_SOLVE_WORKERS shares by
-    plan_local_solves and solved concurrently; SuperLU solves every column on
-    its own, so the result does not depend on the split.
+    classes[c] is width class c, whose (members, n_local) arrays dofs and pou
+    hold its members' global dofs and partition-of-unity weights, each row in
+    the representative's numbering (see congruence_classes), and
+    factorizations[c] is their shared LU.  apply stacks R_j v of a block of
+    members of a class as the columns of one multi-right-hand-side solve and
+    scatters every result back through the weighted prolongation
+    [R~_j^T ...], an n x sum_j n_j sparse matrix built once.  The blocks are
+    split into LOCAL_SOLVE_WORKERS shares by plan_local_solves and solved
+    concurrently; SuperLU solves every column on its own, so the result does
+    not depend on the split.
     """
 
     def __init__(self, n: int, classes: list, factorizations: list):
         self.n = n
         self.factorizations = factorizations
-        rows = np.concatenate([dofs.ravel() for dofs, _ in classes])
-        weights = np.concatenate([pou.ravel() for _, pou in classes])
+        rows = np.concatenate([cls.dofs.ravel() for cls in classes])
+        weights = np.concatenate([cls.pou.ravel() for cls in classes])
         self._prolong = sp.csr_matrix(
             (weights.astype(np.complex128), (rows, np.arange(len(rows)))),
             shape=(n, len(rows)),
         )
-        gathers = [dofs for dofs, _ in classes]
+        gathers = [cls.dofs for cls in classes]
         offsets = np.cumsum([0] + [dofs.size for dofs in gathers])
         width = [dofs.shape[1] for dofs in gathers]
         shares = plan_local_solves(
@@ -213,26 +214,25 @@ def build_one_level(
 ) -> OneLevelORAS:
     """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every width class."""
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    classes, factorizations = [], []
-    for _, members, dofs, pou in congruence_classes(decomposition, sides=False):
-        mats = assemble_subdomain(mesh, decomposition.subdomains[members[0]], params)
+    classes = congruence_classes(decomposition, sides=False)
+    factorizations = []
+    for cls in classes:
+        mats = assemble_subdomain(mesh, cls, params)
         try:
             factorizations.append(factorize(mats.A_local))
         except Exception as exc:
             raise PreconditionerError(
-                f"local matrix of subdomain {members[0]} could not be factorized: {exc}"
+                f"local matrix of subdomain {cls.members[0]} could not be factorized: {exc}"
             ) from exc
-        classes.append((dofs, pou))
     return OneLevelORAS(mesh.n_vertices, classes, factorizations)
 
 
 @dataclass(eq=False)
 class CoarseSpace:
-    """Coarse basis Z, Galerkin matrix E = Z* A_eps Z and its factorization."""
+    """Coarse basis Z and the factorization of the Galerkin matrix E = Z* A_eps Z."""
 
     kind: str
     Z: sp.csr_matrix
-    E: sp.csc_matrix
     E_fact: SparseFactorization
     per_subdomain_counts: list | None = None
     eigenvalues: list | None = None  # selected eigenvalues per subdomain (dtn)
@@ -265,13 +265,11 @@ class CoarseSpace:
         return out
 
 
-def _galerkin_coarse_matrix(Z: sp.spmatrix, A_eps: sp.spmatrix):
-    E = (Z.conj().T @ (A_eps @ Z)).tocsc()
+def _galerkin_lu(Z: sp.spmatrix, A_eps: sp.spmatrix) -> SparseFactorization:
     try:
-        E_fact = factorize(E)
+        return factorize((Z.conj().T @ (A_eps @ Z)).tocsc())
     except Exception as exc:
         raise PreconditionerError(f"coarse matrix E is singular: {exc}") from exc
-    return E, E_fact
 
 
 def build_grid_cs(
@@ -283,8 +281,7 @@ def build_grid_cs(
     problem (boundary term through the Galerkin product).
     """
     Z = interpolation_matrix(coarse_mesh, fine_mesh).astype(np.complex128)
-    E, E_fact = _galerkin_coarse_matrix(Z, A_eps)
-    return CoarseSpace(kind="grid", Z=Z, E=E, E_fact=E_fact)
+    return CoarseSpace(kind="grid", Z=Z, E_fact=_galerkin_lu(Z, A_eps))
 
 
 def build_dtn_cs(
@@ -306,22 +303,23 @@ def build_dtn_cs(
     vertex order, scaled by its own partition of unity (the class gathers of
     congruence_classes); eigenvalues and selection are shared by the orbit.
     Columns of Z live in exactly one subdomain block, in subdomain order; rows
-    are shared across overlapping blocks.  The subdomain matrices are those of the shifted problem
-    (epsilon_prec, eta = k).
+    are shared across overlapping blocks.  The subdomain matrices are those of
+    the shifted problem (epsilon_prec, eta = k).
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    counts = np.zeros(decomposition.n_subdomains, dtype=np.int64)
-    eigs = [[] for _ in decomposition.subdomains]  # selected eigenvalues per subdomain
-    blocks = []  # (members, dofs, pou, unscaled W) of every orbit that selects a mode
+    classes = congruence_classes(decomposition)
+    selected = [[] for _ in range(len(classes) + 1)]  # eigenvalues per orbit, then none
+    orbit = np.full(decomposition.n_subdomains, len(classes))  # each subdomain's orbit
+    blocks = []  # (class, unscaled W) of every orbit that selects a mode
     margins = []
-    for key, members, dofs, pou in congruence_classes(decomposition):
-        rep = decomposition.subdomains[members[0]]
-        gamma = rep.interface_dofs
+    for o, cls in enumerate(classes):
+        gamma = cls.interface
         if gamma.size == 0:
             continue
-        inner = np.setdiff1d(np.arange(rep.n_dofs), gamma, assume_unique=True)
+        n_local = cls.dofs.shape[1]
+        inner = np.setdiff1d(np.arange(n_local), gamma, assume_unique=True)
 
-        mats = assemble_subdomain(mesh, rep, params)
+        mats = assemble_subdomain(mesh, cls, params)
         A = mats.A_neu.tocsc()
         A_II = A[inner][:, inner]
         A_IG = np.asarray(A[inner][:, gamma].todense())
@@ -333,7 +331,7 @@ def build_dtn_cs(
             lu = factorize(A_II)
         except Exception as exc:
             raise PreconditionerError(
-                f"interior block of subdomain {rep.index} could not be factorized: {exc}"
+                f"interior block of subdomain {cls.members[0]} could not be factorized: {exc}"
             ) from exc
         X = lu.solve(A_IG) if inner.size else np.zeros((0, gamma.size), dtype=np.complex128)
         S = A_GG - A_GI @ X
@@ -346,41 +344,41 @@ def build_dtn_cs(
         worst = np.flatnonzero(resid > bound)
         if worst.size:
             raise PreconditionerError(
-                f"eigenresidual {resid[worst[0]]:.2e} exceeds tolerance on subdomain {rep.index}"
+                f"eigenresidual {resid[worst[0]]:.2e} exceeds tolerance on subdomain "
+                f"{cls.members[0]}"
             )
         margins.append(
             {
-                "key": [list(axis) for axis in key],
-                "members": len(members),
+                "key": [list(axis) for axis in cls.key],
+                "members": len(cls.members),
                 "margin": float(np.abs(pairs.values.real - k).min() / k),
             }
         )
 
         chosen = selection.select(pairs.values, k)
-        values = list(pairs.values[chosen])
-        counts[members] = len(values)
-        for j in members:
-            eigs[j] = values
+        selected[o] = list(pairs.values[chosen])
+        orbit[cls.members] = o
         if len(chosen):
             G = pairs.vectors[:, chosen]
             norms = np.sqrt(np.real(np.einsum("ij,ij->j", G.conj(), M_GG @ G)))
             G = G / norms
-            W = np.zeros((rep.n_dofs, len(chosen)), dtype=np.complex128)
+            W = np.zeros((n_local, len(chosen)), dtype=np.complex128)
             W[gamma] = G
             if inner.size:
                 W[inner] = -X @ G
-            blocks.append((members, dofs, pou, W))
+            blocks.append((cls, W))
 
+    counts = np.array([len(values) for values in selected])[orbit]
     n_cs = int(counts.sum())
     if n_cs == 0:
         raise PreconditionerError("selection produced an empty coarse space")
     offsets = np.cumsum(counts) - counts  # first column of each subdomain's block
     rows, cols, vals = [], [], []
-    for members, dofs, pou, W in blocks:  # axes: member, local dof, mode
-        block = pou[:, :, None] * W
-        first = offsets[members][:, None, None]
+    for cls, W in blocks:  # axes: member, local dof, mode
+        block = cls.pou[:, :, None] * W
+        first = offsets[cls.members][:, None, None]
         vals.append(block.ravel())
-        rows.append(np.broadcast_to(dofs[:, :, None], block.shape).ravel())
+        rows.append(np.broadcast_to(cls.dofs[:, :, None], block.shape).ravel())
         cols.append(np.broadcast_to(first + np.arange(W.shape[1]), block.shape).ravel())
     Z = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -390,14 +388,12 @@ def build_dtn_cs(
     col_nnz = np.diff(Z.tocsc().indptr)
     if (col_nnz == 0).any():
         raise PreconditionerError("DtN coarse space contains a zero column")
-    E, E_fact = _galerkin_coarse_matrix(Z, A_eps)
     return CoarseSpace(
         kind="dtn",
         Z=Z,
-        E=E,
-        E_fact=E_fact,
+        E_fact=_galerkin_lu(Z, A_eps),
         per_subdomain_counts=counts.tolist(),
-        eigenvalues=eigs,
+        eigenvalues=np.fromiter(selected, dtype=object)[orbit].tolist(),
         selection_margin=margins,
     )
 

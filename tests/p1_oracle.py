@@ -5,14 +5,21 @@ faces that belong to one simplex only, and a facet is physical when all its
 vertices share the coordinate 0 or m on some axis.  stencil_box and
 global_box give the same four matrices from the library's stencil kernel,
 which assembly itself only returns combined into Helmholtz operators.
+
+subdomains builds the decomposition one box at a time, and orbits groups
+those boxes one at a time, for checking the per-class records of
+helmdd.decomposition.
 """
 
 import math
+from itertools import permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
 from helmdd.assembly import _boundary, _csr, _faces, _volume
+from helmdd.decomposition import _vertex_order
 from helmdd.mesh import _kuhn_simplices, _lattice_points
 
 
@@ -103,3 +110,75 @@ def global_box(mesh):
     """K, M, B and the (empty) interface mass of the whole mesh, from the stencil kernel."""
     m = mesh.intervals_per_edge
     return stencil_box((m,) * mesh.dim, 1.0 / m, ((True, True),) * mesh.dim)
+
+
+def subdomains(mesh, n1d, overlap):
+    """The N_1d^d boxes of the decomposition, one record per box, x fastest.
+
+    Each box gets its own dofs (ascending), its own ramp from its global
+    coordinates, normalized by the sum of every box's ramp, and its interface
+    dofs: local indices of the dofs on the box boundary but off the physical
+    boundary.
+    """
+    d, m = mesh.dim, mesh.intervals_per_edge
+    base = m // n1d
+    strides = (m + 1) ** np.arange(d)
+    boxes = []
+    total = np.zeros(mesh.n_vertices)
+    for index, combo in enumerate(product(range(n1d), repeat=d)):
+        box = combo[::-1]
+        lo = tuple(max(0, b * base - overlap) for b in box)
+        hi = tuple(min(m, (b + 1) * base + overlap) for b in box)
+        dofs = _lattice_points(lo, [h + 1 for h in hi], strides)
+        coords = mesh.grid_coordinates(dofs)
+        ramp = np.full(len(dofs), float(m + 1))  # distance to the faces inside the domain
+        for axis in range(d):
+            for side in (lo[axis], hi[axis]):
+                if 0 < side < m:
+                    ramp = np.minimum(ramp, np.abs(coords[:, axis] - side))
+        total[dofs] += ramp
+        on_box = ((coords == lo) | (coords == hi)).any(axis=1)
+        on_physical = ((coords == 0) | (coords == m)).any(axis=1)
+        interface = np.flatnonzero(on_box & ~on_physical)
+        boxes.append(SimpleNamespace(index=index, cell_lo=lo, cell_hi=hi, dofs=dofs,
+                                     interface_dofs=interface, ramp=ramp))
+    for sub in boxes:
+        sub.pou = sub.ramp / total[sub.dofs]
+    return boxes
+
+
+def orbits(mesh, subs, sides=True):
+    """The boxes grouped under the lattice symmetries, one box at a time.
+
+    Per orbit, in the order of its lowest box: its canonical key, its members
+    (the lowest box whose own key is canonical first, then the others in
+    index order), and per member its dofs and weights in the vertex order of
+    the representative.
+    """
+    m = mesh.intervals_per_edge
+    flips = (False, True) if sides else (False,)
+    symmetries = [(p, flip) for flip in flips for p in permutations(range(mesh.dim))]
+    groups = {}
+    for sub in subs:
+        box = zip(sub.cell_lo, sub.cell_hi)
+        key = tuple((lo == 0, hi == m, hi - lo) if sides else (hi - lo,) for lo, hi in box)
+        images = [
+            tuple((axis[1], axis[0], axis[2]) if flip else axis for axis in (key[a] for a in p))
+            for p, flip in symmetries
+        ]
+        canonical = min(images)
+        p, flip = symmetries[images.index(canonical)]
+        order = _vertex_order([axis[-1] for axis in key], p, flip)
+        groups.setdefault(canonical, []).append((sub, order, key == canonical))
+    out = []
+    for canonical, entries in groups.items():
+        rep = next(i for i, (_, _, is_canonical) in enumerate(entries) if is_canonical)
+        entries.insert(0, entries.pop(rep))
+        out.append(SimpleNamespace(
+            key=canonical,
+            rep=entries[0][0],
+            members=[sub.index for sub, _, _ in entries],
+            dofs=np.stack([sub.dofs[order] for sub, order, _ in entries]),
+            pou=np.stack([sub.pou[order] for sub, order, _ in entries]),
+        ))
+    return out

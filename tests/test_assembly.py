@@ -144,7 +144,8 @@ def test_single_subdomain_matches_global():
     mesh = build_uniform_mesh(2, 6)
     dec = build_decomposition(mesh, 1, 2)
     params = HelmholtzParams(k=5.0, epsilon=5.0)
-    mats = assemble_subdomain(mesh, dec.subdomains[0], params)
+    (cls,) = dec.classes
+    mats = assemble_subdomain(mesh, cls, params)
     A = assemble_global(mesh, params)
     assert np.abs((mats.A_local - A).toarray()).max() < 1e-12
     assert mats.M_interface.nnz == 0  # boundary of the single subdomain is all physical
@@ -154,9 +155,10 @@ def test_subdomain_interface_mass_total_and_robin_difference():
     mesh = build_uniform_mesh(2, 8)
     dec = build_decomposition(mesh, 2, 2)
     params = HelmholtzParams(k=5.0, epsilon=5.0)
-    sub = dec.subdomains[0]  # box [0, 6) x [0, 6): interface = two sides of length 0.75
+    sub = dec.classes[0]  # subdomain 0, box [0, 6) x [0, 6): interface = two sides of length 0.75
+    assert sub.members.tolist() == [0]
     mats = assemble_subdomain(mesh, sub, params)
-    ones = np.ones(sub.n_dofs)
+    ones = np.ones(sub.dofs.shape[1])
     assert abs(ones @ (mats.M_interface @ ones) - 1.5) < 1e-12
     # A_local - A_neu is exactly the interface Robin term
     diff = (mats.A_local - mats.A_neu) - (-1j * params.eta) * mats.M_interface.astype(complex)
@@ -164,20 +166,20 @@ def test_subdomain_interface_mass_total_and_robin_difference():
     # and is supported only on dofs of interface facets (which include the
     # junction vertices where the interface meets the physical boundary)
     support = mats.A_local - mats.A_neu
-    rows = np.repeat(np.arange(sub.n_dofs), np.diff(support.indptr))
+    rows = np.repeat(np.arange(sub.dofs.shape[1]), np.diff(support.indptr))
     touched = set(np.unique(rows[np.abs(support.data) > 0]))
-    coords = mesh.grid_coordinates(sub.dofs)
+    coords = mesh.grid_coordinates(sub.dofs[0])
     facet_dofs = set(np.flatnonzero((coords == 6).any(axis=1)))
     assert touched <= facet_dofs
-    assert set(sub.interface_dofs) <= facet_dofs
+    assert set(sub.interface) <= facet_dofs
 
 
 def test_interface_mass_spd_on_interface_dofs():
     mesh = build_uniform_mesh(2, 8)
     dec = build_decomposition(mesh, 2, 2)
-    sub = dec.subdomains[0]
+    sub = dec.classes[0]
     mats = assemble_subdomain(mesh, sub, HelmholtzParams(k=5.0, epsilon=5.0))
-    Mg = mats.M_interface.toarray()[np.ix_(sub.interface_dofs, sub.interface_dofs)].real
+    Mg = mats.M_interface.toarray()[np.ix_(sub.interface, sub.interface)].real
     np.testing.assert_allclose(Mg, Mg.T, atol=1e-15)
     w = np.linalg.eigvalsh(Mg)
     assert w.min() > 0
@@ -236,7 +238,7 @@ def test_global_matrices_match_the_element_oracle(dim, m):
 def test_subdomain_matrices_match_the_element_oracle(dim, m, n1d):
     mesh = build_uniform_mesh(dim, m)
     params = HelmholtzParams(k=7.0, epsilon=3.0, eta=5.0)
-    for sub in build_decomposition(mesh, n1d, 2).subdomains:
+    for sub in p1_oracle.subdomains(mesh, n1d, 2):
         oracle = p1_oracle.box_matrices(mesh, sub.cell_lo, sub.cell_hi)
         K, M, B_phys, B_intf = oracle
         A_neu = K - (49 + 3j) * M - 5j * B_phys

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p1_oracle
 from helmdd.decomposition import build_decomposition, congruence_classes
 from helmdd.mesh import build_uniform_mesh
 
@@ -11,20 +12,34 @@ def pou_identity_error(mesh, dec):
     # sum_j R_j^T D_j R_j v for v = 1
     acc = np.zeros(mesh.n_vertices, dtype=complex)
     v = np.ones(mesh.n_vertices, dtype=complex)
-    for sub in dec.subdomains:
-        acc[sub.dofs] += sub.pou * v[sub.dofs]
+    for cls in dec.classes:
+        np.add.at(acc, cls.dofs, cls.pou * v[cls.dofs])
     return np.abs(acc - v).max()
+
+
+def boxes(mesh, dec):
+    """Per subdomain: (cell_lo, cell_hi, dofs, pou, interface) from its class row.
+
+    A translation class lists every member's dofs in ascending order, so the
+    first and the last dof are the box's lowest and highest corner.
+    """
+    out = {}
+    for cls in dec.classes:
+        for j, dofs, pou in zip(cls.members, cls.dofs, cls.pou):
+            lo, hi = (tuple(int(c) for c in mesh.grid_coordinates(dofs[i])) for i in (0, -1))
+            out[int(j)] = lo, hi, dofs, pou, cls.interface
+    return out
 
 
 def test_single_subdomain_is_whole_domain():
     mesh = build_uniform_mesh(2, 4)
     dec = build_decomposition(mesh, 1, 2)
     assert dec.n_subdomains == 1
-    sub = dec.subdomains[0]
-    assert sub.n_dofs == mesh.n_vertices
-    np.testing.assert_array_equal(sub.pou, 1.0)
-    assert len(sub.interface_dofs) == 0
-    assert (sub.cell_lo, sub.cell_hi) == ((0, 0), (4, 4))
+    (cls,) = dec.classes
+    assert cls.dofs.shape == (1, mesh.n_vertices)
+    np.testing.assert_array_equal(cls.pou, 1.0)
+    assert len(cls.interface) == 0
+    assert (cls.cell_lo, cls.cell_hi) == ((0, 0), (4, 4))
 
 
 def test_two_by_two_box_geometry_and_weights():
@@ -38,8 +53,8 @@ def test_two_by_two_box_geometry_and_weights():
         2: ((0, 2), (6, 8)),
         3: ((2, 2), (8, 8)),
     }
-    for sub in dec.subdomains:
-        assert (sub.cell_lo, sub.cell_hi) == expected_boxes[sub.index]
+    got = boxes(mesh, dec)
+    assert {j: (lo, hi) for j, (lo, hi, *_) in got.items()} == expected_boxes
 
     # reference multiplicity and ramp from the boxes themselves: the ramp is the
     # lattice distance to the nearest box side inside the domain (0 < side < 8)
@@ -51,9 +66,8 @@ def test_two_by_two_box_geometry_and_weights():
                 mult[iy * 9 + ix] += 1
                 ramp[j, iy * 9 + ix] = min(abs(c - side) for a, c in enumerate((ix, iy))
                                            for side in (lo[a], hi[a]) if 0 < side < 8)
-    for sub in dec.subdomains:
-        np.testing.assert_allclose(sub.pou, (ramp[sub.index] / ramp.sum(axis=0))[sub.dofs],
-                                   rtol=1e-15)
+    for j, (_, _, dofs, pou, _) in got.items():
+        np.testing.assert_allclose(pou, (ramp[j] / ramp.sum(axis=0))[dofs], rtol=1e-15)
 
     # dofs in the central overlap band (outside the 4-fold center square) are
     # held by two boxes; on the bottom edge the weights are the two ramps,
@@ -61,9 +75,9 @@ def test_two_by_two_box_geometry_and_weights():
     coords = mesh.grid_coordinates()
     band = (coords[:, 0] >= 2) & (coords[:, 0] <= 6) & (coords[:, 1] < 2)
     assert (mult[band] == 2).all()
-    left, right = dec.subdomains[0], dec.subdomains[1]
+    left, right = got[0], got[1]
     for x, weights in ((3, (0.75, 0.25)), (4, (0.5, 0.5))):
-        got = [sub.pou[np.searchsorted(sub.dofs, x)] for sub in (left, right)]
+        got = [pou[np.searchsorted(dofs, x)] for _, _, dofs, pou, _ in (left, right)]
         assert got == list(weights)
 
 
@@ -83,32 +97,33 @@ def test_partition_of_unity_3d():
 def test_ramp_weights_vanish_on_interfaces():
     mesh = build_uniform_mesh(2, 12)
     dec = build_decomposition(mesh, 3, 2)
-    for sub in dec.subdomains:
-        assert np.all(sub.pou[sub.interface_dofs] == 0.0)
-        assert np.all(sub.pou >= 0.0)
+    for cls in dec.classes:
+        assert np.all(cls.pou[:, cls.interface] == 0.0)
+        assert np.all(cls.pou >= 0.0)
 
 
 def test_overlap_strip_width():
     mesh = build_uniform_mesh(2, 12)
     for ov in (1, 2):
         dec = build_decomposition(mesh, 3, ov)
-        left = next(s for s in dec.subdomains if s.index == 0)
-        mid = next(s for s in dec.subdomains if s.index == 1)
-        strip = min(left.cell_hi[0], mid.cell_hi[0]) - max(left.cell_lo[0], mid.cell_lo[0])
+        got = boxes(mesh, dec)
+        (left_lo, left_hi, *_), (mid_lo, mid_hi, *_) = got[0], got[1]
+        strip = min(left_hi[0], mid_hi[0]) - max(left_lo[0], mid_lo[0])
         assert strip == 2 * ov
 
 
 def multiplicity(mesh, dec):
-    return np.bincount(np.concatenate([s.dofs for s in dec.subdomains]), minlength=mesh.n_vertices)
+    dofs = np.concatenate([cls.dofs.ravel() for cls in dec.classes])
+    return np.bincount(dofs, minlength=mesh.n_vertices)
 
 
 def test_interface_dofs_shared_with_neighbours():
     mesh = build_uniform_mesh(2, 12)
     dec = build_decomposition(mesh, 3, 2)
     mult = multiplicity(mesh, dec)
-    for sub in dec.subdomains:
-        if len(sub.interface_dofs):
-            assert (mult[sub.dofs[sub.interface_dofs]] >= 2).all()
+    for cls in dec.classes:
+        if len(cls.interface):
+            assert (mult[cls.dofs[:, cls.interface]] >= 2).all()
 
 
 @settings(max_examples=15, deadline=None)
@@ -119,13 +134,13 @@ def test_dof_classification_partitions(n1d, ov, factor):
     m = n1d * factor
     mesh = build_uniform_mesh(2, m)
     dec = build_decomposition(mesh, n1d, ov)
-    for sub in dec.subdomains:
+    for lo, hi, dofs, _, interface_dofs in boxes(mesh, dec).values():
         interface = []
-        for local, (x, y) in enumerate(mesh.grid_coordinates(sub.dofs)):
-            on_box = x in (sub.cell_lo[0], sub.cell_hi[0]) or y in (sub.cell_lo[1], sub.cell_hi[1])
+        for local, (x, y) in enumerate(mesh.grid_coordinates(dofs)):
+            on_box = x in (lo[0], hi[0]) or y in (lo[1], hi[1])
             if on_box and not (x in (0, m) or y in (0, m)):
                 interface.append(local)
-        np.testing.assert_array_equal(sub.interface_dofs, interface)
+        np.testing.assert_array_equal(interface_dofs, interface)
     # covering
     assert multiplicity(mesh, dec).min() >= 1
 
@@ -149,39 +164,44 @@ def test_build_decomposition_errors():
 def test_congruence_classes_count(dim, m, n1d, overlap):
     # the 3^dim translation classes fall into 4 (2d) or 6 (3d) orbits of the
     # axis permutations and the point reflection
-    dec = build_decomposition(build_uniform_mesh(dim, m), n1d, overlap)
+    mesh = build_uniform_mesh(dim, m)
+    dec = build_decomposition(mesh, n1d, overlap)
+    subs = p1_oracle.subdomains(mesh, n1d, overlap)
     classes = congruence_classes(dec)
     assert len(classes) == {2: 4, 3: 6}[dim]
-    members = sorted(j for _, group, _, _ in classes for j in group)
+    members = sorted(j for cls in classes for j in cls.members)
     assert members == list(range(dec.n_subdomains))
     # the interior orbit holds every box that touches no side of the domain
-    (interior,) = [g for key, g, _, _ in classes if not any(lo or hi for lo, hi, _ in key)]
+    (interior,) = [c.members for c in classes if not any(lo or hi for lo, hi, _ in c.key)]
     assert len(interior) == (n1d - 2) ** dim
-    for key, group, dofs, pou in classes:
-        rep = dec.subdomains[group[0]]
-        assert key == tuple((lo == 0, hi == m, hi - lo) for lo, hi in zip(rep.cell_lo, rep.cell_hi))
-        assert_gathers_are_member_permutations(dec, group, dofs, pou)
+    for cls in classes:
+        rep = subs[cls.members[0]]
+        assert (cls.cell_lo, cls.cell_hi) == (rep.cell_lo, rep.cell_hi)
+        box = zip(rep.cell_lo, rep.cell_hi)
+        assert cls.key == tuple((lo == 0, hi == m, hi - lo) for lo, hi in box)
+        assert_gathers_are_member_permutations(subs, cls)
     # by widths alone: corners, edges (and in 3d faces) and interior
     widths = congruence_classes(dec, sides=False)
     assert len(widths) == {2: 3, 3: 4}[dim]
-    assert sorted(j for _, group, _, _ in widths for j in group) == list(range(dec.n_subdomains))
-    for key, group, dofs, pou in widths:
-        rep = dec.subdomains[group[0]]
-        assert key == tuple((hi - lo,) for lo, hi in zip(rep.cell_lo, rep.cell_hi))
-        assert_gathers_are_member_permutations(dec, group, dofs, pou)
+    assert sorted(j for cls in widths for j in cls.members) == list(range(dec.n_subdomains))
+    for cls in widths:
+        rep = subs[cls.members[0]]
+        assert cls.key == tuple((hi - lo,) for lo, hi in zip(rep.cell_lo, rep.cell_hi))
+        assert_gathers_are_member_permutations(subs, cls)
 
 
-def assert_gathers_are_member_permutations(dec, group, dofs, pou):
+def assert_gathers_are_member_permutations(subs, cls):
     """Row i of dofs and pou is member i's dofs and weights, reordered; the
     representative's rows are its own, in its own order."""
-    assert dofs.shape == pou.shape == (len(group), dec.subdomains[group[0]].n_dofs)
+    group, dofs, pou = cls.members, cls.dofs, cls.pou
+    assert dofs.shape == pou.shape == (len(group), len(subs[group[0]].dofs))
     for i, j in enumerate(group):
-        sub = dec.subdomains[j]
+        sub = subs[j]
         order = np.searchsorted(sub.dofs, dofs[i])  # sub.dofs is ascending
-        assert sorted(order) == list(range(sub.n_dofs))
+        assert sorted(order) == list(range(len(sub.dofs)))
         np.testing.assert_array_equal(sub.dofs[order], dofs[i])
         np.testing.assert_array_equal(sub.pou[order], pou[i])
-    np.testing.assert_array_equal(dofs[0], dec.subdomains[group[0]].dofs)
+    np.testing.assert_array_equal(dofs[0], subs[group[0]].dofs)
 
 
 def test_congruence_classes_two_per_axis_pair_mirrored_boxes():
@@ -189,8 +209,57 @@ def test_congruence_classes_two_per_axis_pair_mirrored_boxes():
     # point reflection pairs 0 with 3 and the axis swap pairs 1 with 2
     dec = build_decomposition(build_uniform_mesh(2, 8), 2, 2)
     classes = congruence_classes(dec)
-    assert sorted(sorted(group) for _, group, _, _ in classes) == [[0, 3], [1, 2]]
+    assert sorted(sorted(c.members.tolist()) for c in classes) == [[0, 3], [1, 2]]
     dec3 = build_decomposition(build_uniform_mesh(3, 8), 2, 1)
     classes3 = congruence_classes(dec3)
-    assert sorted(len(group) for _, group, _, _ in classes3) == [2, 6]
-    assert sorted(sorted(group) for _, group, _, _ in classes3)[0] == [0, 7]
+    assert sorted(len(c.members) for c in classes3) == [2, 6]
+    assert sorted(sorted(c.members.tolist()) for c in classes3)[0] == [0, 7]
+
+
+# (dim, N_1d, cells per base box, overlap): the benchmark's 2d k = 40 grid,
+# single boxes, and boxes clipped at the boundary that are narrower than the
+# overlap, so that several boxes of an axis touch the same side
+ORACLE_CASES = [
+    (2, 40, 7, 2), (2, 19, 14, 2), (3, 3, 11, 2), (2, 1, 5, 2), (2, 2, 3, 2), (2, 3, 1, 2),
+    (2, 4, 2, 3), (3, 2, 4, 1), (3, 4, 2, 2), (3, 5, 3, 3), (2, 6, 5, 1), (3, 3, 1, 2),
+]
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim,n1d,base,overlap", ORACLE_CASES)
+def test_classes_match_the_per_subdomain_oracle(dim, n1d, base, overlap):
+    # the per-class records hold bitwise what building every box on its own gives
+    mesh = build_uniform_mesh(dim, n1d * base)
+    m = mesh.intervals_per_edge
+    dec = build_decomposition(mesh, n1d, overlap)
+    subs = p1_oracle.subdomains(mesh, n1d, overlap)
+    assert dec.n_subdomains == len(subs)
+    # translation classes: in the order of their lowest member, ascending members
+    lowest = [int(cls.members[0]) for cls in dec.classes]
+    assert lowest == sorted(lowest)
+    assert sorted(j for cls in dec.classes for j in cls.members) == list(range(len(subs)))
+    for cls in dec.classes:
+        assert (np.diff(cls.members) > 0).all()
+        rep = subs[cls.members[0]]
+        assert (cls.cell_lo, cls.cell_hi) == (rep.cell_lo, rep.cell_hi)
+        for j, dofs, pou in zip(cls.members, cls.dofs, cls.pou):
+            sub = subs[j]
+            box = zip(sub.cell_lo, sub.cell_hi)
+            assert cls.key == tuple((lo == 0, hi == m, hi - lo) for lo, hi in box)
+            assert_bitwise(dofs, sub.dofs)
+            assert_bitwise(pou, sub.pou)
+            np.testing.assert_array_equal(cls.interface, sub.interface_dofs)
+    # orbits and width classes: keys, member order and gathers
+    for sides in (True, False):
+        got, expected = congruence_classes(dec, sides=sides), p1_oracle.orbits(mesh, subs, sides)
+        assert [cls.key for cls in got] == [orbit.key for orbit in expected]
+        for cls, orbit in zip(got, expected):
+            assert cls.members.tolist() == orbit.members
+            assert (cls.cell_lo, cls.cell_hi) == (orbit.rep.cell_lo, orbit.rep.cell_hi)
+            np.testing.assert_array_equal(cls.interface, orbit.rep.interface_dofs)
+            assert_bitwise(cls.dofs, orbit.dofs)
+            assert_bitwise(cls.pou, orbit.pou)

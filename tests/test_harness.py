@@ -261,6 +261,19 @@ def test_cli_preset_kmax_excluding_every_wavenumber_exits_2(monkeypatch, capsys,
         run_table2_desk(kmax=5.0, alphas=(1.0,), seeds=(0,))
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_non_positive_jobs_is_a_usage_error(tmp_path, monkeypatch, capsys, jobs):
+    calls = _record_configs(monkeypatch)
+    spec = tmp_path / "spec.txt"
+    spec.write_text("dim = 2\nks = 10\nalphas = 0.6\nprecons = one_level\nseeds = 0\n")
+    for argv in (["sweep", str(spec)], ["table1-desk"], ["table3-desk"]):
+        assert cli_main(argv + ["--jobs", jobs]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+    assert calls == []
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_sweep(load_sweep_spec(spec), jobs=int(jobs))
+
+
 def test_cli_table2_desk_has_no_jobs_flag(capsys):
     # table2 runs in order by construction: its right block needs the left's DtN size
     assert cli_main(["table2-desk", "--jobs", "2"]) == 2

@@ -29,16 +29,17 @@ from helmdd.preconditioner import (
 )
 
 
-def dense_one_level(mesh, dec, k, eps):
-    """Independent oracle: assemble sum_j R~_j^T A_j^{-1} R_j as a dense matrix."""
+def dense_one_level(mesh, subs, k, eps):
+    """Independent oracle: assemble sum_j R~_j^T A_j^{-1} R_j as a dense matrix
+    from the boxes of p1_oracle.subdomains, one at a time."""
     n = mesh.n_vertices
     M1 = np.zeros((n, n), dtype=complex)
     params = HelmholtzParams(k=k, epsilon=eps, eta=k)
-    for sub in dec.subdomains:
+    for sub in subs:
         A_loc = assemble_subdomain(mesh, sub, params).A_local.toarray()
         A_inv = np.linalg.inv(A_loc)
-        R = np.zeros((sub.n_dofs, n))
-        R[np.arange(sub.n_dofs), sub.dofs] = 1.0
+        R = np.zeros((len(sub.dofs), n))
+        R[np.arange(len(sub.dofs)), sub.dofs] = 1.0
         M1 += R.T @ (np.diag(sub.pou) @ (A_inv @ R))
     return M1
 
@@ -65,7 +66,7 @@ def dtn_pencil(mesh, sub, params):
     X = A_II^{-1} A_IG for the Helmholtz extension."""
     mats = assemble_subdomain(mesh, sub, params)
     gamma = sub.interface_dofs
-    inner = np.setdiff1d(np.arange(sub.n_dofs), gamma)
+    inner = np.setdiff1d(np.arange(len(sub.dofs)), gamma)
     A = mats.A_neu.toarray()
     X = np.linalg.solve(A[np.ix_(inner, inner)], A[np.ix_(inner, gamma)])
     S = A[np.ix_(gamma, gamma)] - A[np.ix_(gamma, inner)] @ X
@@ -125,7 +126,7 @@ def test_one_level_linearity_and_zero():
 def test_one_level_matches_dense_oracle():
     mesh, dec, _ = toy_setup()
     one = build_one_level(mesh, dec, 6.0, 6.0)
-    M1 = dense_one_level(mesh, dec, 6.0, 6.0)
+    M1 = dense_one_level(mesh, p1_oracle.subdomains(mesh, 2, 2), 6.0, 6.0)
     rng = np.random.default_rng(1)
     for _ in range(10):
         v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
@@ -142,7 +143,7 @@ SPLIT_SETUPS = [
 
 def serial_one_level(mesh, dec, one):
     """The apply of one solve per class: _prolong @ concatenate(lu.solve(v[g].T))."""
-    gathers = [dofs for _, _, dofs, _ in congruence_classes(dec, sides=False)]
+    gathers = [cls.dofs for cls in congruence_classes(dec, sides=False)]
     return lambda v: one._prolong @ np.concatenate(
         [lu.solve(v[g].T).ravel(order="F") for lu, g in zip(one.factorizations, gathers)]
     )
@@ -273,7 +274,11 @@ def test_grid_cs_equals_direct_coarse_assembly():
     K_c, M_c, _, _ = (X.toarray() for X in p1_oracle.global_box(coarse))
     B_gal = (Z.T @ (p1_oracle.global_box(fine)[2] @ Z)).toarray()
     expected = K_c - (k**2 + 1j * k) * M_c - 1j * k * B_gal
-    assert np.abs(cs.E.toarray() - expected).max() < 1e-10
+    E = (cs.Z.conj().T @ (A_eps @ cs.Z)).toarray()
+    assert np.abs(E - expected).max() < 1e-10
+    # E_fact factorizes that Galerkin matrix
+    e = np.random.default_rng(3).standard_normal(cs.n_cs) + 0j
+    assert np.abs(E @ cs.E_fact.solve(e) - e).max() < 1e-10
 
 
 def test_grid_cs_sizes_and_rank():
@@ -285,9 +290,10 @@ def test_grid_cs_sizes_and_rank():
     assert cs.n_cs == 16
     sv = np.linalg.svd(cs.Z.toarray(), compute_uv=False)
     assert sv.min() > 1e-8
-    # E is recomputable from its factors
+    # E_fact solves with E = Z* A_eps Z, recomputed from its factors
     recomputed = (cs.Z.conj().T @ (A_eps @ cs.Z)).toarray()
-    assert np.abs(recomputed - cs.E.toarray()).max() < 1e-10
+    x = np.random.default_rng(4).standard_normal(cs.n_cs) + 0j
+    assert np.abs(cs.E_fact.solve(recomputed @ x) - x).max() < 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +306,7 @@ def test_dtn_columns_supported_on_their_subdomain():
     assert cs.per_subdomain_counts == [2, 2, 2, 2]
     Z = cs.Z.tocsc()
     col = 0
-    for sub in dec.subdomains:
+    for sub in p1_oracle.subdomains(mesh, 2, 2):
         for _ in range(cs.per_subdomain_counts[sub.index]):
             rows = Z.indices[Z.indptr[col]:Z.indptr[col + 1]]
             assert set(rows) <= set(sub.dofs)
@@ -355,10 +361,10 @@ def test_two_level_hybrid_matches_dense_oracle():
     cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
     two = TwoLevelPreconditioner(one, cs, "hybrid", A_eps)
 
-    M1 = dense_one_level(mesh, dec, 6.0, 6.0)
+    M1 = dense_one_level(mesh, p1_oracle.subdomains(mesh, 2, 2), 6.0, 6.0)
     Z = cs.Z.toarray()
     A = A_eps.toarray()
-    Xi = Z @ np.linalg.solve(cs.E.toarray(), Z.conj().T)
+    Xi = Z @ np.linalg.solve(Z.conj().T @ (A @ Z), Z.conj().T)
     n = mesh.n_vertices
     P = np.eye(n) - A @ Xi
     Q = np.eye(n) - Xi @ A
@@ -395,7 +401,7 @@ def test_hybrid_projection_annihilates_coarse_residual():
     cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
     Z = cs.Z.toarray()
     A = A_eps.toarray()
-    P = np.eye(mesh.n_vertices) - A @ (Z @ np.linalg.solve(cs.E.toarray(), Z.conj().T))
+    P = np.eye(mesh.n_vertices) - A @ (Z @ np.linalg.solve(Z.conj().T @ (A @ Z), Z.conj().T))
     rng = np.random.default_rng(4)
     for _ in range(20):
         w = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
@@ -427,17 +433,17 @@ def test_dtn_z_full_column_rank():
 # symmetry orbits: shared assembly, factorization and eigenproblem
 
 
-def assert_members_match_representative(mesh, dec, params, sides=True):
+def assert_members_match_representative(mesh, dec, subs, params, sides=True):
     """Every member's own matrices are the representative's in its vertex order:
     bitwise for translated copies (identity order), to 1e-14 relative otherwise.
     A width class (sides=False) shares A_local alone, also across boxes that
     touch different sides of the domain."""
     classes = congruence_classes(dec, sides=sides)
     names = ("A_local", "A_neu", "M_interface") if sides else ("A_local",)
-    for _, members, dofs, _ in classes:
-        ref = assemble_subdomain(mesh, dec.subdomains[members[0]], params)
-        for j, member_dofs in zip(members, dofs):
-            sub = dec.subdomains[j]
+    for cls in classes:
+        ref = assemble_subdomain(mesh, cls, params)
+        for j, member_dofs in zip(cls.members, cls.dofs):
+            sub = subs[j]
             order = np.searchsorted(sub.dofs, member_dofs)  # sub.dofs is ascending
             own = assemble_subdomain(mesh, sub, params)
             for name in names:
@@ -455,16 +461,17 @@ def assert_members_match_representative(mesh, dec, params, sides=True):
 def test_class_members_share_the_local_matrix():
     # each member's own assembly is the matrix its orbit is solved with
     mesh, dec, _ = sharing_setup()
+    subs = p1_oracle.subdomains(mesh, 4, 2)
     classes = assert_members_match_representative(
-        mesh, dec, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0)
+        mesh, dec, subs, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0)
     )
     assert len(classes) == 4
-    assert sorted(len(members) for _, members, _, _ in classes) == [2, 2, 4, 8]
+    assert sorted(len(cls.members) for cls in classes) == [2, 2, 4, 8]
     # corners, edges and interior by width: the one-level part needs 3 LUs
     widths = assert_members_match_representative(
-        mesh, dec, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0), sides=False
+        mesh, dec, subs, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0), sides=False
     )
-    assert [len(members) for _, members, _, _ in widths] == [4, 8, 4]
+    assert [len(cls.members) for cls in widths] == [4, 8, 4]
 
 
 @pytest.mark.parametrize(
@@ -479,8 +486,9 @@ def test_class_members_share_the_local_matrix():
 def test_orbit_members_match_the_representative(dim, m, n1d, overlap, orbits):
     mesh = build_uniform_mesh(dim, m)
     dec = build_decomposition(mesh, n1d, overlap)
+    subs = p1_oracle.subdomains(mesh, n1d, overlap)
     classes = assert_members_match_representative(
-        mesh, dec, HelmholtzParams(k=6.0, epsilon=6.0, eta=6.0)
+        mesh, dec, subs, HelmholtzParams(k=6.0, epsilon=6.0, eta=6.0)
     )
     assert len(classes) == orbits
 
@@ -499,8 +507,9 @@ def test_width_class_members_match_the_representative(dim, m, n1d, overlap, widt
     # sides of the domain they touch
     mesh = build_uniform_mesh(dim, m)
     dec = build_decomposition(mesh, n1d, overlap)
+    subs = p1_oracle.subdomains(mesh, n1d, overlap)
     classes = assert_members_match_representative(
-        mesh, dec, HelmholtzParams(k=6.0, epsilon=6.0, eta=6.0), sides=False
+        mesh, dec, subs, HelmholtzParams(k=6.0, epsilon=6.0, eta=6.0), sides=False
     )
     assert len(classes) == width_classes
 
@@ -509,7 +518,7 @@ def test_one_level_with_shared_classes_matches_dense_oracle():
     mesh, dec, _ = sharing_setup()
     one = build_one_level(mesh, dec, 10.0, 10.0)
     assert len(one.factorizations) == 3
-    M1 = dense_one_level(mesh, dec, 10.0, 10.0)
+    M1 = dense_one_level(mesh, p1_oracle.subdomains(mesh, 4, 2), 10.0, 10.0)
     rng = np.random.default_rng(6)
     for _ in range(5):
         v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
@@ -523,7 +532,7 @@ def test_one_level_3d_orbits_match_dense_oracle():
     dec = build_decomposition(mesh, 3, 1)
     one = build_one_level(mesh, dec, 6.0, 6.0)
     assert len(one.factorizations) == 4
-    M1 = dense_one_level(mesh, dec, 6.0, 6.0)
+    M1 = dense_one_level(mesh, p1_oracle.subdomains(mesh, 3, 1), 6.0, 6.0)
     rng = np.random.default_rng(8)
     for _ in range(3):
         v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
@@ -536,22 +545,22 @@ def test_one_level_with_clipped_boxes_matches_dense_oracle():
     mesh = build_uniform_mesh(2, 8)
     dec = build_decomposition(mesh, 8, 2)
     one = build_one_level(mesh, dec, 6.0, 6.0)
-    M1 = dense_one_level(mesh, dec, 6.0, 6.0)
+    M1 = dense_one_level(mesh, p1_oracle.subdomains(mesh, 8, 2), 6.0, 6.0)
     v = np.random.default_rng(7).standard_normal(mesh.n_vertices) + 0j
     assert np.abs(one.apply(v) - M1 @ v).max() <= 1e-10 * np.abs(M1 @ v).max()
 
 
-def assert_dtn_blocks_match_per_member(mesh, dec, k, A_eps):
+def assert_dtn_blocks_match_per_member(mesh, dec, subs, k, A_eps):
     cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("automatic"), A_eps)
     params = HelmholtzParams(k=k, epsilon=k, eta=k)
     Z = cs.Z.tocsc()
     col = 0
-    for sub in dec.subdomains:
+    for sub in subs:
         S, M, gamma, inner, X = dtn_pencil(mesh, sub, params)
         lams, vecs = scipy.linalg.eig(S, M)
         chosen = np.flatnonzero(lams.real < k)
         assert cs.per_subdomain_counts[sub.index] == len(chosen) > 0
-        W = np.zeros((sub.n_dofs, len(chosen)), dtype=complex)
+        W = np.zeros((len(sub.dofs), len(chosen)), dtype=complex)
         W[gamma] = vecs[:, chosen]
         W[inner] = -X @ vecs[:, chosen]
         W *= sub.pou[:, None]
@@ -566,7 +575,7 @@ def assert_dtn_blocks_match_per_member(mesh, dec, k, A_eps):
 
 def test_dtn_blocks_match_per_member_construction():
     mesh, dec, A_eps = sharing_setup(10.0)
-    assert_dtn_blocks_match_per_member(mesh, dec, 10.0, A_eps)
+    assert_dtn_blocks_match_per_member(mesh, dec, p1_oracle.subdomains(mesh, 4, 2), 10.0, A_eps)
 
 
 def test_dtn_blocks_match_per_member_construction_3d():
@@ -574,7 +583,7 @@ def test_dtn_blocks_match_per_member_construction_3d():
     mesh = build_uniform_mesh(3, 9)
     dec = build_decomposition(mesh, 3, 1)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
-    assert_dtn_blocks_match_per_member(mesh, dec, k, A_eps)
+    assert_dtn_blocks_match_per_member(mesh, dec, p1_oracle.subdomains(mesh, 3, 1), k, A_eps)
 
 
 def test_dtn_selection_margin_matches_dense_eig():
@@ -586,12 +595,13 @@ def test_dtn_selection_margin_matches_dense_eig():
     margins = cs.summary()["selection_margin"]
     params = HelmholtzParams(k=k, epsilon=k, eta=k)
     classes = congruence_classes(dec)
+    subs = p1_oracle.subdomains(mesh, 3, 2)
     assert len(margins) == len(classes) == 4
-    for entry, (key, members, _, _) in zip(margins, classes):
-        assert entry["key"] == [list(axis) for axis in key]
-        assert entry["members"] == len(members)
-        for j in members:
-            S, M, *_ = dtn_pencil(mesh, dec.subdomains[j], params)
+    for entry, cls in zip(margins, classes):
+        assert entry["key"] == [list(axis) for axis in cls.key]
+        assert entry["members"] == len(cls.members)
+        for j in cls.members:
+            S, M, *_ = dtn_pencil(mesh, subs[j], params)
             lams = scipy.linalg.eigvals(S, M)
             expected = np.abs(lams.real - k).min() / k
             assert entry["margin"] == pytest.approx(expected, rel=1e-8)
@@ -602,10 +612,12 @@ def test_orbit_pencils_match_qz(dim, m, n1d, k):
     # the Cholesky reduction of generalized_eig against QZ on every DtN orbit
     # pencil: 2d k = 20 at alpha = 1 (m = 100, N_1d = 20) and 3d m = 9, N_1d = 3
     mesh = build_uniform_mesh(dim, m)
-    dec = build_decomposition(mesh, n1d, 2 if dim == 2 else 1)
+    overlap = 2 if dim == 2 else 1
+    dec = build_decomposition(mesh, n1d, overlap)
+    subs = p1_oracle.subdomains(mesh, n1d, overlap)
     params = HelmholtzParams(k=k, epsilon=k, eta=k)
-    for _, members, _, _ in congruence_classes(dec):
-        S, M, *_ = dtn_pencil(mesh, dec.subdomains[members[0]], params)
+    for cls in congruence_classes(dec):
+        S, M, *_ = dtn_pencil(mesh, subs[cls.members[0]], params)
         assert_eig_matches_qz(S, M, k)
 
 
@@ -616,9 +628,9 @@ def test_dtn_context_assembles_each_class_once(monkeypatch):
     calls = []
     original = precond.assemble_subdomain
 
-    def counting(mesh, sub, params):
-        calls.append(sub.index)
-        return original(mesh, sub, params)
+    def counting(mesh, box, params):
+        calls.append(box.members[0])
+        return original(mesh, box, params)
 
     monkeypatch.setattr(precond, "assemble_subdomain", counting)
     ctx = SolverContext(SolveConfig(k=10.0, alpha=1.0, precon="two_level_dtn"))
@@ -626,7 +638,7 @@ def test_dtn_context_assembles_each_class_once(monkeypatch):
     # build_one_level assembles once per width class and build_dtn_cs once per
     # orbit, each on its representative
     width_reps, orbit_reps = (
-        [members[0] for _, members, _, _ in congruence_classes(ctx.decomposition, sides=sides)]
+        [cls.members[0] for cls in congruence_classes(ctx.decomposition, sides=sides)]
         for sides in (False, True)
     )
     assert (len(width_reps), len(orbit_reps)) == (3, 4)

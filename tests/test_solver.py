@@ -129,7 +129,8 @@ def test_report_serialization(tmp_path):
     local = sum(lu.fill for lu in ctx.precon.one_level.factorizations)
     coarse = ctx.precon.coarse.E_fact.fill
     assert parsed["lu_fill_nnz"] == data["lu_fill_nnz"] == {"local": local, "coarse": coarse}
-    assert local > 0 and coarse >= ctx.precon.coarse.E.nnz
+    Z = ctx.precon.coarse.Z
+    assert local > 0 and coarse >= (Z.conj().T @ (ctx.precon.A_eps @ Z)).nnz
     one_level = solve(SolveConfig(dim=2, k=10.0, alpha=0.6, precon="one_level")).to_dict()
     assert one_level["lu_fill_nnz"] == {"local": local, "coarse": 0}
     # one Robin LU per width class of the 3 x 3 boxes, and one margin entry per orbit
