@@ -25,7 +25,12 @@ __all__ = [
     "Decomposition",
     "build_decomposition",
     "congruence_classes",
+    "nested_dissection",
 ]
+
+# The nested-dissection order lists a box of at most this many vertices per
+# axis as one leaf.
+ND_LEAF = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,9 +40,10 @@ class BoxClass:
     members holds the subdomain indices, the representative first.  Row i of
     the (members, n_local) arrays dofs and pou holds member i's global dofs
     and partition-of-unity weights D_j in the vertex order of the
-    representative's box, cells cell_lo to cell_hi, x fastest.  interface
-    holds the local indices of the representative's dofs that lie on its box
-    boundary but not on the physical boundary.
+    representative's box, cells cell_lo to cell_hi, x fastest (or in the
+    numbering given to congruence_classes).  interface holds the local
+    indices of the representative's dofs that lie on its box boundary but not
+    on the physical boundary.
     """
 
     key: tuple
@@ -134,7 +140,34 @@ def _vertex_order(widths, perm, flip: bool) -> np.ndarray:
     return order[-1] - order if flip else order
 
 
-def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
+def nested_dissection(points) -> np.ndarray:
+    """Local ids of a box of points[a] vertices per axis, x fastest, in nested-dissection order.
+
+    Every Kuhn edge moves each lattice coordinate by at most one, so the
+    vertices of a plane x_a = c separate those on its two sides (George, SIAM
+    J. Numer. Anal. 10, 1973).  The box is split at the middle plane of its
+    longest axis, both halves are ordered the same way and the plane follows
+    them; a box of at most ND_LEAF vertices per axis is listed x fastest.
+    """
+    points = np.asarray(points)
+    strides = np.cumprod(np.concatenate([[1], points[:-1]]))
+    order = []
+
+    def split(lo, hi):
+        a = np.argmax(hi - lo)
+        if hi[a] - lo[a] <= ND_LEAF:
+            order.append(_lattice_points(lo, hi, strides))
+            return
+        mid, axis = (lo[a] + hi[a]) // 2, np.arange(len(lo)) == a
+        split(lo, np.where(axis, mid, hi))
+        split(np.where(axis, mid + 1, lo), hi)
+        order.append(_lattice_points(np.where(axis, mid, lo), np.where(axis, mid + 1, hi), strides))
+
+    split(np.zeros_like(points), points)
+    return np.concatenate(order)
+
+
+def congruence_classes(dec: Decomposition, *, sides: bool = True, numbering=None) -> list:
     """Merge the translation classes into orbits of one box under the lattice symmetries.
 
     A box's translation key holds, per axis, whether it touches the lo side
@@ -158,6 +191,11 @@ def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
     canonical one; the other members follow in index order.  For the
     representative, and for every member with its key, a row of dofs and pou
     is in the member's own (ascending) order.
+
+    numbering, if given, maps the representative's vertices per axis to an
+    order of its local ids (nested_dissection); every row of dofs and pou,
+    and interface, then follows that order.  Each translation class's dofs
+    and pou are read once, through one fancy index into the orbit's arrays.
     """
     flips = (False, True) if sides else (False,)  # the reflection fixes a width key
     symmetries = [(p, flip) for flip in flips for p in permutations(range(dec.mesh.dim))]
@@ -177,9 +215,20 @@ def congruence_classes(dec: Decomposition, *, sides: bool = True) -> list:
         rep = min((tc for tc, _, own in parts if own), key=lambda tc: tc.members[0])
         members = np.concatenate([tc.members for tc, _, _ in parts])
         rank = np.lexsort((members, members != rep.members[0]))  # representative first
-        dofs, pou = (np.concatenate([getattr(tc, name)[:, order] for tc, order, _ in parts])[rank]
-                     for name in ("dofs", "pou"))
+        rows = np.empty_like(rank)
+        rows[rank] = np.arange(len(rank))  # the orbit row of each concatenated member
+        local = np.arange(rep.dofs.shape[1])
+        if numbering is not None:
+            local = numbering([axis[-1] + 1 for axis in canonical])
+        dofs, pou = np.empty((len(rank), len(local)), np.int64), np.empty((len(rank), len(local)))
+        first = 0
+        for tc, order, _ in parts:
+            # column j of tc lands where order[local] lists it: one scatter, no temporary
+            at = rows[first:first + len(tc.members), None], np.argsort(order[local])
+            dofs[at], pou[at] = tc.dofs, tc.pou
+            first += len(tc.members)
+        interface = np.sort(np.argsort(local)[rep.interface])
         out.append(
-            BoxClass(canonical, rep.cell_lo, rep.cell_hi, members[rank], dofs, pou, rep.interface)
+            BoxClass(canonical, rep.cell_lo, rep.cell_hi, members[rank], dofs, pou, interface)
         )
     return out

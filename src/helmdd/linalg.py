@@ -1,8 +1,9 @@
 """Numerical kernels: sparse LU, right-preconditioned GMRES, dense generalized eig.
 
 Every sparse LU goes through ``factorize``: SuperLU in symmetric mode, with a
-minimum-degree ordering of the pattern of A + A^T and threshold pivoting that
-prefers the diagonal (``diag_pivot_thresh`` 0.1).  All matrices factorized here
+minimum-degree ordering of the pattern of A + A^T (or the caller's own order,
+the 3d local problems' nested dissection) and threshold pivoting that prefers
+the diagonal (``diag_pivot_thresh`` 0.1).  All matrices factorized here
 (local Robin problems, DtN interior blocks, Galerkin coarse matrices) have a
 symmetric sparsity pattern.  Threshold pivoting is weaker than partial
 pivoting, so each factorization checks its own backward error on one solve
@@ -68,12 +69,13 @@ class SparseFactorization:
 BACKWARD_ERROR_TOL = 1e-10
 
 
-def factorize(A) -> SparseFactorization:
+def factorize(A, *, keep_order: bool = False) -> SparseFactorization:
     """Sparse LU of a square complex matrix with a checked backward error.
 
     SuperLU runs in symmetric mode: minimum degree on the pattern of A + A^T
-    (``MMD_AT_PLUS_A``) and a diagonal pivot unless an off-diagonal entry is
-    ten times larger.  The factors then solve A x = b for b = A x_t with a
+    (``MMD_AT_PLUS_A``), or with keep_order the order A is given in
+    (``NATURAL``), and a diagonal pivot unless an off-diagonal entry is ten
+    times larger.  The factors then solve A x = b for b = A x_t with a
     fixed x_t; a relative residual ||A x - b|| / ||b|| above 1e-10 raises
     FactorizationError.
     """
@@ -89,7 +91,10 @@ def factorize(A) -> SparseFactorization:
         raise FactorizationError(f"structurally singular: column {empty_col[0]} is empty")
     try:
         lu = spla.splu(
-            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True}
+            A,
+            permc_spec="NATURAL" if keep_order else "MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1,
+            options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise FactorizationError(f"singular pivot during factorization: {exc}") from exc

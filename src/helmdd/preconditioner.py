@@ -13,10 +13,10 @@ made on its representative.  The Robin matrix A_local carries the Robin term
 on the whole box boundary and so depends on the box widths alone: the
 one-level part shares one assembly and one LU per width class (boxes of equal
 widths up to an axis permutation), 3 in 2d and 4 in 3d.  Every member is
-gathered from and prolonged to its dofs in the representative's vertex order,
-the class gathers of congruence_classes; a member with the representative's
-key has bitwise its matrix, a mirrored or axis-swapped one its matrix to
-rounding (about 1e-16).
+gathered from and prolonged to its dofs in the representative's vertex order
+(in 3d its nested-dissection order), the class gathers of congruence_classes;
+a member with the representative's key has bitwise its matrix, a mirrored or
+axis-swapped one its matrix to rounding (about 1e-16).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import HelmholtzParams, assemble_subdomain
-from .decomposition import Decomposition, congruence_classes
+from .decomposition import Decomposition, congruence_classes, nested_dissection
 from .linalg import SparseFactorization, factorize, generalized_eig
 from .mesh import SimplicialMesh, interpolation_matrix
 
@@ -93,9 +93,10 @@ class SelectionPolicy:
         return self.kind if self.count is None else f"{self.kind}{self.count}"
 
 
-# Threads the local solves may run on: the process's CPU affinity set.  The
-# caller of apply runs one share of the solves and the pool the others; the
-# pool starts its threads on first use and never nests (its tasks submit none).
+# Threads the local factorizations and solves may run on: the process's CPU
+# affinity set.  The caller of build_one_level or apply runs one share of the
+# work and the pool the others; the pool starts its threads on first use and
+# never nests (its tasks submit none).
 LOCAL_SOLVE_WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -206,24 +207,55 @@ class OneLevelORAS:
         return self._prolong @ out
 
 
+def _class_lu(mesh: SimplicialMesh, cls, params: HelmholtzParams, numbering):
+    A = assemble_subdomain(mesh, cls, params).A_local
+    if numbering is not None:  # the numbering of the class gathers
+        order = numbering([hi - lo + 1 for lo, hi in zip(cls.cell_lo, cls.cell_hi)])
+        A = A[order][:, order]
+    try:
+        return factorize(A, keep_order=numbering is not None)
+    except Exception as exc:
+        raise PreconditionerError(
+            f"local matrix of subdomain {cls.members[0]} could not be factorized: {exc}"
+        ) from exc
+
+
 def build_one_level(
     mesh: SimplicialMesh,
     decomposition: Decomposition,
     k: float,
     epsilon_prec: float,
 ) -> OneLevelORAS:
-    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every width class."""
+    """Factorize the local Robin problem A_{j,eps_prec} (eta = k) of every width class.
+
+    In 3d each class is numbered in nested-dissection order, its gathers and
+    A_local alike, and SuperLU keeps that order; it fills less there than
+    minimum degree, which 2d keeps (see README).  The classes are assembled
+    and factorized concurrently, in LOCAL_SOLVE_WORKERS shares planned by
+    expected work n_local^2, largest first, each to the least-loaded share;
+    the caller runs the first share and the local-solve pool the others.
+    """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
-    classes = congruence_classes(decomposition, sides=False)
-    factorizations = []
-    for cls in classes:
-        mats = assemble_subdomain(mesh, cls, params)
-        try:
-            factorizations.append(factorize(mats.A_local))
-        except Exception as exc:
-            raise PreconditionerError(
-                f"local matrix of subdomain {cls.members[0]} could not be factorized: {exc}"
-            ) from exc
+    numbering = nested_dissection if mesh.dim == 3 else None
+    classes = congruence_classes(decomposition, sides=False, numbering=numbering)
+    shares = [[] for _ in range(min(LOCAL_SOLVE_WORKERS, len(classes)))]
+    loads = [0] * len(shares)
+    for c in sorted(range(len(classes)), key=lambda c: -classes[c].dofs.shape[1]):
+        s = loads.index(min(loads))
+        shares[s].append(c)
+        loads[s] += classes[c].dofs.shape[1] ** 2
+    factorizations = [None] * len(classes)
+
+    def factorize_share(share):
+        for c in share:
+            factorizations[c] = _class_lu(mesh, classes[c], params, numbering)
+
+    futures = [_POOL.submit(factorize_share, share) for share in shares[1:]]
+    try:
+        factorize_share(shares[0])
+    finally:
+        for future in futures:
+            future.result()
     return OneLevelORAS(mesh.n_vertices, classes, factorizations)
 
 
@@ -234,9 +266,9 @@ class CoarseSpace:
     kind: str
     Z: sp.csr_matrix
     E_fact: SparseFactorization
-    per_subdomain_counts: list | None = None
-    eigenvalues: list | None = None  # selected eigenvalues per subdomain (dtn)
-    # per orbit (dtn): min |Re(lambda) - k| / k over the whole computed spectrum
+    # one record per orbit (dtn): canonical key, number of members, count and
+    # [re, im] of the selected eigenvalues, and min |Re(lambda) - k| / k over
+    # the whole computed spectrum
     selection_margin: list | None = None
 
     _Zh: sp.csr_matrix = field(init=False, default=None)
@@ -254,12 +286,6 @@ class CoarseSpace:
 
     def summary(self) -> dict:
         out = {"kind": self.kind, "n_cs": int(self.n_cs)}
-        if self.per_subdomain_counts is not None:
-            out["per_subdomain_counts"] = [int(c) for c in self.per_subdomain_counts]
-        if self.eigenvalues is not None:
-            out["selected_eigenvalues"] = [
-                [[float(l.real), float(l.imag)] for l in lams] for lams in self.eigenvalues
-            ]
         if self.selection_margin is not None:
             out["selection_margin"] = self.selection_margin
         return out
@@ -308,11 +334,10 @@ def build_dtn_cs(
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
     classes = congruence_classes(decomposition)
-    selected = [[] for _ in range(len(classes) + 1)]  # eigenvalues per orbit, then none
-    orbit = np.full(decomposition.n_subdomains, len(classes))  # each subdomain's orbit
+    counts = np.zeros(decomposition.n_subdomains, dtype=np.int64)  # modes per subdomain
     blocks = []  # (class, unscaled W) of every orbit that selects a mode
-    margins = []
-    for o, cls in enumerate(classes):
+    records = []
+    for cls in classes:
         gamma = cls.interface
         if gamma.size == 0:
             continue
@@ -347,17 +372,17 @@ def build_dtn_cs(
                 f"eigenresidual {resid[worst[0]]:.2e} exceeds tolerance on subdomain "
                 f"{cls.members[0]}"
             )
-        margins.append(
+        chosen = selection.select(pairs.values, k)
+        counts[cls.members] = len(chosen)
+        records.append(
             {
                 "key": [list(axis) for axis in cls.key],
                 "members": len(cls.members),
+                "count": len(chosen),
                 "margin": float(np.abs(pairs.values.real - k).min() / k),
+                "selected_eigenvalues": [[v.real, v.imag] for v in pairs.values[chosen].tolist()],
             }
         )
-
-        chosen = selection.select(pairs.values, k)
-        selected[o] = list(pairs.values[chosen])
-        orbit[cls.members] = o
         if len(chosen):
             G = pairs.vectors[:, chosen]
             norms = np.sqrt(np.real(np.einsum("ij,ij->j", G.conj(), M_GG @ G)))
@@ -368,7 +393,6 @@ def build_dtn_cs(
                 W[inner] = -X @ G
             blocks.append((cls, W))
 
-    counts = np.array([len(values) for values in selected])[orbit]
     n_cs = int(counts.sum())
     if n_cs == 0:
         raise PreconditionerError("selection produced an empty coarse space")
@@ -392,9 +416,7 @@ def build_dtn_cs(
         kind="dtn",
         Z=Z,
         E_fact=_galerkin_lu(Z, A_eps),
-        per_subdomain_counts=counts.tolist(),
-        eigenvalues=np.fromiter(selected, dtype=object)[orbit].tolist(),
-        selection_margin=margins,
+        selection_margin=records,
     )
 
 

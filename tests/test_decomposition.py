@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import p1_oracle
-from helmdd.decomposition import build_decomposition, congruence_classes
+from helmdd.decomposition import ND_LEAF, build_decomposition, congruence_classes, nested_dissection
 from helmdd.mesh import build_uniform_mesh
 
 
@@ -263,3 +263,65 @@ def test_classes_match_the_per_subdomain_oracle(dim, n1d, base, overlap):
             np.testing.assert_array_equal(cls.interface, orbit.rep.interface_dofs)
             assert_bitwise(cls.dofs, orbit.dofs)
             assert_bitwise(cls.pou, orbit.pou)
+        # renumbered: the same gathers with their columns in the given order
+        renumbered = congruence_classes(dec, sides=sides, numbering=nested_dissection)
+        for cls, orbit in zip(renumbered, expected):
+            order = nested_dissection([hi - lo + 1 for lo, hi in zip(cls.cell_lo, cls.cell_hi)])
+            assert cls.members.tolist() == orbit.members
+            assert_bitwise(cls.dofs, orbit.dofs[:, order])
+            assert_bitwise(cls.pou, orbit.pou[:, order])
+            assert (np.diff(cls.interface) > 0).all()
+            np.testing.assert_array_equal(np.sort(order[cls.interface]), orbit.rep.interface_dofs)
+
+
+def assert_nested_dissection(order, coords, lo, hi):
+    """order lists the lattice points lo <= c < hi (coords[v] of each id v) as a
+    leaf of at most ND_LEAF points per axis, or as two halves followed by a
+    plane x_a = c that no Kuhn-lattice edge crosses, each half again so."""
+    inside = np.all((coords >= lo) & (coords < hi), axis=1)
+    assert sorted(order.tolist()) == np.flatnonzero(inside).tolist()
+    extent = hi - lo
+    if extent.max() <= ND_LEAF:
+        return
+    last = coords[order[-1]]
+    # the axis whose plane through the last point ends the order
+    for a in np.flatnonzero(extent > ND_LEAF):
+        plane = int(np.prod(np.delete(extent, a)))
+        if (coords[order[-plane:], a] == last[a]).all():
+            break
+    else:
+        raise AssertionError(f"no separator plane ends the order of box {lo}-{hi}")
+    c = last[a]
+    assert lo[a] < c < hi[a] - 1, "both halves are non-empty"
+    low = order[: int(np.sum(coords[order, a] < c))]
+    high = order[len(low):-plane]
+    assert (coords[low, a] < c).all() and (coords[high, a] > c).all()
+    # every Kuhn-lattice edge runs along some delta in {0,1}^d or -{0,1}^d
+    d = coords.shape[1]
+    steps = np.array(list(np.ndindex(*(2,) * d))[1:])
+    high_points = {tuple(p) for p in coords[high]}
+    for delta in np.concatenate([steps, -steps]):
+        assert not high_points & {tuple(p) for p in coords[low] + delta}
+    assert_nested_dissection(low, coords, lo, np.where(np.arange(d) == a, c, hi))
+    assert_nested_dissection(high, coords, np.where(np.arange(d) == a, c + 1, lo), hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 14), min_size=2, max_size=3))
+def test_nested_dissection_separates_every_lattice_edge(points):
+    order = nested_dissection(points)
+    n = int(np.prod(points))
+    assert order.dtype == np.int64 and sorted(order.tolist()) == list(range(n))
+    # local id v = sum_a c_a * prod(points[:a]), x fastest
+    coords = np.stack(np.unravel_index(np.arange(n), points[::-1])[::-1], axis=1)
+    assert_nested_dissection(order, coords, np.zeros(len(points), int), np.array(points))
+
+
+def test_nested_dissection_of_a_3d_box():
+    # the 3d k = 10 interior width class: 16^3 vertices, split to leaves of 4^3
+    order = nested_dissection((16, 16, 16))
+    n = 16**3
+    coords = np.stack(np.unravel_index(np.arange(n), (16,) * 3)[::-1], axis=1)
+    assert_nested_dissection(order, coords, np.zeros(3, int), np.full(3, 16))
+    # the first plane splits x at 8 and comes last
+    np.testing.assert_array_equal(coords[order[-256:], 0], 8)

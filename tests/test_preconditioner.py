@@ -14,7 +14,7 @@ from helmdd.assembly import (
     assemble_global,
     assemble_subdomain,
 )
-from helmdd.decomposition import build_decomposition, congruence_classes
+from helmdd.decomposition import build_decomposition, congruence_classes, nested_dissection
 from helmdd.linalg import gmres, random_initial_guess
 from helmdd.mesh import build_uniform_mesh, fine_resolution, interpolation_matrix
 from helmdd.preconditioner import (
@@ -143,7 +143,9 @@ SPLIT_SETUPS = [
 
 def serial_one_level(mesh, dec, one):
     """The apply of one solve per class: _prolong @ concatenate(lu.solve(v[g].T))."""
-    gathers = [cls.dofs for cls in congruence_classes(dec, sides=False)]
+    numbering = nested_dissection if mesh.dim == 3 else None  # that of build_one_level
+    classes = congruence_classes(dec, sides=False, numbering=numbering)
+    gathers = [cls.dofs for cls in classes]
     return lambda v: one._prolong @ np.concatenate(
         [lu.solve(v[g].T).ravel(order="F") for lu, g in zip(one.factorizations, gathers)]
     )
@@ -163,6 +165,52 @@ def test_one_level_apply_is_bitwise_the_serial_class_solves(monkeypatch, dim, m,
     for _ in range(3):
         v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
         assert np.array_equal(one.apply(v), serial(v))
+
+
+@pytest.mark.parametrize("dim, m, n1d, k", SPLIT_SETUPS)
+def test_class_lus_keep_the_nested_dissection_order_in_3d(dim, m, n1d, k):
+    # 3d gathers and A_local come in nested-dissection order and SuperLU keeps
+    # it (perm_c is the identity); 2d keeps SuperLU's minimum degree
+    mesh = build_uniform_mesh(dim, m)
+    dec = build_decomposition(mesh, n1d, 2 if dim == 2 else 1)
+    for lu in build_one_level(mesh, dec, k, k).factorizations:
+        natural = np.array_equal(lu._lu.perm_c, np.arange(lu._lu.shape[0]))
+        assert natural == (dim == 3)
+
+
+@pytest.mark.parametrize("dim, m, n1d, k", SPLIT_SETUPS)
+def test_concurrent_class_lus_solve_bitwise_as_serial_ones(monkeypatch, dim, m, n1d, k):
+    # each width class is assembled and factorized on its own, so the share it
+    # lands in, the caller's or a pool thread's, changes no bit of its LU
+    mesh = build_uniform_mesh(dim, m)
+    dec = build_decomposition(mesh, n1d, 2 if dim == 2 else 1)
+    threads = {}
+    original = preconditioner._class_lu
+
+    def recording(mesh, cls, params, numbering):
+        threads.setdefault(workers, set()).add(threading.current_thread().name)
+        return original(mesh, cls, params, numbering)
+
+    monkeypatch.setattr(preconditioner, "_class_lu", recording)
+    built = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):  # shares beyond the pool's threads wait in its queue
+            monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", workers)
+            built[workers] = build_one_level(mesh, dec, k, k).factorizations
+    finally:
+        sys.setswitchinterval(interval)
+    assert threads[1] == {threading.current_thread().name}
+    assert len(threads[2]) == 2  # the caller's share and a pool thread's
+    rng = np.random.default_rng(5)
+    for c, serial in enumerate(built[1]):
+        n = serial._lu.shape[0]
+        B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        for workers in (2, 3):
+            lu = built[workers][c]
+            assert lu.fill == serial.fill
+            assert lu.solve(B).tobytes() == serial.solve(B).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -300,14 +348,25 @@ def test_grid_cs_sizes_and_rank():
 # DtN coarse space
 
 
+def subdomain_counts(cs, dec):
+    """Modes per subdomain, from the per-orbit records of build_dtn_cs."""
+    counts = np.zeros(dec.n_subdomains, dtype=int)
+    for entry, cls in zip(cs.selection_margin, congruence_classes(dec), strict=True):
+        assert entry["key"] == [list(axis) for axis in cls.key]
+        assert entry["members"] == len(cls.members)
+        counts[cls.members] = entry["count"]
+    return counts.tolist()
+
+
 def test_dtn_columns_supported_on_their_subdomain():
     mesh, dec, A_eps = toy_setup()
     cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
-    assert cs.per_subdomain_counts == [2, 2, 2, 2]
+    counts = subdomain_counts(cs, dec)
+    assert counts == [2, 2, 2, 2]
     Z = cs.Z.tocsc()
     col = 0
     for sub in p1_oracle.subdomains(mesh, 2, 2):
-        for _ in range(cs.per_subdomain_counts[sub.index]):
+        for _ in range(counts[sub.index]):
             rows = Z.indices[Z.indptr[col]:Z.indptr[col + 1]]
             assert set(rows) <= set(sub.dofs)
             col += 1
@@ -339,8 +398,8 @@ def test_dtn_eigenvalues_nonnegative_for_laplacian_dominated_problem():
     dec = build_decomposition(mesh, 2, 2)
     A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=0.0))
     cs = build_dtn_cs(mesh, dec, k, 0.0, SelectionPolicy("fixed", 4), A_eps)
-    for lams in cs.eigenvalues:
-        assert all(lam.real > -1e-6 for lam in lams)
+    for entry in cs.selection_margin:
+        assert all(re > -1e-6 for re, _ in entry["selected_eigenvalues"])
 
 
 def test_dtn_summary_contents():
@@ -348,7 +407,10 @@ def test_dtn_summary_contents():
     cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 1), A_eps)
     info = cs.summary()
     assert info["kind"] == "dtn" and info["n_cs"] == 4
-    assert len(info["selected_eigenvalues"]) == 4
+    # the eigenvalue lists of all 4 subdomains, one per orbit member
+    orbits = info["selection_margin"]
+    assert sum(entry["members"] for entry in orbits) == 4
+    assert all(entry["count"] == len(entry["selected_eigenvalues"]) == 1 for entry in orbits)
 
 
 # --------------------------------------------------------------------------
@@ -554,12 +616,13 @@ def assert_dtn_blocks_match_per_member(mesh, dec, subs, k, A_eps):
     cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("automatic"), A_eps)
     params = HelmholtzParams(k=k, epsilon=k, eta=k)
     Z = cs.Z.tocsc()
+    counts = subdomain_counts(cs, dec)
     col = 0
     for sub in subs:
         S, M, gamma, inner, X = dtn_pencil(mesh, sub, params)
         lams, vecs = scipy.linalg.eig(S, M)
         chosen = np.flatnonzero(lams.real < k)
-        assert cs.per_subdomain_counts[sub.index] == len(chosen) > 0
+        assert counts[sub.index] == len(chosen) > 0
         W = np.zeros((len(sub.dofs), len(chosen)), dtype=complex)
         W[gamma] = vecs[:, chosen]
         W[inner] = -X @ vecs[:, chosen]
@@ -635,11 +698,11 @@ def test_dtn_context_assembles_each_class_once(monkeypatch):
     monkeypatch.setattr(precond, "assemble_subdomain", counting)
     ctx = SolverContext(SolveConfig(k=10.0, alpha=1.0, precon="two_level_dtn"))
     assert ctx.n_subdomains == 100
-    # build_one_level assembles once per width class and build_dtn_cs once per
-    # orbit, each on its representative
+    # build_one_level assembles once per width class (concurrently, so in any
+    # order) and build_dtn_cs once per orbit, each on its representative
     width_reps, orbit_reps = (
         [cls.members[0] for cls in congruence_classes(ctx.decomposition, sides=sides)]
         for sides in (False, True)
     )
     assert (len(width_reps), len(orbit_reps)) == (3, 4)
-    assert calls == width_reps + orbit_reps
+    assert sorted(calls[:3]) == sorted(width_reps) and calls[3:] == orbit_reps

@@ -1,6 +1,9 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +146,47 @@ def test_report_serialization(tmp_path):
     margins = parsed["coarse_info"]["selection_margin"]
     assert [entry["members"] for entry in margins] == [2, 4, 2, 1]
     assert all(len(entry["key"]) == 2 and entry["margin"] >= 0 for entry in margins)
+
+
+# Runs a 3d k = 10, alpha = 0.5 solve with 1, 2 and 3 workers in one process
+# and prints, per worker count, its iterations, its local LU fill and the
+# SHA-256 of its solution and residual history.
+WORKER_COUNT_CHILD = """
+import hashlib, json, sys
+from helmdd import preconditioner
+from helmdd.solver import SolveConfig, SolverContext
+precon, alpha_prime = sys.argv[1], json.loads(sys.argv[2])
+out = []
+for workers in (1, 2, 3):
+    preconditioner.LOCAL_SOLVE_WORKERS = workers
+    config = SolveConfig(dim=3, k=10.0, alpha=0.5, alpha_prime=alpha_prime, precon=precon)
+    r = SolverContext(config).run(0)
+    digest = [hashlib.sha256(a.tobytes()).hexdigest() for a in (r.solution, r.residual_history)]
+    out.append([r.iterations, r.lu_fill_nnz["local"]] + digest)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize(
+    "precon, alpha_prime, iterations", [("one_level", None, 30), ("two_level_grid", 1.0, 14)]
+)
+def test_3d_solves_are_bitwise_the_same_for_any_worker_count(precon, alpha_prime, iterations):
+    # the nested-dissection LUs factorized and solved in 1, 2 or 3 shares (the
+    # grid at alpha' = 1, as in criterion 7).  The child runs one BLAS thread,
+    # as CI and the benchmark do: a threaded BLAS makes SuperLU's solution of
+    # a column depend on the columns solved with it (see README).
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    child = subprocess.run(
+        [sys.executable, "-c", WORKER_COUNT_CHILD, precon, json.dumps(alpha_prime)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    runs = json.loads(child.stdout.splitlines()[-1])
+    assert [run[0] for run in runs] == [iterations] * 3
+    assert runs[0][1] < 3_391_716  # the fill of SuperLU's minimum-degree order
+    assert all(run == runs[0] for run in runs)
 
 
 def test_unpreconditioned_solve_path():
