@@ -498,6 +498,7 @@ def _build_parser():
     p.add_argument("specfile", type=str)
     p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
+    p.set_defaults(tol=None, max_iter=None)  # the spec file's, unless given
 
     for name, (_, flags) in _PRESETS.items():
         p = sub.add_parser(name, help=f"desk-scale preset mirroring {name.split('-')[0]}")
@@ -566,9 +567,8 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         spec = load_sweep_spec(args.specfile)
-        if args.out:
-            spec = replace(spec, out=args.out)
-        spec = replace(spec, tol=args.tol, max_iter=args.max_iter)
+        given = {"tol": args.tol, "max_iter": args.max_iter, "out": args.out}
+        spec = replace(spec, **{key: value for key, value in given.items() if value is not None})
         _, summary, errors = run_sweep(spec, jobs=args.jobs, echo=print)
     else:
         run, flags = _PRESETS[args.command]

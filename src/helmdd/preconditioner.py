@@ -22,7 +22,7 @@ axis-swapped one its matrix to rounding (about 1e-16).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,64 +94,45 @@ class SelectionPolicy:
 
 
 # Threads the local factorizations and solves may run on: the process's CPU
-# affinity set.  The caller of build_one_level or apply runs one share of the
-# work and the pool the others; the pool starts its threads on first use and
-# never nests (its tasks submit none).
+# affinity set.  The pool starts its threads on first use.
 LOCAL_SOLVE_WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 _POOL = ThreadPoolExecutor(max(LOCAL_SOLVE_WORKERS - 1, 1), thread_name_prefix="helmdd-local")
 
-# Right-hand sides per solve call of a class that is split over shares.  Small
-# blocks keep the pool threads' temporaries small, and glibc's per-thread heaps
-# (which keep freed memory) small with them.
+# Right-hand sides per solve call.  Every class is cut into blocks of at most
+# this many bytes, whatever the worker count, so each solve call gets the same
+# columns on any number of threads.  Small blocks keep the pool threads'
+# temporaries small, and glibc's per-thread heaps (which keep freed memory)
+# small with them.
 BLOCK_BYTES = 1 << 20
 
 
-def plan_local_solves(fills, shapes, workers: int) -> list:
-    """Shares of about equal work, fill x columns, over the width classes.
-
-    shapes[c] is (members, n_local) of class c and fills[c] the fill of its LU.
-    A class whose work fits in one share (total / workers) stays whole, and the
-    whole classes go, largest first, to the least-loaded share: rereading a big
-    factor for a second block costs more than it balances.  The columns of a
-    larger class then fill the shares in turn up to the quota, in contiguous
-    blocks of at most BLOCK_BYTES of right-hand sides.  Returns per share a
-    list of (class, first member, end member) tasks; empty shares are dropped.
-    """
-    work = [fill * members for fill, (members, _) in zip(fills, shapes)]
-    quota = sum(work) / workers
-    loads = [0.0] * workers
+def _plan(work, workers: int) -> list:
+    """Shares of task indices: each task, largest work first, goes to the
+    least-loaded share (Graham's LPT rule, SIAM J. Appl. Math. 17, 1969), so
+    no share exceeds sum(work) / workers by more than the largest task.  Empty
+    shares are dropped."""
     shares = [[] for _ in range(workers)]
-    split = []
-    for c in sorted(range(len(work)), key=lambda c: -work[c]):
-        if work[c] > quota:
-            split.append(c)
-            continue
+    loads = [0] * workers
+    for t in sorted(range(len(work)), key=lambda t: -work[t]):
         s = loads.index(min(loads))
-        shares[s].append((c, 0, shapes[c][0]))
-        loads[s] += work[c]
-    s = 0
-    for c in split:
-        members, n_local = shapes[c]
-        block = max(1, BLOCK_BYTES // (16 * n_local))
-        first = 0
-        while first < members:
-            end = members
-            if s < workers - 1:
-                end = min(end, first + round((quota - loads[s]) / fills[c]))
-                if end <= first:  # share s is full
-                    s += 1
-                    continue
-            shares[s] += [(c, b, min(b + block, end)) for b in range(first, end, block)]
-            loads[s] += (end - first) * fills[c]
-            first = end
+        shares[s].append(t)
+        loads[s] += work[t]
     return [share for share in shares if share]
 
 
-def _solve_share(tasks, v: np.ndarray, out: np.ndarray) -> None:
-    for lu, dofs, start, stop in tasks:
-        out[start:stop] = lu.solve(v[dofs].T).ravel(order="F")
+def _fork_join(run, shares) -> None:
+    """run(share) for every share: the caller runs the first, the pool the
+    others.  Returns when all have finished and raises the first error; the
+    pool's tasks submit none, so it never nests."""
+    futures = [_POOL.submit(run, share) for share in shares[1:]]
+    try:
+        run(shares[0])
+    finally:
+        wait(futures)
+        for future in futures:
+            future.result()
 
 
 class OneLevelORAS:
@@ -160,17 +141,17 @@ class OneLevelORAS:
     classes[c] is width class c, whose (members, n_local) arrays dofs and pou
     hold its members' global dofs and partition-of-unity weights, each row in
     the representative's numbering (see congruence_classes), and
-    factorizations[c] is their shared LU.  apply stacks R_j v of a block of
-    members of a class as the columns of one multi-right-hand-side solve and
-    scatters every result back through the weighted prolongation
+    factorizations[c] is their shared LU.  Each class is cut into fixed
+    blocks of members, at most BLOCK_BYTES of right-hand sides each; apply
+    stacks R_j v of a block as the columns of one multi-right-hand-side solve
+    and scatters every result back through the weighted prolongation
     [R~_j^T ...], an n x sum_j n_j sparse matrix built once.  The blocks are
-    split into LOCAL_SOLVE_WORKERS shares by plan_local_solves and solved
-    concurrently; SuperLU solves every column on its own, so the result does
-    not depend on the split.
+    planned into LOCAL_SOLVE_WORKERS shares by work fill x columns and solved
+    concurrently.  They do not depend on the worker count, so neither does
+    the result.
     """
 
     def __init__(self, n: int, classes: list, factorizations: list):
-        self.n = n
         self.factorizations = factorizations
         rows = np.concatenate([cls.dofs.ravel() for cls in classes])
         weights = np.concatenate([cls.pou.ravel() for cls in classes])
@@ -178,32 +159,28 @@ class OneLevelORAS:
             (weights.astype(np.complex128), (rows, np.arange(len(rows)))),
             shape=(n, len(rows)),
         )
-        gathers = [cls.dofs for cls in classes]
-        offsets = np.cumsum([0] + [dofs.size for dofs in gathers])
-        width = [dofs.shape[1] for dofs in gathers]
-        shares = plan_local_solves(
-            [lu.fill for lu in factorizations],
-            [dofs.shape for dofs in gathers],
-            LOCAL_SOLVE_WORKERS,
-        )
-        # v[dofs].T is the stacked R_j v of a block; its solutions fill out[start:stop]
-        self._shares = [
-            [
-                (factorizations[c], gathers[c][first:end],
-                 offsets[c] + first * width[c], offsets[c] + end * width[c])
-                for c, first, end in share
-            ]
-            for share in shares
-        ]
+        # (LU, gather, start, stop) per block: v[gather].T is its stacked R_j v
+        # and its solutions fill out[start:stop]
+        tasks = []
+        start = 0
+        for lu, cls in zip(factorizations, classes):
+            members, n_local = cls.dofs.shape
+            size = max(1, BLOCK_BYTES // (16 * n_local))
+            for first in range(0, members, size):
+                dofs = cls.dofs[first:first + size]
+                tasks.append((lu, dofs, start, start + dofs.size))
+                start += dofs.size
+        work = [lu.fill * len(dofs) for lu, dofs, _, _ in tasks]
+        self._shares = [[tasks[t] for t in share] for share in _plan(work, LOCAL_SOLVE_WORKERS)]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(self._prolong.shape[1], dtype=np.complex128)
-        futures = [_POOL.submit(_solve_share, share, v, out) for share in self._shares[1:]]
-        try:
-            _solve_share(self._shares[0], v, out)
-        finally:
-            for future in futures:
-                future.result()
+
+        def solve(share):
+            for lu, dofs, start, stop in share:
+                out[start:stop] = lu.solve(v[dofs].T).ravel(order="F")
+
+        _fork_join(solve, self._shares)
         return self._prolong @ out
 
 
@@ -231,31 +208,20 @@ def build_one_level(
     In 3d each class is numbered in nested-dissection order, its gathers and
     A_local alike, and SuperLU keeps that order; it fills less there than
     minimum degree, which 2d keeps (see README).  The classes are assembled
-    and factorized concurrently, in LOCAL_SOLVE_WORKERS shares planned by
-    expected work n_local^2, largest first, each to the least-loaded share;
-    the caller runs the first share and the local-solve pool the others.
+    and factorized concurrently, planned into LOCAL_SOLVE_WORKERS shares by
+    expected work n_local^2 (see _plan and _fork_join).
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
     numbering = nested_dissection if mesh.dim == 3 else None
     classes = congruence_classes(decomposition, sides=False, numbering=numbering)
-    shares = [[] for _ in range(min(LOCAL_SOLVE_WORKERS, len(classes)))]
-    loads = [0] * len(shares)
-    for c in sorted(range(len(classes)), key=lambda c: -classes[c].dofs.shape[1]):
-        s = loads.index(min(loads))
-        shares[s].append(c)
-        loads[s] += classes[c].dofs.shape[1] ** 2
     factorizations = [None] * len(classes)
 
     def factorize_share(share):
         for c in share:
             factorizations[c] = _class_lu(mesh, classes[c], params, numbering)
 
-    futures = [_POOL.submit(factorize_share, share) for share in shares[1:]]
-    try:
-        factorize_share(shares[0])
-    finally:
-        for future in futures:
-            future.result()
+    work = [cls.dofs.shape[1] ** 2 for cls in classes]
+    _fork_join(factorize_share, _plan(work, LOCAL_SOLVE_WORKERS))
     return OneLevelORAS(mesh.n_vertices, classes, factorizations)
 
 

@@ -337,6 +337,21 @@ def test_cli_sweep_runs_file(tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["precon"] == "two_level_grid"
 
 
+def test_cli_sweep_keeps_the_spec_files_tol_and_max_iter(tmp_path, monkeypatch, capsys):
+    # --tol and --max-iter override the file only when given
+    spec = tmp_path / "spec.txt"
+    spec.write_text("ks = 10\nalphas = 0.6\nprecons = grid\nseeds = 0\ntol = 1e-9\nmax_iter = 7\n")
+    calls = _record_configs(monkeypatch)
+    assert cli_main(["sweep", str(spec)]) == 0
+    assert cli_main(["sweep", str(spec), "--tol", "1e-8"]) == 0
+    assert cli_main(["sweep", str(spec), "--max-iter", "9"]) == 0
+    assert [(c.tol, c.max_iter) for c in calls] == [(1e-9, 7), (1e-8, 7), (1e-9, 9)]
+    monkeypatch.undo()
+    spec.write_text("ks = 10\nalphas = 0.6\nprecons = grid\nseeds = 0\nmax_iter = 3\n")
+    assert cli_main(["sweep", str(spec)]) == 0
+    assert ">3*" in capsys.readouterr().out  # stopped at the file's 3 iterations
+
+
 def test_cli_table1_desk_kmax_filter(tmp_path, capsys):
     out = tmp_path / "t1.csv"
     code = cli_main([

@@ -1,5 +1,6 @@
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from helmdd.preconditioner import (
     TwoLevelPreconditioner,
     build_dtn_cs,
     build_grid_cs,
+    OneLevelORAS,
     build_one_level,
-    plan_local_solves,
 )
 
 
@@ -213,6 +214,18 @@ def test_concurrent_class_lus_solve_bitwise_as_serial_ones(monkeypatch, dim, m, 
             assert lu.solve(B).tobytes() == serial.solve(B).tobytes()
 
 
+def synthetic_one_level(fills, shapes):
+    """OneLevelORAS over stand-in LUs and classes: the dofs of class c count up
+    from the end of class c - 1, so they are the columns of the stacked solution."""
+    lus = [SimpleNamespace(fill=fill) for fill in fills]
+    offsets = np.cumsum([0] + [members * n_local for members, n_local in shapes])
+    classes = [
+        SimpleNamespace(dofs=np.arange(lo, hi).reshape(shape), pou=np.ones(shape))
+        for lo, hi, shape in zip(offsets, offsets[1:], shapes)
+    ]
+    return OneLevelORAS(int(offsets[-1]), classes, lus)
+
+
 @pytest.mark.parametrize(
     "fills, shapes",
     [
@@ -223,31 +236,34 @@ def test_concurrent_class_lus_solve_bitwise_as_serial_ones(monkeypatch, dim, m, 
     ],
 )
 @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
-def test_local_solve_plan_covers_every_member_once(fills, shapes, workers):
-    shares = plan_local_solves(fills, shapes, workers)
-    assert 1 <= len(shares) <= workers and all(shares)
-    tasks = [task for share in shares for task in share]
-    covered = sorted((c, j) for c, first, end in tasks for j in range(first, end))
-    assert covered == [(c, j) for c, (members, _) in enumerate(shapes) for j in range(members)]
-    work = [f * members for f, (members, _) in zip(fills, shapes)]
-    quota = sum(work) / workers
-    for c, first, end in tasks:
-        members, n_local = shapes[c]
-        if work[c] <= quota:  # a class that fits one share stays whole
-            assert (first, end) == (0, members)
-        else:
-            assert end - first == 1 or (end - first) * n_local * 16 <= BLOCK_BYTES
-    # whole classes go to the least-loaded share, split columns fill up to the quota
-    loads = [sum(fills[c] * (end - first) for c, first, end in share) for share in shares]
-    whole = max((w for w in work if w <= quota), default=0)
-    assert max(loads) <= quota + max(whole, workers * max(fills))
-    if workers == 1:  # the serial apply: one share of whole classes
-        assert sorted(shares[0]) == [(c, 0, members) for c, (members, _) in enumerate(shapes)]
+def test_local_solve_plan_covers_every_member_once(monkeypatch, fills, shapes, workers):
+    def tasks_at(count):
+        monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", count)
+        shares = synthetic_one_level(fills, shapes)._shares
+        assert 1 <= len(shares) <= count and all(shares)
+        return shares, [task for share in shares for task in share]
+
+    shares, tasks = tasks_at(workers)
+    # the blocks are cut per class, the same as with one worker
+    cut = sorted((start, stop) for _, _, start, stop in tasks)
+    assert cut == sorted((start, stop) for _, _, start, stop in tasks_at(1)[1])
+    # every member lies in exactly one block (the first dof of row j names member j)
+    firsts = sorted(int(dofs[j, 0]) for _, dofs, _, _ in tasks for j in range(len(dofs)))
+    n_local = [n for members, n in shapes for _ in range(members)]
+    assert firsts == np.cumsum([0] + n_local[:-1]).tolist()
+    for _, dofs, _, _ in tasks:
+        assert len(dofs) == 1 or dofs.size * 16 <= BLOCK_BYTES
+    # LPT: no share exceeds its quota by more than the largest task
+    work = [[lu.fill * len(dofs) for lu, dofs, _, _ in share] for share in shares]
+    total = sum(fill * members for fill, (members, _) in zip(fills, shapes))
+    assert sum(map(sum, work)) == total
+    assert max(map(sum, work)) <= total / workers + max(map(max, work))
 
 
 def test_one_level_tasks_fill_the_stacked_solution_once(monkeypatch):
     # the output slices of all tasks tile the member-major vector of local solutions
     monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", 3)
+    monkeypatch.setattr(preconditioner, "BLOCK_BYTES", 1 << 14)  # 1 MiB holds a whole class here
     mesh = build_uniform_mesh(2, fine_resolution(20.0, 10))
     dec = build_decomposition(mesh, 10, 2)
     one = build_one_level(mesh, dec, 20.0, 20.0)

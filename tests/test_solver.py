@@ -167,16 +167,22 @@ print(json.dumps(out))
 """
 
 
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
 @pytest.mark.parametrize(
     "precon, alpha_prime, iterations", [("one_level", None, 30), ("two_level_grid", 1.0, 14)]
 )
-def test_3d_solves_are_bitwise_the_same_for_any_worker_count(precon, alpha_prime, iterations):
+def test_3d_solves_are_bitwise_the_same_for_any_worker_count(
+    precon, alpha_prime, iterations, blas_threads
+):
     # the nested-dissection LUs factorized and solved in 1, 2 or 3 shares (the
-    # grid at alpha' = 1, as in criterion 7).  The child runs one BLAS thread,
-    # as CI and the benchmark do: a threaded BLAS makes SuperLU's solution of
-    # a column depend on the columns solved with it (see README).
+    # grid at alpha' = 1, as in criterion 7), with one BLAS thread or two.  A
+    # threaded BLAS makes SuperLU's solution of a column depend on the columns
+    # solved with it (see README); the column blocks of each class do not
+    # depend on the worker count, so every solve call sees the same columns.
     src = str(Path(solver.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    threads = {name: blas_threads for name in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, **threads)
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     child = subprocess.run(
         [sys.executable, "-c", WORKER_COUNT_CHILD, precon, json.dumps(alpha_prime)],
