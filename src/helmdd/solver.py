@@ -99,6 +99,7 @@ class SolveReport:
     lu_fill_nnz: dict
     local_factorizations: int  # one-level LUs, one per subdomain width class
     local_solve_workers: int  # threads the local solves may use (CPU affinity set); 0 if none
+    operator_applies: int  # products with A0 in GMRES, the initial residual's included
     coarse_info: dict | None = None
     solution: np.ndarray | None = None  # not serialized
 
@@ -118,6 +119,7 @@ class SolveReport:
             "lu_fill_nnz": {k: int(v) for k, v in self.lu_fill_nnz.items()},
             "local_factorizations": int(self.local_factorizations),
             "local_solve_workers": int(self.local_solve_workers),
+            "operator_applies": int(self.operator_applies),
             "coarse_info": self.coarse_info,
         }
 
@@ -227,6 +229,7 @@ class SolverContext:
             lu_fill_nnz=dict(self.lu_fill_nnz),
             local_factorizations=self.local_factorizations,
             local_solve_workers=self.local_solve_workers,
+            operator_applies=outcome.operator_applies,
             coarse_info=self.coarse_info,
             solution=outcome.solution,
         )

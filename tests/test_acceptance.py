@@ -47,6 +47,17 @@ REFERENCE_DTN_NCS = {
     (10, 1.0): 324, (20, 1.0): 1120, (40, 1.0): 4640,
 }
 PRECONS = ("one_level", "two_level_grid", "two_level_dtn")
+# per-seed iteration counts of the 33-solve grid (seeds 0, 1, 2), held fixed between
+# versions; the 2d one_level solves at k = 20 and 40 and the k = 40 grid solves pass
+# step 64, where GMRES turns to s-step blocks
+PINNED_ITERS = {
+    # (k, alpha): {precon: iterations per seed}
+    (10, 0.8): {"one_level": [42, 42, 41], "two_level_grid": [23, 24, 23], "two_level_dtn": [12, 13, 12]},
+    (20, 0.8): {"one_level": [87, 88, 88], "two_level_grid": [42, 42, 42], "two_level_dtn": [17, 17, 17]},
+    (40, 0.8): {"one_level": [202, 203, 201], "two_level_grid": [105, 105, 104],
+                "two_level_dtn": [29, 28, 29]},
+}
+PINNED_ITERS_3D = {"one_level": [30, 30, 30], "two_level_grid": [14, 14, 14]}  # k = 10, alpha = 0.5
 
 
 def _verdict(criterion, ok, detail=""):
@@ -251,6 +262,16 @@ def test_criterion_3_table1_reproduction(table1_results):
     _verdict(3, not failures,
              f"(27 medians within bands, {elapsed:.0f} s)" if not failures else "; ".join(failures))
     assert not failures, failures
+
+
+def test_iteration_counts_are_pinned_on_the_33_solve_grid(table1_results, table3d_results):
+    got = {
+        (k, alpha): {p: table1_results["groups"][(k, alpha, 1.0, p)]["iterations"] for p in PRECONS}
+        for (k, alpha) in PINNED_ITERS
+    }
+    assert got == PINNED_ITERS
+    got_3d = {p: table3d_results["groups"][p]["iterations"] for p in PINNED_ITERS_3D}
+    assert got_3d == PINNED_ITERS_3D
 
 
 def test_one_level_needs_the_coarse_space_at_k40(table1_results):

@@ -383,6 +383,109 @@ def test_gmres_accepts_a_strided_operator_result():
 
 
 # --------------------------------------------------------------------------
+# gmres after the MGS prefix: s-step blocks
+
+
+def record_mgs_steps(monkeypatch):
+    """Basis sizes j+1 of the MGS passes gmres makes from now on (one per pass)."""
+    sizes = []
+    mgs_pass = linalg._mgs_pass
+    monkeypatch.setattr(linalg, "_mgs_pass", lambda V, w, h: sizes.append(len(V)) or mgs_pass(V, w, h))
+    return sizes
+
+
+def circle_spectrum(distinct, radius, repeats=1):
+    """Diagonal of a normal operator: `distinct` points evenly on |z - 1| = radius."""
+    points = 1.0 + radius * np.exp(2j * np.pi * np.arange(distinct) / distinct)
+    return np.repeat(points, repeats)
+
+
+def test_gmres_blocks_match_the_numpy_mgs_oracle_on_one_level_oras(monkeypatch):
+    ctx = SolverContext(SolveConfig(dim=2, k=20.0, alpha=0.8, precon="one_level"))
+    x0 = random_initial_guess(ctx.n, 0)  # the solver's guess: 87 steps, 3 blocks
+    mgs_steps = record_mgs_steps(monkeypatch)
+    out = gmres(ctx.A0, ctx.f, apply_M=ctx.precon.apply, x0=x0, tol=1e-6, max_iter=200)
+    H, V, history = mgs_arnoldi_oracle(ctx.A0, ctx.precon.apply, ctx.f, x0, 1e-6, 200)
+    m = out.iterations
+    assert out.converged and m == H.shape[1] == 87
+    assert max(mgs_steps) == linalg.S_STEP_PREFIX  # every later step came from a block
+    # at most 7 products past the last step, plus the initial residual's
+    assert m + 1 <= out.operator_applies <= m + 8
+    # the history falls from 2.4e5 to 1e-6 of ||b||: measured 1.8e-7 relative at most
+    np.testing.assert_allclose(out.residual_history, history, rtol=1e-6, atol=0)
+    beta_e1 = np.zeros(m + 1, dtype=complex)
+    beta_e1[0] = np.linalg.norm(ctx.f - ctx.A0 @ x0)
+    y = np.linalg.lstsq(H, beta_e1, rcond=None)[0]
+    x = x0 + ctx.precon.apply(y @ V)
+    # measured 3.4e-11; the oracle's own MGS basis has lost orthogonality to 1.7e-4
+    assert np.linalg.norm(out.solution - x) <= 1e-9 * np.linalg.norm(x)
+    assert out.orthogonality_loss <= 1e-12
+
+
+@pytest.mark.parametrize("split", [0.0, 1e-9])
+def test_gmres_drops_a_block_its_cholesky_qr_cannot_take(monkeypatch, split):
+    # split 0: 68 distinct eigenvalues, so the Krylov space stops growing at dimension 68,
+    # the block at step 64 has only 3 new directions for 8 vectors and its Cholesky
+    # factorization fails.  split 1e-9: 136 distinct eigenvalues in 68 close pairs; the
+    # block's Cholesky factor exists but its condition number, about 3e8, is over the bound
+    points = circle_spectrum(68, 0.9)
+    d = np.concatenate([points, points + split])
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    mgs_steps = record_mgs_steps(monkeypatch)
+    out = gmres(lambda v: d * v, b, max_iter=100)
+    assert out.converged and out.iterations == 68 and len(out.residual_history) == 69
+    assert {s for s in mgs_steps if s > linalg.S_STEP_PREFIX} == {65, 66, 67, 68}  # steps 64..67
+    # the dropped block reuses its first product for step 64 and wastes the other 7
+    assert out.operator_applies == 1 + 68 + 7
+    # from the fallback on, the steps are the MGS steps: the same bits as plain MGS
+    monkeypatch.setattr(linalg, "S_STEP_PREFIX", 10**6)
+    mgs = gmres(lambda v: d * v, b, max_iter=100)
+    assert mgs.operator_applies == 1 + 68
+    np.testing.assert_array_equal(out.residual_history, mgs.residual_history)
+    np.testing.assert_array_equal(out.solution, mgs.solution)
+
+
+def test_gmres_stops_at_max_iter_inside_a_block(monkeypatch):
+    d = circle_spectrum(200, 0.95)  # residual about 0.95^j: far from 1e-6 at step 70
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    mgs_steps = record_mgs_steps(monkeypatch)
+    out = gmres(lambda v: d * v, b, max_iter=70)
+    assert not out.converged and out.iterations == 70 and len(out.residual_history) == 71
+    assert max(mgs_steps) == linalg.S_STEP_PREFIX  # steps 64..69: one block of 6
+    assert out.operator_applies == 1 + 70
+    assert out.orthogonality_loss <= 1e-12
+    true_residual = np.linalg.norm(b - d * out.solution) / np.linalg.norm(b)
+    assert true_residual == pytest.approx(out.residual_history[-1], rel=1e-8)
+
+
+def test_gmres_blocks_accept_a_strided_operator_result(monkeypatch):
+    rng = np.random.default_rng(6)
+    n = 160
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = 1.15 * np.eye(n) + G / np.sqrt(2 * n)  # 79 steps to 1e-10
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x0 = random_initial_guess(n, 1)
+
+    def strided(v):  # every other entry of a larger buffer: not contiguous
+        buf = np.zeros(2 * n, dtype=complex)
+        buf[::2] = A @ v
+        return buf[::2]
+
+    mgs_steps = record_mgs_steps(monkeypatch)
+    ref = gmres(A, b, x0=x0, tol=1e-10, max_iter=n)
+    assert ref.converged and ref.iterations > linalg.S_STEP_PREFIX + linalg.S_STEP_BLOCK
+    assert max(mgs_steps) == linalg.S_STEP_PREFIX
+    out = gmres(strided, b, x0=x0, tol=1e-10, max_iter=n)
+    assert out.converged and out.iterations == ref.iterations
+    assert out.operator_applies == ref.operator_applies
+    np.testing.assert_allclose(out.residual_history, ref.residual_history, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(out.solution, ref.solution, rtol=1e-12)
+    assert out.orthogonality_loss == pytest.approx(ref.orthogonality_loss, abs=1e-15)
+
+
+# --------------------------------------------------------------------------
 # generalized_eig
 
 

@@ -128,6 +128,8 @@ def test_report_serialization(tmp_path):
     assert parsed["residual_history"][-1] <= 1e-6
     assert 0 < report.orthogonality_loss < 1e-3
     assert parsed["orthogonality_loss"] == data["orthogonality_loss"] == report.orthogonality_loss
+    # a solve of at most 64 steps is all MGS: one product per step and the initial residual's
+    assert parsed["operator_applies"] == report.operator_applies == report.iterations + 1
     # LU fill: the class Robin LUs of the one-level part and the coarse E
     local = sum(lu.fill for lu in ctx.precon.one_level.factorizations)
     coarse = ctx.precon.coarse.E_fact.fill
