@@ -15,7 +15,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 from .solver import SolveConfig, SolverContext
@@ -63,51 +63,43 @@ def canonical_precon(name: str) -> str:
 
 @dataclass
 class SweepSpec:
-    """Cartesian sweep over wavenumbers, exponent pairs, absorptions, preconditioners."""
+    """Cartesian sweep of a base config over wavenumbers, exponent pairs,
+    absorptions and preconditioners, each run for every seed.
 
-    dim: int = 2
+    A precons entry "name:selection" overrides the base config's selection.
+    """
+
+    base: SolveConfig = field(default_factory=SolveConfig)
     ks: tuple = (10.0,)
     alphas: tuple = ((1.0, None),)  # (alpha, alpha_prime-or-None) pairs
     betas: tuple = (1.0,)
     precons: tuple = ("one_level", "two_level_grid", "two_level_dtn")
-    mode: str = "hybrid"
-    selection: str = "automatic"
     seeds: tuple = (0, 1, 2)
-    tol: float = 1e-6
-    max_iter: int = 500
-    overlap_layers: int = 2
     out: str | None = None
+
+    def __post_init__(self):
+        _require_values(ks=self.ks, alphas=self.alphas, betas=self.betas,
+                        precons=self.precons, seeds=self.seeds)
 
     def configs(self) -> list:
         out = []
         for k, (alpha, alpha_prime), beta, precon in product(
             self.ks, self.alphas, self.betas, self.precons
         ):
-            name, sel = _split_precon(precon, self.selection)
-            out.append(
-                SolveConfig(
-                    dim=self.dim,
-                    k=float(k),
-                    alpha=float(alpha),
-                    alpha_prime=None if alpha_prime is None else float(alpha_prime),
-                    beta=None if beta is None else float(beta),
-                    precon=name,
-                    mode=self.mode,
-                    selection=sel,
-                    tol=self.tol,
-                    max_iter=self.max_iter,
-                    overlap_layers=self.overlap_layers,
-                )
-            )
+            name, _, selection = precon.partition(":")
+            out.append(replace(
+                self.base, k=float(k), alpha=float(alpha),
+                alpha_prime=None if alpha_prime is None else float(alpha_prime),
+                beta=None if beta is None else float(beta),
+                precon=canonical_precon(name), selection=selection or self.base.selection,
+            ))
         return out
 
 
-def _split_precon(entry: str, default_selection: str):
-    """'dtn:fixed2' -> ('two_level_dtn', 'fixed2'); plain names use the default."""
-    if ":" in entry:
-        name, sel = entry.split(":", 1)
-        return canonical_precon(name), sel
-    return canonical_precon(entry), default_selection
+def _require_values(**axes) -> None:
+    for name, values in axes.items():
+        if len(values) == 0:
+            raise ValueError(f"sweep axis {name} is empty")
 
 
 def _row(cfg: dict, N_sub=0, n=0, n_CS=0, iterations=-1, converged=False, solve_seconds=0.0) -> dict:
@@ -285,14 +277,15 @@ def format_table(summary) -> str:
         lines.append(header)
         for k in sorted({r["k"] for r in block}):
             cells = [r for r in block if r["k"] == k]
-            any_cell = cells[0]
-            line = f"{k:>6g} {any_cell['N_sub']:>7d} {any_cell['n']:>9d}"
+            sized = next((r for r in cells if r["n"] > 0), cells[0])  # a cell that set up
+            line = f"{k:>6g} {sized['N_sub']:>7d} {sized['n']:>9d}"
             for p in precons:
                 match = [r for r in cells if r["precon"] == p]
                 if match:
                     r = match[0]
                     its = r["median_iterations"]
-                    text = f"{its:g}" if r["all_converged"] else f">{its:g}*"
+                    text = ("fail" if its < 0  # no seed solved
+                            else f"{its:g}" if r["all_converged"] else f">{its:g}*")
                     line += f" {text:>24} {r['n_CS']:>7d}"
                 else:
                     line += f" {'-':>24} {'-':>7}"
@@ -319,12 +312,17 @@ def _preset_ks(full, kmax, desk=(10.0, 20.0, 40.0), extra=(60.0, 80.0)) -> tuple
     return kept
 
 
+def _pair(alpha) -> tuple:
+    """An alphas entry, alpha or (alpha, alpha_prime), as a pair."""
+    return alpha if isinstance(alpha, tuple) else (alpha, None)
+
+
 def table1_desk(kmax=None, alphas=(0.6, 0.8, 1.0), betas=(1.0, 2.0),
-                seeds=(0, 1, 2), full=False, dim=2, **kw) -> SweepSpec:
+                seeds=(0, 1, 2), full=False, **kw) -> SweepSpec:
+    """kw goes to SweepSpec: base (the SolveConfig the table varies) and out."""
     return SweepSpec(
-        dim=dim,
         ks=_preset_ks(full, kmax),
-        alphas=tuple((a, None) for a in alphas),
+        alphas=tuple(map(_pair, alphas)),
         betas=tuple(betas),
         precons=("one_level", "two_level_grid", "two_level_dtn"),
         seeds=tuple(seeds),
@@ -333,14 +331,18 @@ def table1_desk(kmax=None, alphas=(0.6, 0.8, 1.0), betas=(1.0, 2.0),
 
 
 def run_table2_desk(kmax=None, alphas=(0.6, 0.8, 1.0), seeds=(0, 1, 2), full=False,
-                    out=None, echo=None, tol=1e-6, max_iter=500):
+                    out=None, echo=None, base=None):
     """Forced coarse-space-size comparison: DtN shrunk to m_i = 2 per subdomain
     (left block), then the grid coarse space grown to the size the automatic DtN
     selection produced (right block).  Sequential by construction: the right
     block depends on the automatic DtN size of the same configuration.  Without
-    kmax the desk range stops at k = 20 and the full range runs to k = 80."""
+    kmax the desk range stops at k = 20 and the full range runs to k = 80.
+    Every run is base (default SolveConfig()) at the table's k, alpha and
+    preconditioner."""
+    _require_values(alphas=alphas, seeds=seeds)
     if kmax is None and not full:
         kmax = 20.0
+    base = base or SolveConfig()
     rows, errors = [], []
 
     def run_one(config):
@@ -348,29 +350,28 @@ def run_table2_desk(kmax=None, alphas=(0.6, 0.8, 1.0), seeds=(0, 1, 2), full=Fal
         _collect(config, result, rows, errors, echo)
         return result[1]
 
-    for alpha in alphas:
+    for alpha, alpha_prime in map(_pair, alphas):
         for k in _preset_ks(full, kmax):
-            base = SolveConfig(dim=2, k=k, alpha=alpha, beta=1.0, tol=tol, max_iter=max_iter)
+            config = replace(base, k=k, alpha=alpha, alpha_prime=alpha_prime)
             # left block: grid at its natural size vs DtN forced small
-            run_one(replace(base, precon="two_level_grid"))
-            run_one(replace(base, precon="two_level_dtn", selection="fixed2"))
+            run_one(replace(config, precon="two_level_grid"))
+            run_one(replace(config, precon="two_level_dtn", selection="fixed2"))
             # right block: automatic DtN, then grid forced to the same size
-            reports = run_one(replace(base, precon="two_level_dtn", selection="automatic"))
+            reports = run_one(replace(config, precon="two_level_dtn", selection="automatic"))
             if reports:
-                n_cs = reports[0].n_CS
-                mc = max(1, round(n_cs ** 0.5) - 1)
-                run_one(replace(base, precon="two_level_grid", coarse_m=mc))
+                mc = max(1, round(reports[0].n_CS ** 0.5) - 1)
+                run_one(replace(config, precon="two_level_grid", coarse_m=mc))
 
     return _summarize_and_write(rows, errors, out)
 
 
 def table3_desk(with_dtn=False, pairs=((0.5, 1.0), (0.6, 0.9), (0.7, 0.8), (0.8, 0.7)),
-                seeds=(0, 1, 2), full=False, kmax=None, **kw) -> SweepSpec:
+                seeds=(0, 1, 2), full=False, kmax=None, base=None, **kw) -> SweepSpec:
     precons = ["one_level", "two_level_grid"]
     if with_dtn:
         precons.append("two_level_dtn:capped20")
     return SweepSpec(
-        dim=3,
+        base=replace(base or SolveConfig(), dim=3),
         ks=_preset_ks(full, kmax, desk=(10.0,), extra=(20.0,)),
         alphas=tuple(pairs),
         betas=(1.0,),
@@ -381,19 +382,17 @@ def table3_desk(with_dtn=False, pairs=((0.5, 1.0), (0.6, 0.9), (0.7, 0.8), (0.8,
 
 
 # ----------------------------------------------------------------------------
-# Sweep spec files: one "key = value" pair per line, '#' comments, lists are
-# comma separated, alpha entries may be "alpha:alpha_prime" pairs.
+# Run settings: one parser per setting, shared by the spec-file keys and the CLI
+# flags.  Lists are comma separated, alpha entries may be "alpha:alpha_prime"
+# pairs and a beta of "none" (or "None") switches the absorption off.
 
-def _items(text: str) -> list:
-    return [v.strip() for v in text.split(",") if v.strip()]
-
-
-def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in _items(text))
+def _list(parse):
+    """Parser of a comma-separated list of parse's values."""
+    return lambda text: tuple(parse(v.strip()) for v in text.split(",") if v.strip())
 
 
-def _ints(text: str) -> tuple:
-    return tuple(int(v) for v in _items(text))
+def _beta(text: str) -> float | None:
+    return None if text in ("none", "None") else float(text)
 
 
 def _alpha_pair(item: str) -> tuple:
@@ -401,24 +400,35 @@ def _alpha_pair(item: str) -> tuple:
     return float(alpha), float(alpha_prime) if alpha_prime else None
 
 
-_SPEC_KEYS = {  # key -> parser of its value
-    "dim": int,
-    "ks": _floats,
-    "alphas": lambda text: tuple(_alpha_pair(v) for v in _items(text)),
-    "betas": lambda text: tuple(None if v == "none" else float(v) for v in _items(text)),
-    "precons": lambda text: tuple(_items(text)),
-    "mode": str,
-    "selection": str,
-    "seeds": _ints,
-    "tol": float,
-    "max_iter": int,
-    "overlap_layers": int,
-    "out": str,
+def _precon_entry(item: str) -> str:
+    """'dtn:fixed2' -> 'two_level_dtn:fixed2'."""
+    name, colon, selection = item.partition(":")
+    return canonical_precon(name) + colon + selection
+
+
+_PARSERS = {  # setting -> parser of its text
+    **dict.fromkeys(("dim", "max_iter", "seed", "overlap_layers", "n_subdomains_1d", "coarse_m"), int),
+    **dict.fromkeys(("k", "alpha", "alpha_prime", "tol"), float),
+    **dict.fromkeys(("mode", "selection", "out"), str),
+    "beta": _beta,
+    "precon": canonical_precon,
+    "ks": _list(float),
+    "alphas": _list(_alpha_pair),
+    "betas": _list(_beta),
+    "precons": _list(_precon_entry),
+    "seeds": _list(int),
 }
+
+_CONFIG_FIELDS = frozenset(f.name for f in fields(SolveConfig))
+
+_SPEC_KEYS = ("dim", "ks", "alphas", "betas", "precons", "mode", "selection", "seeds",
+              "tol", "max_iter", "overlap_layers", "out")
 
 
 def load_sweep_spec(path) -> SweepSpec:
-    fields = {}
+    """Read a spec file of "key = value" lines (keys: _SPEC_KEYS) with '#'
+    comments.  A setting the file leaves out keeps SolveConfig's default."""
+    base, axes = SolveConfig(), {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -426,15 +436,33 @@ def load_sweep_spec(path) -> SweepSpec:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
+            key, text = (part.strip() for part in line.split("=", 1))
             if key not in _SPEC_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            fields[key] = _SPEC_KEYS[key](value)
-    return SweepSpec(**fields)
+            try:
+                value = _PARSERS[key](text)
+                if key in _CONFIG_FIELDS:
+                    base = replace(base, **{key: value})
+                else:
+                    axes[key] = value
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    return SweepSpec(base=base, **axes)
 
 
 # ----------------------------------------------------------------------------
 # CLI
+
+def _setting(name, flag=None, **options) -> tuple:
+    """(flag, argparse options) of a run setting, read by the setting's parser."""
+    def parse(text):
+        try:
+            return _PARSERS[name](text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag or "--" + name.replace("_", "-"), {"dest": name, "type": parse, **options}
+
 
 def _sweep_preset(build):
     """A runner that builds the preset's SweepSpec and runs it on jobs threads."""
@@ -443,15 +471,15 @@ def _sweep_preset(build):
     return run
 
 
-_JOBS = ("--jobs", {"type": int, "default": 1})
-_ALPHAS = ("--alphas", {"type": _floats, "help": "comma-separated alpha values"})
+_JOBS = ("--jobs", {"type": int})
+_ALPHAS = _setting("alphas", help="comma-separated alpha or alpha:alpha' values")
 
-# CLI name -> (runner, its own flags); a runner takes the preset's keywords and
-# echo, and returns (rows, summary_rows, errors).  A flag left unset leaves the
-# preset's default in place.
+# CLI name -> (runner, its own flags); a runner takes the preset's keywords, base
+# (the SolveConfig of --tol and --max-iter) and echo, and returns (rows,
+# summary_rows, errors).
 _PRESETS = {
     "table1-desk": (_sweep_preset(table1_desk), [
-        _JOBS, _ALPHAS, ("--betas", {"type": _floats, "help": "comma-separated beta values"}),
+        _JOBS, _ALPHAS, _setting("betas", help="comma-separated beta values or 'none'"),
     ]),
     "table2-desk": (run_table2_desk, [_ALPHAS]),
     "table3-desk": (_sweep_preset(table3_desk), [
@@ -461,11 +489,18 @@ _PRESETS = {
     ]),
 }
 
+_SOLVE_FLAGS = [_setting(name) for name in ("dim", "k", "alpha", "alpha_prime")] + [
+    _setting("beta", help="absorption exponent (eps_prec = k^beta) or 'none'"),
+    _setting("precon", help="none | one-level | grid | dtn"),
+    _setting("mode", help="additive | hybrid"),
+    _setting("selection", help="automatic | fixed:M | capped:M"),
+    _setting("seed"), _setting("overlap_layers"),
+    _setting("n_subdomains_1d", "--n1d", metavar="N1D", help="override subdomains per dimension"),
+    _setting("coarse_m", help="force the grid coarse resolution"),
+    ("--residuals", {"help": "write residual history CSV here"}),
+]
 
-def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--out", type=str, default=None, help="CSV/JSON output path")
+_COMMON_FLAGS = [_setting("tol"), _setting("max_iter"), _setting("out", help="CSV/JSON output path")]
 
 
 def _build_parser():
@@ -474,41 +509,25 @@ def _build_parser():
         description="Helmholtz solves with one- and two-level overlapping Schwarz preconditioners",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="run a single configuration")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--k", type=float, default=10.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--alpha-prime", type=float, default=None)
-    p.add_argument("--beta", type=str, default="1",
-                   help="absorption exponent (eps_prec = k^beta) or 'none'")
-    p.add_argument("--precon", type=str, default="dtn",
-                   help="none | one-level | grid | dtn")
-    p.add_argument("--mode", type=str, default="hybrid", choices=("additive", "hybrid"))
-    p.add_argument("--selection", type=str, default="automatic",
-                   help="automatic | fixed:M | capped:M")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--overlap-layers", type=int, default=2)
-    p.add_argument("--n1d", type=int, default=None, help="override subdomains per dimension")
-    p.add_argument("--coarse-m", type=int, default=None, help="force the grid coarse resolution")
-    p.add_argument("--residuals", type=str, default=None, help="write residual history CSV here")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="run a sweep described by a key=value spec file")
-    p.add_argument("specfile", type=str)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(tol=None, max_iter=None)  # the spec file's, unless given
-
+    # a flag left unset stays out of the namespace, so the value of the config,
+    # the spec file or the preset stands
+    commands = {
+        "solve": ("run a single configuration", _SOLVE_FLAGS),
+        "sweep": ("run a sweep described by a key=value spec file",
+                  [("specfile", {}), _JOBS]),
+    }
     for name, (_, flags) in _PRESETS.items():
-        p = sub.add_parser(name, help=f"desk-scale preset mirroring {name.split('-')[0]}")
-        p.add_argument("--kmax", type=float, default=None)
-        p.add_argument("--full", action="store_true",
-                       help="full wavenumber range (slow; prints a warning)")
-        p.add_argument("--seeds", type=_ints, default=None)
-        for flag, options in flags:
+        commands[name] = (f"desk-scale preset mirroring {name.split('-')[0]}", [
+            ("--kmax", {"type": float}),
+            ("--full", {"action": "store_true",
+                        "help": "full wavenumber range (slow; prints a warning)"}),
+            _setting("seeds"),
+            *flags,
+        ])
+    for name, (text, flags) in commands.items():
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for flag, options in flags + _COMMON_FLAGS:
             p.add_argument(flag, **options)
-        _add_common(p)
     return parser
 
 
@@ -533,54 +552,33 @@ def cli_main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "solve":
-        beta = None if args.beta in ("none", "None") else float(args.beta)
-        config = SolveConfig(
-            dim=args.dim,
-            k=args.k,
-            alpha=args.alpha,
-            alpha_prime=args.alpha_prime,
-            beta=beta,
-            precon=canonical_precon(args.precon),
-            mode=args.mode,
-            selection=args.selection,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            overlap_layers=args.overlap_layers,
-            n_subdomains_1d=args.n1d,
-            coarse_m=args.coarse_m,
-        )
+    given = vars(args)  # the command and the flags that were set
+    command = given.pop("command")
+    settings = {key: given.pop(key) for key in _CONFIG_FIELDS & given.keys()}
+    if command == "solve":
         t0 = time.perf_counter()
-        ctx = SolverContext(config)
-        report = ctx.run()
+        report = SolverContext(SolveConfig(**settings)).run()
         elapsed = time.perf_counter() - t0
         status = "converged" if report.converged else "NOT converged"
         print(f"n={report.n}  N_sub={report.N_sub}  n_CS={report.n_CS}")
         print(f"iterations={report.iterations}  {status}  "
               f"final_residual={report.final_residual:.3e}  ({elapsed:.2f} s)")
-        if args.out:
-            report.to_json(args.out)
-        if args.residuals:
-            write_residuals_csv(report, args.residuals)
+        if given.get("out"):
+            report.to_json(given["out"])
+        if given.get("residuals"):
+            write_residuals_csv(report, given["residuals"])
         return 0
-
-    if args.command == "sweep":
-        spec = load_sweep_spec(args.specfile)
-        given = {"tol": args.tol, "max_iter": args.max_iter, "out": args.out}
-        spec = replace(spec, **{key: value for key, value in given.items() if value is not None})
-        _, summary, errors = run_sweep(spec, jobs=args.jobs, echo=print)
+    if command == "sweep":
+        spec = load_sweep_spec(given.pop("specfile"))
+        spec = replace(spec, base=replace(spec.base, **settings), out=given.pop("out", spec.out))
+        _, summary, errors = run_sweep(spec, echo=print, **given)
     else:
-        run, flags = _PRESETS[args.command]
-        names = ["kmax", "full", "seeds", "tol", "max_iter", "out"]
-        names += [flag[2:].replace("-", "_") for flag, _ in flags]
-        options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-        if args.full:
+        if given.get("full"):
             sys.stderr.write(_FULL_WARNING)
-        if options.get("with_dtn"):
+        if given.get("with_dtn"):
             sys.stderr.write("note: 3d DtN eigenproblems are dense; at k = 10 each context's "
                              "setup takes 3-30 s\n")
-        _, summary, errors = run(echo=print, **options)
+        _, summary, errors = _PRESETS[command][0](base=SolveConfig(**settings), echo=print, **given)
     print(format_table(summary))
     _report_errors(errors)
     return 0

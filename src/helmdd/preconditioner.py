@@ -324,7 +324,7 @@ def build_dtn_cs(
             raise PreconditionerError(
                 f"interior block of subdomain {cls.members[0]} could not be factorized: {exc}"
             ) from exc
-        X = lu.solve(A_IG) if inner.size else np.zeros((0, gamma.size), dtype=np.complex128)
+        X = lu.solve(A_IG)
         S = A_GG - A_GI @ X
 
         pairs = generalized_eig(S, M_GG)
@@ -355,8 +355,7 @@ def build_dtn_cs(
             G = G / norms
             W = np.zeros((n_local, len(chosen)), dtype=np.complex128)
             W[gamma] = G
-            if inner.size:
-                W[inner] = -X @ G
+            W[inner] = -X @ G
             blocks.append((cls, W))
 
     n_cs = int(counts.sum())

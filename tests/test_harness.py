@@ -16,11 +16,12 @@ from helmdd.harness import (
     table1_desk,
     table3_desk,
 )
+from helmdd.solver import SolveConfig
 
 
 def small_spec(tmp_path, **kw):
     defaults = dict(
-        dim=2,
+        base=SolveConfig(dim=2),
         ks=(10.0,),
         alphas=((0.6, None),),
         betas=(1.0,),
@@ -166,7 +167,7 @@ def test_load_sweep_spec(tmp_path):
     spec = load_sweep_spec(path)
     assert spec.ks == (10.0, 20.0)
     assert spec.alphas == ((0.6, None), (0.5, 1.0))
-    assert spec.tol == 1e-7 and spec.max_iter == 400
+    assert spec.base.tol == 1e-7 and spec.base.max_iter == 400
     configs = spec.configs()
     assert len(configs) == 2 * 2 * 1 * 2
     dtn = [c for c in configs if c.precon == "two_level_dtn"]
@@ -181,6 +182,15 @@ def test_load_sweep_spec_bad_key(tmp_path):
     path.write_text("just a line\n")
     with pytest.raises(ValueError):
         load_sweep_spec(path)
+    # a value error names the file, the line and the key
+    path.write_text("dim = x\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:1: dim: invalid literal for int"):
+        load_sweep_spec(path)
+    for line, key in (("dim = 4", "dim"), ("betas = 1, x", "betas"), ("precons = amg", "precons"),
+                      ("selection = fixed", "selection"), ("alphas = 0.6:y", "alphas")):
+        path.write_text(f"ks = 10\n{line}\n")
+        with pytest.raises(ValueError, match=rf"bad\.txt:2: {key}: "):
+            load_sweep_spec(path)
 
 
 def test_run_sweep_jobs_gives_the_rows_of_one_job(tmp_path):
@@ -285,7 +295,7 @@ def test_table_presets():
     assert ks == {10.0, 20.0}
     assert len(spec.configs()) == 2 * 3 * 2 * 3
     spec3 = table3_desk(with_dtn=True)
-    assert spec3.dim == 3
+    assert spec3.base.dim == 3
     assert any(c.precon == "two_level_dtn" for c in spec3.configs())
     assert all(c.selection.count == 20 for c in spec3.configs()
                if c.precon == "two_level_dtn")
@@ -369,3 +379,102 @@ def test_cli_table1_desk_kmax_filter(tmp_path, capsys):
 
 def test_cli_solve_bad_precon(capsys):
     assert cli_main(["solve", "--precon", "amg"]) == 2
+
+
+def _record_solve_configs(monkeypatch):
+    """Stub the solver context of `helmdd solve` to record its config instead of solving."""
+    import helmdd.harness as harness
+
+    calls = []
+
+    class Context:
+        def __init__(self, config):
+            calls.append(config)
+
+        def run(self):
+            return SimpleNamespace(n=9, N_sub=1, n_CS=0, iterations=1, converged=True,
+                                   final_residual=0.0)
+
+    monkeypatch.setattr(harness, "SolverContext", Context)
+    return calls
+
+
+def test_beta_none_is_parsed_the_same_everywhere(tmp_path, monkeypatch, capsys):
+    solves = _record_solve_configs(monkeypatch)
+    for text in ("none", "None"):
+        assert cli_main(["solve", "--beta", text]) == 0
+    assert [c.beta for c in solves] == [None, None]
+
+    calls = _record_configs(monkeypatch)
+    spec = tmp_path / "spec.txt"
+    for text in ("none", "None"):
+        spec.write_text(f"ks = 10\nalphas = 0.6\nbetas = {text}\nprecons = grid\nseeds = 0\n")
+        assert cli_main(["sweep", str(spec)]) == 0
+    argv = ["table1-desk", "--kmax", "10", "--alphas", "1", "--betas", "none", "--seeds", "0"]
+    assert cli_main(argv) == 0
+    assert len(calls) == 2 + 3 and all(c.beta is None for c in calls)
+
+
+def test_unset_flags_keep_the_solve_config_defaults(tmp_path, monkeypatch, capsys):
+    default = SolveConfig()
+    solves = _record_solve_configs(monkeypatch)
+    assert cli_main(["solve"]) == 0
+    assert cli_main(["solve", "--alpha", "0.6", "--n1d", "3", "--mode", "additive"]) == 0
+    assert solves[0] == default
+    assert solves[1] == SolveConfig(alpha=0.6, n_subdomains_1d=3, mode="additive")
+    assert solves[1].alpha_prime == 0.6  # follows alpha, as in the library
+
+    calls = _record_configs(monkeypatch)
+    for preset in ("table1-desk", "table2-desk", "table3-desk"):
+        calls.clear()
+        assert cli_main([preset, "--kmax", "10", "--seeds", "0"]) == 0
+        assert {(c.tol, c.max_iter, c.overlap_layers, c.mode) for c in calls} == {
+            (default.tol, default.max_iter, default.overlap_layers, default.mode)}
+        calls.clear()
+        assert cli_main([preset, "--kmax", "10", "--seeds", "0", "--tol", "1e-8",
+                         "--max-iter", "9"]) == 0
+        assert {(c.tol, c.max_iter) for c in calls} == {(1e-8, 9)}
+    assert {c.dim for c in calls} == {3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1-desk", "--alphas", ""],
+        ["table1-desk", "--betas", ""],
+        ["table1-desk", "--seeds", ""],
+        ["table2-desk", "--alphas", ""],
+        ["table2-desk", "--seeds", ""],
+        ["table3-desk", "--seeds", ""],
+    ],
+)
+def test_empty_preset_axis_is_a_usage_error(monkeypatch, capsys, argv):
+    calls = _record_configs(monkeypatch)
+    assert cli_main(argv) == 2
+    assert calls == []
+    assert f"sweep axis {argv[1][2:]} is empty" in capsys.readouterr().err
+
+
+def test_empty_spec_axis_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    calls = _record_configs(monkeypatch)
+    spec = tmp_path / "spec.txt"
+    spec.write_text("ks =\nalphas = 0.6\nprecons = grid\nseeds = 0\n")
+    assert cli_main(["sweep", str(spec)]) == 2
+    assert calls == [] and "sweep axis ks is empty" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="sweep axis precons is empty"):
+        SweepSpec(precons=())
+    with pytest.raises(ValueError, match="sweep axis seeds is empty"):
+        run_table2_desk(kmax=10.0, seeds=())
+
+
+def test_format_table_takes_the_sizes_from_a_cell_that_ran():
+    # k = 1.5 gives a single subdomain: the DtN setup fails (no interface), the grid solves
+    spec = SweepSpec(ks=(1.5,), alphas=((1.0, None),), precons=("two_level_dtn", "two_level_grid"),
+                     seeds=(0,))
+    _, summary, errors = run_sweep(spec)
+    assert len(errors) == 1 and summary[0]["median_iterations"] == -1
+    grid = summary[1]
+    assert grid["N_sub"] == 1 and grid["n"] > 0 and grid["median_iterations"] > 0
+    row = format_table(summary).splitlines()[2].split()
+    assert row == ["1.5", "1", str(grid["n"]), "fail", "0",
+                   f"{grid['median_iterations']:g}", str(grid["n_CS"])]
