@@ -211,8 +211,9 @@ def _summarize_and_write(rows, errors, out) -> tuple:
 def _format_progress(row: dict) -> str:
     its = row["iterations"]
     its = ">fail" if its < 0 else its
+    beta = "none" if row["beta"] == "" else f"{row['beta']:g}"  # "" is beta = None
     return (
-        f"k={row['k']:<5g} alpha={row['alpha']:<4g} beta={row['beta'] or 0:<3g} "
+        f"k={row['k']:<5g} alpha={row['alpha']:<4g} beta={beta:<3s} "
         f"{row['precon']:<24s} n_CS={row['n_CS']:<6d} iterations={its}"
     )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class SolveConfig:
     dim: int = 2
     k: float = 10.0
     alpha: float = 1.0
-    alpha_prime: float | None = None  # defaults to alpha
+    alpha_prime: float | None = None  # None -> follows alpha (see coarse_alpha)
     beta: float | None = 1.0  # eps_prec = k^beta; None -> 0
     precon: str = "two_level_dtn"
     mode: str = "hybrid"
@@ -67,8 +67,6 @@ class SolveConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.alpha_prime is None:
-            self.alpha_prime = self.alpha
         if isinstance(self.selection, str):
             self.selection = SelectionPolicy.parse(self.selection)
 
@@ -76,8 +74,14 @@ class SolveConfig:
     def epsilon_prec(self) -> float:
         return 0.0 if self.beta is None else self.k**self.beta
 
+    @property
+    def coarse_alpha(self) -> float:
+        """alpha' of the grid coarse space: alpha_prime, or alpha when unset."""
+        return self.alpha if self.alpha_prime is None else self.alpha_prime
+
     def to_dict(self) -> dict:
         d = asdict(self)
+        d["alpha_prime"] = self.coarse_alpha
         d["selection"] = self.selection.label()
         return d
 
@@ -104,24 +108,8 @@ class SolveReport:
     solution: np.ndarray | None = None  # not serialized
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "n": int(self.n),
-            "N_sub": int(self.N_sub),
-            "n_CS": int(self.n_CS),
-            "residual_history": [float(r) for r in self.residual_history],
-            "timings": {k: float(v) for k, v in self.timings.items()},
-            "config": self.config,
-            "seed": int(self.seed),
-            "final_residual": float(self.final_residual),
-            "orthogonality_loss": float(self.orthogonality_loss),
-            "lu_fill_nnz": {k: int(v) for k, v in self.lu_fill_nnz.items()},
-            "local_factorizations": int(self.local_factorizations),
-            "local_solve_workers": int(self.local_solve_workers),
-            "operator_applies": int(self.operator_applies),
-            "coarse_info": self.coarse_info,
-        }
+        """Every field but solution, in declaration order, as JSON types."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.name != "solution"}
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -129,8 +117,21 @@ class SolveReport:
             fh.write("\n")
 
 
+def _plain(value):
+    """value with its numpy scalars and arrays, at any dict depth, as Python numbers and lists."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
 class SolverContext:
-    """Assembled system and preconditioner, reusable across seeds."""
+    """Assembled system and preconditioner, reusable across seeds.
+
+    one_level and coarse are the built parts of precon (None where absent); the
+    report reads its counts off them.
+    """
 
     def __init__(self, config: SolveConfig):
         self.config = config
@@ -149,31 +150,21 @@ class SolverContext:
         self.f = assemble_rhs(self.mesh, "gauss2d" if config.dim == 2 else "gauss3d")
         t1 = time.perf_counter()
 
-        self.decomposition = None
-        self.precon = None
-        self.n_cs = 0
-        self.coarse_info = None
-        self.lu_fill_nnz = {"local": 0, "coarse": 0}
-        self.local_factorizations = 0
-        self.local_solve_workers = 0
+        self.decomposition = self.one_level = self.coarse = self.precon = None
         if config.precon != "none":
             self.decomposition = build_decomposition(self.mesh, n1d, config.overlap_layers)
-            one_level = build_one_level(self.mesh, self.decomposition, k, config.epsilon_prec)
-            self.lu_fill_nnz["local"] = sum(lu.fill for lu in one_level.factorizations)
-            self.local_factorizations = len(one_level.factorizations)
-            self.local_solve_workers = LOCAL_SOLVE_WORKERS
-            if config.precon == "one_level":
-                self.precon = one_level
-            else:
+            self.one_level = build_one_level(self.mesh, self.decomposition, k, config.epsilon_prec)
+            self.precon = self.one_level
+            if config.precon != "one_level":
                 A_eps = self.A0 + (-1j * config.epsilon_prec) * M
                 if config.precon == "two_level_grid":
                     mc = config.coarse_m
                     if mc is None:
-                        mc = meshmod.coarse_resolution(k, config.alpha_prime)
+                        mc = meshmod.coarse_resolution(k, config.coarse_alpha)
                     coarse_mesh = meshmod.build_uniform_mesh(config.dim, mc)
-                    cs = build_grid_cs(coarse_mesh, self.mesh, A_eps)
+                    self.coarse = build_grid_cs(coarse_mesh, self.mesh, A_eps)
                 else:
-                    cs = build_dtn_cs(
+                    self.coarse = build_dtn_cs(
                         self.mesh,
                         self.decomposition,
                         k,
@@ -181,10 +172,8 @@ class SolverContext:
                         config.selection,
                         A_eps,
                     )
-                self.n_cs = cs.n_cs
-                self.lu_fill_nnz["coarse"] = cs.E_fact.fill
-                self.coarse_info = cs.summary()
-                self.precon = TwoLevelPreconditioner(one_level, cs, config.mode, A_eps)
+                self.precon = TwoLevelPreconditioner(
+                    self.one_level, self.coarse, config.mode, A_eps)
         t2 = time.perf_counter()
         self.timings = {"assembly": t1 - t0, "setup": t2 - t1}
 
@@ -195,6 +184,10 @@ class SolverContext:
     @property
     def n_subdomains(self) -> int:
         return 0 if self.decomposition is None else self.decomposition.n_subdomains
+
+    @property
+    def n_cs(self) -> int:
+        return 0 if self.coarse is None else self.coarse.n_cs
 
     def run(self, seed: int | None = None) -> SolveReport:
         config = self.config
@@ -214,6 +207,7 @@ class SolverContext:
         final = verify_solution(outcome.solution, self.A0, self.f)
         timings = dict(self.timings)
         timings["solve"] = solve_seconds
+        lus = [] if self.one_level is None else self.one_level.factorizations
         return SolveReport(
             iterations=outcome.iterations,
             converged=outcome.converged,
@@ -226,11 +220,14 @@ class SolverContext:
             seed=seed,
             final_residual=final,
             orthogonality_loss=outcome.orthogonality_loss,
-            lu_fill_nnz=dict(self.lu_fill_nnz),
-            local_factorizations=self.local_factorizations,
-            local_solve_workers=self.local_solve_workers,
+            lu_fill_nnz={
+                "local": sum(lu.fill for lu in lus),
+                "coarse": 0 if self.coarse is None else self.coarse.E_fact.fill,
+            },
+            local_factorizations=len(lus),
+            local_solve_workers=0 if self.one_level is None else LOCAL_SOLVE_WORKERS,
             operator_applies=outcome.operator_applies,
-            coarse_info=self.coarse_info,
+            coarse_info=None if self.coarse is None else self.coarse.summary(),
             solution=outcome.solution,
         )
 

@@ -207,6 +207,14 @@ def test_run_sweep_jobs_gives_the_rows_of_one_job(tmp_path):
     assert progress2 == progress1 and len(progress1) == 2  # config order with threads too
 
 
+def test_progress_lines_tell_beta_none_from_beta_zero(tmp_path):
+    # beta = none is eps_prec = 0, beta = 0 is eps_prec = k^0 = 1: different runs
+    spec = small_spec(tmp_path, betas=(None, 0.0), seeds=(0,), out=None)
+    progress = []
+    run_sweep(spec, echo=progress.append)
+    assert [line.split()[2] for line in progress] == ["beta=none", "beta=0"]
+
+
 def _record_configs(monkeypatch):
     """Stub run_config_group to record the configs instead of solving them."""
     import helmdd.harness as harness
@@ -422,7 +430,7 @@ def test_unset_flags_keep_the_solve_config_defaults(tmp_path, monkeypatch, capsy
     assert cli_main(["solve", "--alpha", "0.6", "--n1d", "3", "--mode", "additive"]) == 0
     assert solves[0] == default
     assert solves[1] == SolveConfig(alpha=0.6, n_subdomains_1d=3, mode="additive")
-    assert solves[1].alpha_prime == 0.6  # follows alpha, as in the library
+    assert solves[1].coarse_alpha == 0.6  # follows alpha, as in the library
 
     calls = _record_configs(monkeypatch)
     for preset in ("table1-desk", "table2-desk", "table3-desk"):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from helmdd.solver import SolveConfig, SolverContext, solve, verify_solution
 
 def test_config_validation_and_defaults():
     cfg = SolveConfig(k=10.0, alpha=0.8)
-    assert cfg.alpha_prime == 0.8
+    assert cfg.coarse_alpha == 0.8
     assert cfg.epsilon_prec == 10.0
     cfg2 = SolveConfig(k=10.0, beta=2.0)
     assert cfg2.epsilon_prec == 100.0
@@ -30,6 +31,15 @@ def test_config_validation_and_defaults():
         SolveConfig(mode="bogus")
     with pytest.raises(ValueError):
         SolveConfig(selection="almost")
+
+
+def test_alpha_prime_follows_alpha_after_replace():
+    # alpha_prime = None is resolved where it is read, so a replaced alpha moves
+    # the grid coarse space too: (floor(10^0.6) + 1)^2 = 16 coarse vertices
+    moved = replace(SolveConfig(k=10.0, precon="two_level_grid"), alpha=0.6)
+    assert moved.alpha_prime is None and moved.to_dict()["alpha_prime"] == 0.6
+    for config in (moved, SolveConfig(k=10.0, alpha=0.6, precon="two_level_grid")):
+        assert SolverContext(config).n_cs == 16
 
 
 @pytest.mark.parametrize(
@@ -205,6 +215,44 @@ def test_unpreconditioned_solve_path():
     assert report.to_dict()["local_factorizations"] == 0
     assert report.to_dict()["local_solve_workers"] == 0
     assert report.final_residual <= 1e-5
+
+
+REPORT_KEYS = [
+    "iterations", "converged", "n", "N_sub", "n_CS", "residual_history", "timings", "config",
+    "seed", "final_residual", "orthogonality_loss", "lu_fill_nnz", "local_factorizations",
+    "local_solve_workers", "operator_applies", "coarse_info",
+]
+
+
+def _json_typed(value) -> bool:
+    """True when value is built of JSON's own Python types only (no numpy)."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_typed(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_json_typed(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize(
+    "precon, extra",
+    [("none", {"k": 4.0, "n_subdomains_1d": 1}), ("one_level", {}),
+     ("two_level_grid", {}), ("two_level_dtn", {})],
+)
+def test_report_schema(precon, extra):
+    report = solve(SolveConfig(**{"dim": 2, "k": 10.0, "precon": precon, **extra}))
+    d = report.to_dict()
+    assert list(d) == REPORT_KEYS
+    assert all(_json_typed(v) for v in d.values())
+    assert type(d["iterations"]) is int and type(d["converged"]) is bool
+    assert type(d["final_residual"]) is float and type(d["config"]) is dict
+    assert len(d["residual_history"]) == d["iterations"] + 1
+    if precon in ("none", "one_level"):
+        assert d["coarse_info"] is None and d["n_CS"] == 0
+    else:
+        assert d["coarse_info"]["n_cs"] == d["n_CS"] > 0
+    if precon == "none":
+        assert d["lu_fill_nnz"] == {"local": 0, "coarse": 0}
+    assert json.loads(json.dumps(d)) == d
 
 
 @pytest.mark.parametrize(
