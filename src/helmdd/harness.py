@@ -271,6 +271,7 @@ def format_table(summary) -> str:
         block = [r for r in summary
                  if (r["d"], r["beta"], r["alpha"], r["alpha_prime"]) == (d, beta, alpha, alpha_prime)]
         precons = sorted({r["precon"] for r in block})
+        beta = "none" if beta == "" else beta  # "" is beta = None
         lines.append(f"d={d}  beta={beta}  alpha={alpha}  alpha'={alpha_prime}")
         header = f"{'k':>6} {'N_sub':>7} {'n':>9}"
         for p in precons:

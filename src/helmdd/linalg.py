@@ -23,10 +23,14 @@ subspace methods*, PhD thesis, UC Berkeley 2010):
   shifts theta_i are the first 8 Leja points of the Ritz values of the
   prefix's Hessenberg matrix (Bai, Hu & Reichel, IMA J. Numer. Anal. 14,
   1994);
-- the block is projected off the basis twice, C = V^H P and P -= V C by
-  in-place ``zgemm``, and made orthonormal by a Cholesky QR after each
-  projection, an in-place ``ztrsm`` (BCGS2 with CholQR2; Barlow &
-  Smoktunowicz, Numer. Math. 123, 2013);
+- the block is projected off the basis twice, C = V^H P and P -= V C, and
+  made orthonormal by a Cholesky QR after each projection, an in-place
+  ``ztrsm`` (BCGS2 with CholQR2; Barlow & Smoktunowicz, Numer. Math. 123,
+  2013).  Both products are cut along the n axis into fixed chunks of
+  pool.BLOCK_BYTES of block columns, 8,192 at s = 8, whatever the worker
+  count.  Each chunk is one ``numpy.matmul``, which releases the GIL, and
+  the chunks run on the package's thread pool; the partial products C_c are
+  summed in chunk order, so C does not depend on the worker count;
 - the block's 8 Hessenberg columns are recovered from the change of basis
   and fed one at a time through the same Givens update and residual test as
   an MGS step, so the solve stops at the step the residual says.
@@ -53,6 +57,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zaxpy, zdotc, zgemm, ztrsm
+
+from . import pool
 
 __all__ = [
     "FactorizationError",
@@ -185,6 +191,38 @@ def _leja_order(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
+def _column_chunks(n: int, s: int) -> tuple[list, list]:
+    """The n basis columns cut into fixed chunks of pool.BLOCK_BYTES of an s-row
+    block, whatever the worker count, and their shares of the pool."""
+    width = max(1, pool.BLOCK_BYTES // (16 * s))
+    chunks = [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
+    shares = pool._plan([c.stop - c.start for c in chunks], pool.LOCAL_SOLVE_WORKERS)
+    return chunks, shares
+
+
+def _project_out(basis: np.ndarray, block: np.ndarray, chunks: list, shares: list) -> np.ndarray:
+    """C = V^H P, then P -= V C in place, for the basis rows V and the block
+    rows P: one numpy.matmul per column chunk c for each product, the partial
+    conj(P_c) V_c^T of C summed in chunk order.  Returns C."""
+    partial = [None] * len(chunks)
+
+    def project(share):
+        for c in share:
+            partial[c] = block[:, chunks[c]].conj() @ basis[:, chunks[c]].T
+
+    def subtract(share):
+        for c in share:
+            block[:, chunks[c]] -= coef.T @ basis[:, chunks[c]]
+
+    pool._fork_join(project, shares)
+    coef = partial[0]
+    for term in partial[1:]:
+        coef += term
+    coef = coef.conj().T
+    pool._fork_join(subtract, shares)
+    return coef
+
+
 def _newton_block(A, M, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
     """One s-step Arnoldi block after v_j = V[j], with s = len(shifts).
 
@@ -216,13 +254,14 @@ def _newton_block(A, M, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray
             return None, first
         p /= sigma[i]
 
-    basis = V[: j + 1].T  # n x (j+1) and n x s in Fortran order: no BLAS call copies them
-    P = V[j + 1 : j + s + 1].T
+    basis = V[: j + 1]
+    block = V[j + 1 : j + s + 1]
+    P = block.T  # n x s in Fortran order: the Gram product and ztrsm copy nothing
+    chunks, shares = _column_chunks(V.shape[1], s)
     C = np.zeros((j + 1, s), dtype=np.complex128)
     R_S = np.eye(s, dtype=np.complex128)
     for _ in range(2):
-        coef = zgemm(1.0, basis, P, trans_a=2)
-        zgemm(-1.0, basis, coef, beta=1.0, c=P, overwrite_c=1)
+        coef = _project_out(basis, block, chunks, shares)
         try:
             R = scipy.linalg.cholesky(zgemm(1.0, P, P, trans_a=2))
         except np.linalg.LinAlgError:
@@ -276,9 +315,13 @@ def gmres(
     apply_A / apply_M are callables (or matrices) applying A and the
     preconditioner M^{-1}.  Iteration count is the number of Arnoldi steps;
     residuals are relative to ||b||.  Steps past S_STEP_PREFIX come from s-step
-    blocks (see the module docstring).  The Krylov basis takes (max_iter+1) * n * 16
-    bytes; a basis larger than the memory still available (_available_memory)
-    is refused with MemoryError before anything is allocated.
+    blocks (see the module docstring).  The Krylov basis takes up to
+    (max_iter+1) * n * 16 bytes.  One larger than the physical memory is
+    refused with MemoryError before anything is allocated; otherwise its rows
+    are committed as they are written, and before each stretch of
+    S_STEP_BLOCK rows is written its bytes are compared with the memory still
+    available (_available_memory).  A shortfall raises MemoryError naming the
+    step reached; no row past the last stretch checked is written.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -293,13 +336,14 @@ def gmres(
 
     b = np.asarray(b, dtype=np.complex128)
     n = b.size
+    # Linux's default overcommit heuristic would refuse such an np.empty anyway
     basis_bytes = (max_iter + 1) * n * 16
-    available = _available_memory()
-    if basis_bytes > available:
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if basis_bytes > physical:
         raise MemoryError(
             f"GMRES Krylov basis of (max_iter+1) x n = {max_iter + 1} x {n} complex vectors "
-            f"needs {basis_bytes / 2**30:.3g} GiB, more than the {available / 2**30:.3g} GiB "
-            f"of memory available; lower max_iter"
+            f"needs {basis_bytes / 2**30:.3g} GiB, more than the {physical / 2**30:.3g} GiB "
+            f"of physical memory; lower max_iter"
         )
     x0 = np.zeros(n, dtype=np.complex128) if x0 is None else np.asarray(x0, dtype=np.complex128)
     if x0.size != n:
@@ -321,7 +365,27 @@ def gmres(
     g = np.zeros(max_iter + 1, dtype=np.complex128)
     g[0] = beta
 
-    V = np.empty((max_iter + 1, n), dtype=np.complex128)  # rows are touched as used
+    V = np.empty((max_iter + 1, n), dtype=np.complex128)  # rows are committed as written
+    checked = 0  # rows of V whose memory has been checked
+
+    def check_memory(rows: int) -> None:
+        """Check the memory of V[:rows] before it is written, a stretch of at
+        least S_STEP_BLOCK new rows at a time."""
+        nonlocal checked
+        if rows <= checked:
+            return
+        stretch = min(max(rows, checked + S_STEP_BLOCK), max_iter + 1)
+        need, available = (stretch - checked) * n * 16, _available_memory()
+        if need > available:
+            raise MemoryError(
+                f"GMRES stopped after {len(history) - 1} of {max_iter} steps at relative residual "
+                f"{history[-1]:.3g}: Krylov basis rows {checked}..{stretch - 1} need "
+                f"{need / 2**20:.3g} MiB, more than the {available / 2**20:.3g} MiB of "
+                f"memory available"
+            )
+        checked = stretch
+
+    check_memory(1)
     V[0] = r0 / beta
 
     m = 0
@@ -337,6 +401,7 @@ def gmres(
                 H_prefix = H_arnoldi[:S_STEP_PREFIX, :S_STEP_PREFIX]
                 ritz = generalized_eig(H_prefix, np.eye(S_STEP_PREFIX)).values
                 shifts = _leja_order(ritz)[:S_STEP_BLOCK]
+            check_memory(j + 1 + min(S_STEP_BLOCK, max_iter - j))
             block, w = _newton_block(A, M, V, H_arnoldi, j, shifts[: max_iter - j])
             if block is None:  # w = A M^{-1} v_j starts the MGS steps
                 s_step = False
@@ -390,6 +455,7 @@ def gmres(
             converged = res <= tol
             break
         if j >= block_end:  # a block's vectors are in V already
+            check_memory(j + 2)
             np.divide(w, nw, out=V[j + 1])
 
     if m == 0:

@@ -21,13 +21,12 @@ axis-swapped one its matrix to rounding (about 1e-16).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import pool
 from .assembly import HelmholtzParams, assemble_subdomain
 from .decomposition import Decomposition, congruence_classes, nested_dissection
 from .linalg import SparseFactorization, factorize, generalized_eig
@@ -93,48 +92,6 @@ class SelectionPolicy:
         return self.kind if self.count is None else f"{self.kind}{self.count}"
 
 
-# Threads the local factorizations and solves may run on: the process's CPU
-# affinity set.  The pool starts its threads on first use.
-LOCAL_SOLVE_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-_POOL = ThreadPoolExecutor(max(LOCAL_SOLVE_WORKERS - 1, 1), thread_name_prefix="helmdd-local")
-
-# Right-hand sides per solve call.  Every class is cut into blocks of at most
-# this many bytes, whatever the worker count, so each solve call gets the same
-# columns on any number of threads.  Small blocks keep the pool threads'
-# temporaries small, and glibc's per-thread heaps (which keep freed memory)
-# small with them.
-BLOCK_BYTES = 1 << 20
-
-
-def _plan(work, workers: int) -> list:
-    """Shares of task indices: each task, largest work first, goes to the
-    least-loaded share (Graham's LPT rule, SIAM J. Appl. Math. 17, 1969), so
-    no share exceeds sum(work) / workers by more than the largest task.  Empty
-    shares are dropped."""
-    shares = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for t in sorted(range(len(work)), key=lambda t: -work[t]):
-        s = loads.index(min(loads))
-        shares[s].append(t)
-        loads[s] += work[t]
-    return [share for share in shares if share]
-
-
-def _fork_join(run, shares) -> None:
-    """run(share) for every share: the caller runs the first, the pool the
-    others.  Returns when all have finished and raises the first error; the
-    pool's tasks submit none, so it never nests."""
-    futures = [_POOL.submit(run, share) for share in shares[1:]]
-    try:
-        run(shares[0])
-    finally:
-        wait(futures)
-        for future in futures:
-            future.result()
-
-
 class OneLevelORAS:
     """sum_j R~_j^T A_{j,eps}^{-1} R_j; immutable after construction.
 
@@ -142,12 +99,12 @@ class OneLevelORAS:
     hold its members' global dofs and partition-of-unity weights, each row in
     the representative's numbering (see congruence_classes), and
     factorizations[c] is their shared LU.  Each class is cut into fixed
-    blocks of members, at most BLOCK_BYTES of right-hand sides each; apply
+    blocks of members, at most pool.BLOCK_BYTES of right-hand sides each; apply
     stacks R_j v of a block as the columns of one multi-right-hand-side solve
     and scatters every result back through the weighted prolongation
     [R~_j^T ...], an n x sum_j n_j sparse matrix built once.  The blocks are
-    planned into LOCAL_SOLVE_WORKERS shares by work fill x columns and solved
-    concurrently.  They do not depend on the worker count, so neither does
+    planned into pool.LOCAL_SOLVE_WORKERS shares by work fill x columns and
+    solved concurrently.  They do not depend on the worker count, so neither does
     the result.
     """
 
@@ -165,13 +122,14 @@ class OneLevelORAS:
         start = 0
         for lu, cls in zip(factorizations, classes):
             members, n_local = cls.dofs.shape
-            size = max(1, BLOCK_BYTES // (16 * n_local))
+            size = max(1, pool.BLOCK_BYTES // (16 * n_local))
             for first in range(0, members, size):
                 dofs = cls.dofs[first:first + size]
                 tasks.append((lu, dofs, start, start + dofs.size))
                 start += dofs.size
         work = [lu.fill * len(dofs) for lu, dofs, _, _ in tasks]
-        self._shares = [[tasks[t] for t in share] for share in _plan(work, LOCAL_SOLVE_WORKERS)]
+        shares = pool._plan(work, pool.LOCAL_SOLVE_WORKERS)
+        self._shares = [[tasks[t] for t in share] for share in shares]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(self._prolong.shape[1], dtype=np.complex128)
@@ -180,7 +138,7 @@ class OneLevelORAS:
             for lu, dofs, start, stop in share:
                 out[start:stop] = lu.solve(v[dofs].T).ravel(order="F")
 
-        _fork_join(solve, self._shares)
+        pool._fork_join(solve, self._shares)
         return self._prolong @ out
 
 
@@ -208,8 +166,8 @@ def build_one_level(
     In 3d each class is numbered in nested-dissection order, its gathers and
     A_local alike, and SuperLU keeps that order; it fills less there than
     minimum degree, which 2d keeps (see README).  The classes are assembled
-    and factorized concurrently, planned into LOCAL_SOLVE_WORKERS shares by
-    expected work n_local^2 (see _plan and _fork_join).
+    and factorized concurrently, planned into pool.LOCAL_SOLVE_WORKERS shares
+    by expected work n_local^2 (see helmdd.pool).
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
     numbering = nested_dissection if mesh.dim == 3 else None
@@ -221,7 +179,7 @@ def build_one_level(
             factorizations[c] = _class_lu(mesh, classes[c], params, numbering)
 
     work = [cls.dofs.shape[1] ** 2 for cls in classes]
-    _fork_join(factorize_share, _plan(work, LOCAL_SOLVE_WORKERS))
+    pool._fork_join(factorize_share, pool._plan(work, pool.LOCAL_SOLVE_WORKERS))
     return OneLevelORAS(mesh.n_vertices, classes, factorizations)
 
 

@@ -14,11 +14,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import mesh as meshmod
+from . import pool
 from .assembly import HelmholtzParams, assemble_global, assemble_rhs
 from .decomposition import build_decomposition
 from .linalg import gmres, random_initial_guess
 from .preconditioner import (
-    LOCAL_SOLVE_WORKERS,
     SelectionPolicy,
     TwoLevelPreconditioner,
     build_dtn_cs,
@@ -225,7 +225,7 @@ class SolverContext:
                 "coarse": 0 if self.coarse is None else self.coarse.E_fact.fill,
             },
             local_factorizations=len(lus),
-            local_solve_workers=0 if self.one_level is None else LOCAL_SOLVE_WORKERS,
+            local_solve_workers=0 if self.one_level is None else pool.LOCAL_SOLVE_WORKERS,
             operator_applies=outcome.operator_applies,
             coarse_info=None if self.coarse is None else self.coarse.summary(),
             solution=outcome.solution,

@@ -215,6 +215,13 @@ def test_progress_lines_tell_beta_none_from_beta_zero(tmp_path):
     assert [line.split()[2] for line in progress] == ["beta=none", "beta=0"]
 
 
+def test_table_headers_tell_beta_none_from_beta_zero(tmp_path):
+    spec = small_spec(tmp_path, betas=(None, 0.0), seeds=(0,), out=None)
+    _, summary, _ = run_sweep(spec)
+    headers = [line for line in format_table(summary).splitlines() if line.startswith("d=")]
+    assert sorted(line.split()[1] for line in headers) == ["beta=0.0", "beta=none"]
+
+
 def _record_configs(monkeypatch):
     """Stub run_config_group to record the configs instead of solving them."""
     import helmdd.harness as harness

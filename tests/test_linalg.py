@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmdd import linalg
+from helmdd import linalg, pool
 from helmdd.assembly import HelmholtzParams, assemble_global, assemble_rhs, assemble_subdomain
 from helmdd.decomposition import build_decomposition
 from helmdd.linalg import (
@@ -422,6 +422,30 @@ def test_gmres_blocks_match_the_numpy_mgs_oracle_on_one_level_oras(monkeypatch):
     assert out.orthogonality_loss <= 1e-12
 
 
+def test_block_sweeps_over_column_chunks_match_the_dense_products(monkeypatch):
+    # 8 block rows of 1,037 columns in chunks of 100 (BLOCK_BYTES = 16 * 8 * 100):
+    # ten full chunks and one of 37, summed in the same order for any worker count
+    monkeypatch.setattr(pool, "BLOCK_BYTES", 16 * 8 * 100)
+    rng = np.random.default_rng(8)
+    n, rows, s = 1037, 30, 8
+    V = rng.standard_normal((rows + s, n)) + 1j * rng.standard_normal((rows + s, n))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    basis = V[:rows]
+    oracle = basis.conj() @ V[rows:].T  # C = V^H P with the basis vectors as columns
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", workers)
+        chunks, shares = linalg._column_chunks(n, s)
+        assert [c.stop - c.start for c in chunks] == [100] * 10 + [37]
+        assert len(shares) == workers and sorted(sum(shares, [])) == list(range(11))
+        block = V[rows:].copy()
+        coef = linalg._project_out(basis, block, chunks, shares)
+        np.testing.assert_allclose(coef, oracle, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(block, V[rows:] - oracle.T @ basis, rtol=0, atol=1e-13)
+        results.append(coef.tobytes() + block.tobytes())
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 @pytest.mark.parametrize("split", [0.0, 1e-9])
 def test_gmres_drops_a_block_its_cholesky_qr_cannot_take(monkeypatch, split):
     # split 0: 68 distinct eigenvalues, so the Krylov space stops growing at dimension 68,
@@ -563,24 +587,76 @@ def test_gmres_refuses_a_krylov_basis_larger_than_memory():
     assert 0 < linalg._available_memory() <= physical
 
 
-@pytest.mark.parametrize("meminfo", [True, False])
-def test_gmres_refuses_a_basis_larger_than_the_available_memory(monkeypatch, meminfo):
-    # 4 GiB of physical memory of which 1 MiB is available: a 1.6 MB basis
-    # (n = 1000, max_iter = 99) is refused, a 0.16 MB one solves
-    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20, "SC_AVPHYS_PAGES": 256}
+def fake_memory(monkeypatch, available_kb, meminfo=True):
+    """4 GiB of physical memory of which available_kb are available, read from
+    a fake /proc/meminfo or, without one, from the free pages of sysconf."""
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20, "SC_AVPHYS_PAGES": available_kb // 4}
     monkeypatch.setattr(os, "sysconf", lambda name: sizes[name])
     if meminfo:
-        fake = "MemTotal:       4194304 kB\nMemFree:        4000000 kB\nMemAvailable:   1024 kB\n"
+        fake = (f"MemTotal:       4194304 kB\nMemFree:        4000000 kB\n"
+                f"MemAvailable:   {available_kb} kB\n")
         monkeypatch.setattr(linalg, "open", lambda *a, **kw: io.StringIO(fake), raising=False)
-    else:  # no /proc/meminfo: the free pages of sysconf
+    else:
 
         def missing(*args, **kwargs):
             raise FileNotFoundError("/proc/meminfo")
 
         monkeypatch.setattr(linalg, "open", missing, raising=False)
+
+
+def circle_solve(distinct, radius, n):
+    """A normal operator with `distinct` eigenvalues on |z - 1| = radius, repeated
+    to size n, and a random right-hand side: the residual falls like radius^j."""
+    d = circle_spectrum(distinct, radius, n // distinct)
+    rng = np.random.default_rng(7)
+    return (lambda v: d * v), rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("meminfo", [True, False])
+def test_gmres_runs_a_basis_larger_than_the_available_memory_whose_stretches_fit(
+    monkeypatch, meminfo
+):
+    # 1 MiB available: the full basis (n = 1000, max_iter = 99) is 1.6 MB, but the
+    # solve's 20 steps commit 3 stretches of 8 rows, 128 KiB each, one at a time
+    fake_memory(monkeypatch, 1024, meminfo)
     assert linalg._available_memory() == 2**20
-    A = sp.eye(1000, format="csr", dtype=complex)
-    b = np.ones(1000, dtype=complex)
-    with pytest.raises(MemoryError, match="available"):
-        gmres(A, b, max_iter=99)
-    assert gmres(A, b, max_iter=9).converged
+    A, b = circle_solve(20, 0.5, 1000)
+    assert 99 * 1000 * 16 > 2**20
+    out = gmres(A, b, max_iter=99)
+    assert out.converged and 16 < out.iterations <= 20
+
+
+@pytest.mark.parametrize(
+    "checks, steps, distinct",
+    [(2, 16, 20), (9, 64, 200)],  # the third stretch of MGS steps; the first block's
+)
+def test_gmres_stops_where_a_stretch_of_the_basis_does_not_fit(
+    monkeypatch, checks, steps, distinct
+):
+    # the memory shrinks to 64 KiB after `checks` stretches of 128 KiB: the solve
+    # raises after `steps` steps and writes no row of V past the last stretch checked
+    n, max_iter, calls = 1000, 99, []
+
+    def available():
+        calls.append(1)
+        return 2**20 if len(calls) <= checks else 2**16
+
+    monkeypatch.setattr(linalg, "_available_memory", available)
+    bases, empty = [], np.empty
+
+    def marked(*args, **kwargs):  # the basis comes filled with 0xFF bytes
+        a = empty(*args, **kwargs)
+        if a.shape == (max_iter + 1, n):
+            a.view(np.uint8).fill(0xFF)
+            bases.append(a)
+        return a
+
+    monkeypatch.setattr(np, "empty", marked)
+    A, b = circle_solve(distinct, 0.5 if distinct == 20 else 0.95, n)
+    rows = 8 * checks
+    stop = f"after {steps} of {max_iter} steps.* rows {rows}..{rows + 7} "
+    with pytest.raises(MemoryError, match=stop):
+        gmres(A, b, max_iter=max_iter)
+    (V,) = bases
+    written = (V.view(np.uint8) != 0xFF).any(axis=1)
+    assert written[:steps].all() and not written[rows:].any()

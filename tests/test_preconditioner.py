@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import p1_oracle
 from test_linalg import assert_eig_matches_qz
-from helmdd import preconditioner
+from helmdd import pool, preconditioner
 from helmdd.assembly import (
     HelmholtzParams,
     assemble_global,
@@ -18,8 +18,8 @@ from helmdd.assembly import (
 from helmdd.decomposition import build_decomposition, congruence_classes, nested_dissection
 from helmdd.linalg import gmres, random_initial_guess
 from helmdd.mesh import build_uniform_mesh, fine_resolution, interpolation_matrix
+from helmdd.pool import BLOCK_BYTES
 from helmdd.preconditioner import (
-    BLOCK_BYTES,
     PreconditionerError,
     SelectionPolicy,
     TwoLevelPreconditioner,
@@ -156,7 +156,7 @@ def serial_one_level(mesh, dec, one):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_one_level_apply_is_bitwise_the_serial_class_solves(monkeypatch, dim, m, n1d, k, workers):
     # every column is solved on its own, so no split over shares changes a bit
-    monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", workers)
+    monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", workers)
     mesh = build_uniform_mesh(dim, m)
     dec = build_decomposition(mesh, n1d, 2 if dim == 2 else 1)
     one = build_one_level(mesh, dec, k, k)
@@ -198,7 +198,7 @@ def test_concurrent_class_lus_solve_bitwise_as_serial_ones(monkeypatch, dim, m, 
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3):  # shares beyond the pool's threads wait in its queue
-            monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", workers)
+            monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", workers)
             built[workers] = build_one_level(mesh, dec, k, k).factorizations
     finally:
         sys.setswitchinterval(interval)
@@ -238,7 +238,7 @@ def synthetic_one_level(fills, shapes):
 @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
 def test_local_solve_plan_covers_every_member_once(monkeypatch, fills, shapes, workers):
     def tasks_at(count):
-        monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", count)
+        monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", count)
         shares = synthetic_one_level(fills, shapes)._shares
         assert 1 <= len(shares) <= count and all(shares)
         return shares, [task for share in shares for task in share]
@@ -262,8 +262,8 @@ def test_local_solve_plan_covers_every_member_once(monkeypatch, fills, shapes, w
 
 def test_one_level_tasks_fill_the_stacked_solution_once(monkeypatch):
     # the output slices of all tasks tile the member-major vector of local solutions
-    monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", 3)
-    monkeypatch.setattr(preconditioner, "BLOCK_BYTES", 1 << 14)  # 1 MiB holds a whole class here
+    monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", 3)
+    monkeypatch.setattr(pool, "BLOCK_BYTES", 1 << 14)  # 1 MiB holds a whole class here
     mesh = build_uniform_mesh(2, fine_resolution(20.0, 10))
     dec = build_decomposition(mesh, 10, 2)
     one = build_one_level(mesh, dec, 20.0, 20.0)
@@ -281,7 +281,7 @@ def test_one_level_tasks_fill_the_stacked_solution_once(monkeypatch):
 
 def test_one_level_concurrent_applies_match_serial(monkeypatch):
     # two threads share one preconditioner (and the pool) and get the serial results
-    monkeypatch.setattr(preconditioner, "LOCAL_SOLVE_WORKERS", 2)
+    monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", 2)
     mesh = build_uniform_mesh(2, fine_resolution(20.0, 10))
     dec = build_decomposition(mesh, 10, 2)
     one = build_one_level(mesh, dec, 20.0, 20.0)

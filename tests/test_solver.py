@@ -160,23 +160,36 @@ def test_report_serialization(tmp_path):
     assert all(len(entry["key"]) == 2 and entry["margin"] >= 0 for entry in margins)
 
 
-# Runs a 3d k = 10, alpha = 0.5 solve with 1, 2 and 3 workers in one process
-# and prints, per worker count, its iterations, its local LU fill and the
-# SHA-256 of its solution and residual history.
+# Runs the solve of the SolveConfig fields in argv[1] with 1, 2 and 3 workers
+# in one process and prints, per worker count, its iterations, its local LU
+# fill and the SHA-256 of its solution and residual history.
 WORKER_COUNT_CHILD = """
 import hashlib, json, sys
-from helmdd import preconditioner
+from helmdd import pool
 from helmdd.solver import SolveConfig, SolverContext
-precon, alpha_prime = sys.argv[1], json.loads(sys.argv[2])
+config = SolveConfig(**json.loads(sys.argv[1]))
 out = []
 for workers in (1, 2, 3):
-    preconditioner.LOCAL_SOLVE_WORKERS = workers
-    config = SolveConfig(dim=3, k=10.0, alpha=0.5, alpha_prime=alpha_prime, precon=precon)
+    pool.LOCAL_SOLVE_WORKERS = workers
     r = SolverContext(config).run(0)
     digest = [hashlib.sha256(a.tobytes()).hexdigest() for a in (r.solution, r.residual_history)]
     out.append([r.iterations, r.lu_fill_nnz["local"]] + digest)
 print(json.dumps(out))
 """
+
+
+def solve_with_1_2_and_3_workers(config: dict, blas_threads: str) -> list:
+    src = str(Path(solver.__file__).resolve().parents[1])
+    threads = {name: blas_threads for name in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, **threads)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    child = subprocess.run(
+        [sys.executable, "-c", WORKER_COUNT_CHILD, json.dumps(config)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
@@ -191,19 +204,20 @@ def test_3d_solves_are_bitwise_the_same_for_any_worker_count(
     # threaded BLAS makes SuperLU's solution of a column depend on the columns
     # solved with it (see README); the column blocks of each class do not
     # depend on the worker count, so every solve call sees the same columns.
-    src = str(Path(solver.__file__).resolve().parents[1])
-    threads = {name: blas_threads for name in
-               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = dict(os.environ, **threads)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    child = subprocess.run(
-        [sys.executable, "-c", WORKER_COUNT_CHILD, precon, json.dumps(alpha_prime)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert child.returncode == 0, child.stderr
-    runs = json.loads(child.stdout.splitlines()[-1])
+    config = {"dim": 3, "k": 10.0, "alpha": 0.5, "alpha_prime": alpha_prime, "precon": precon}
+    runs = solve_with_1_2_and_3_workers(config, blas_threads)
     assert [run[0] for run in runs] == [iterations] * 3
     assert runs[0][1] < 3_391_716  # the fill of SuperLU's minimum-degree order
+    assert all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_block_solve_is_bitwise_the_same_for_any_worker_count(blas_threads):
+    # 87 steps: the MGS prefix and 3 s-step blocks, whose sweeps run their fixed
+    # column chunks in 1, 2 or 3 shares and sum them in chunk order
+    config = {"dim": 2, "k": 20.0, "alpha": 0.8, "precon": "one_level"}
+    runs = solve_with_1_2_and_3_workers(config, blas_threads)
+    assert [run[0] for run in runs] == [87] * 3
     assert all(run == runs[0] for run in runs)
 
 
