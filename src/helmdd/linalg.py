@@ -10,36 +10,39 @@ pivoting, so each factorization checks its own backward error on one solve
 with a fixed right-hand side and raises ``FactorizationError`` above 1e-10.
 
 GMRES is unrestarted (full Krylov basis up to max_iter) and s-step after a
-prefix.  Its first S_STEP_PREFIX = 64 steps are modified Gram-Schmidt (MGS)
-Arnoldi steps, with a single reorthogonalization pass when the candidate basis
-vector loses more than two orders of magnitude in norm.  Each Gram-Schmidt row
-is one BLAS-1 ``zdotc`` and one in-place ``zaxpy`` on the preallocated basis.
-A solve of at most 64 steps is therefore exactly the MGS solve.  Later steps
-come in blocks of S_STEP_BLOCK = 8 (Hoemmen, *Communication-avoiding Krylov
-subspace methods*, PhD thesis, UC Berkeley 2010):
+prefix.  Every step orthogonalizes with one kernel, C = V^H P then P -= V C
+for the basis rows V and the rows P of the new vectors.  Both products are
+cut along the n axis into fixed chunks of pool.BLOCK_BYTES of an
+S_STEP_BLOCK-row block, 8,192 columns, whatever the rows swept and the
+worker count.  Each chunk is one ``numpy.matmul``, which releases the GIL;
+the chunks run on the package's thread pool and the partial products C_c
+are summed in chunk order, so C does not depend on the worker count.
+
+The first S_STEP_PREFIX = 64 steps are single Arnoldi steps, the kernel's
+one-row case taken twice: classical Gram-Schmidt with one
+reorthogonalization (CGS2), which keeps the basis orthogonal to working
+precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
+Later steps come in blocks of S_STEP_BLOCK = 8 (Hoemmen,
+*Communication-avoiding Krylov subspace methods*, PhD thesis, UC Berkeley
+2010):
 
 - the 8 block vectors are a Newton basis p_i = (A M^{-1} - theta_i) p_{i-1} /
   sigma_i from p_0 = v_j, written straight into the basis's next rows.  The
   shifts theta_i are the first 8 Leja points of the Ritz values of the
   prefix's Hessenberg matrix (Bai, Hu & Reichel, IMA J. Numer. Anal. 14,
   1994);
-- the block is projected off the basis twice, C = V^H P and P -= V C, and
-  made orthonormal by a Cholesky QR after each projection, an in-place
-  ``ztrsm`` (BCGS2 with CholQR2; Barlow & Smoktunowicz, Numer. Math. 123,
-  2013).  Both products are cut along the n axis into fixed chunks of
-  pool.BLOCK_BYTES of block columns, 8,192 at s = 8, whatever the worker
-  count.  Each chunk is one ``numpy.matmul``, which releases the GIL, and
-  the chunks run on the package's thread pool; the partial products C_c are
-  summed in chunk order, so C does not depend on the worker count;
+- the block is projected off the basis twice and made orthonormal by a
+  Cholesky QR after each projection, an in-place ``ztrsm`` (BCGS2 with
+  CholQR2; Barlow & Smoktunowicz, Numer. Math. 123, 2013);
 - the block's 8 Hessenberg columns are recovered from the change of basis
   and fed one at a time through the same Givens update and residual test as
-  an MGS step, so the solve stops at the step the residual says.
+  a single step, so the solve stops at the step the residual says.
 
-A block reads the basis 4 times where 8 MGS steps read it 16 times, and
+A block reads the basis 4 times where 8 single steps read it 32 times, and
 makes at most 7 products with A M^{-1} beyond the last step.  If a block's
 Cholesky QR fails (a rank-deficient or ill-conditioned block), the block is
-dropped and the solve ends with MGS steps.  The residual history is the exact
-least-squares residual of the Arnoldi problem, which for right
+dropped and the solve ends with single steps.  The residual history is the
+exact least-squares residual of the Arnoldi problem, which for right
 preconditioning equals the true residual of the original system, reported
 relative to ||b||.  The diagnostic ``GmresOutcome.orthogonality_loss`` is
 max_i |<v_i, v_{m-1}>| over the m basis vectors that form the solution, one
@@ -56,7 +59,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import zaxpy, zdotc, zgemm, ztrsm
+from scipy.linalg.blas import zgemm, ztrsm
 
 from . import pool
 
@@ -161,17 +164,7 @@ def _as_operator(op):
     return lambda v: op @ v
 
 
-def _mgs_pass(V: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Orthogonalize w against the rows of V by modified Gram-Schmidt, adding the
-    coefficients to h; w is updated in place when it is a contiguous complex vector."""
-    for i in range(V.shape[0]):
-        c = zdotc(V[i], w)
-        h[i] += c
-        w = zaxpy(V[i], w, a=-c)
-    return w
-
-
-S_STEP_PREFIX = 64  # MGS steps before the first block; their Ritz values give the shifts
+S_STEP_PREFIX = 64  # single steps before the first block; their Ritz values give the shifts
 S_STEP_BLOCK = 8  # Krylov vectors per block
 # A block whose Cholesky QR factor is worse conditioned than this is dropped.  Below it the
 # first Cholesky QR leaves at most about eps * cond^2 = 1e-4 of orthogonality for the second
@@ -191,10 +184,11 @@ def _leja_order(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
-def _column_chunks(n: int, s: int) -> tuple[list, list]:
-    """The n basis columns cut into fixed chunks of pool.BLOCK_BYTES of an s-row
-    block, whatever the worker count, and their shares of the pool."""
-    width = max(1, pool.BLOCK_BYTES // (16 * s))
+def _column_chunks(n: int) -> tuple[list, list]:
+    """The n basis columns cut into fixed chunks of pool.BLOCK_BYTES of an
+    S_STEP_BLOCK-row block, whatever the rows swept and the worker count, and
+    their shares of the pool."""
+    width = max(1, pool.BLOCK_BYTES // (16 * S_STEP_BLOCK))
     chunks = [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
     shares = pool._plan([c.stop - c.start for c in chunks], pool.LOCAL_SOLVE_WORKERS)
     return chunks, shares
@@ -223,8 +217,9 @@ def _project_out(basis: np.ndarray, block: np.ndarray, chunks: list, shares: lis
     return coef
 
 
-def _newton_block(A, M, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
-    """One s-step Arnoldi block after v_j = V[j], with s = len(shifts).
+def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray, chunks, shares):
+    """One s-step Arnoldi block after v_j = V[j], with s = len(shifts) and AM
+    the product with A M^{-1}.
 
     Writes the Newton basis p_i = (A M^{-1} - theta_i) p_{i-1} / sigma_i,
     p_0 = v_j, into V[j+1 : j+s+1] and makes it orthonormal to V[:j+1] and
@@ -242,8 +237,7 @@ def _newton_block(A, M, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray
     s = len(shifts)
     sigma = np.empty(s)
     for i in range(s):
-        z = M(V[j + i]) if M is not None else V[j + i].copy()
-        w = np.asarray(A(z), dtype=np.complex128)
+        w = AM(V[j + i])
         if i == 0:
             first = w
         p = V[j + i + 1]
@@ -257,7 +251,6 @@ def _newton_block(A, M, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray
     basis = V[: j + 1]
     block = V[j + 1 : j + s + 1]
     P = block.T  # n x s in Fortran order: the Gram product and ztrsm copy nothing
-    chunks, shares = _column_chunks(V.shape[1], s)
     C = np.zeros((j + 1, s), dtype=np.complex128)
     R_S = np.eye(s, dtype=np.complex128)
     for _ in range(2):
@@ -334,6 +327,10 @@ def gmres(
         applies += 1
         return operator(v)
 
+    def AM(v):
+        """A M^{-1} v in a new contiguous array, which _project_out may update in place."""
+        return np.array(A(M(v) if M is not None else v), dtype=np.complex128)
+
     b = np.asarray(b, dtype=np.complex128)
     n = b.size
     # Linux's default overcommit heuristic would refuse such an np.empty anyway
@@ -366,6 +363,7 @@ def gmres(
     g[0] = beta
 
     V = np.empty((max_iter + 1, n), dtype=np.complex128)  # rows are committed as written
+    chunks, shares = _column_chunks(n)
     checked = 0  # rows of V whose memory has been checked
 
     def check_memory(rows: int) -> None:
@@ -402,8 +400,8 @@ def gmres(
                 ritz = generalized_eig(H_prefix, np.eye(S_STEP_PREFIX)).values
                 shifts = _leja_order(ritz)[:S_STEP_BLOCK]
             check_memory(j + 1 + min(S_STEP_BLOCK, max_iter - j))
-            block, w = _newton_block(A, M, V, H_arnoldi, j, shifts[: max_iter - j])
-            if block is None:  # w = A M^{-1} v_j starts the MGS steps
+            block, w = _newton_block(AM, V, H_arnoldi, j, shifts[: max_iter - j], chunks, shares)
+            if block is None:  # w = A M^{-1} v_j starts the single steps
                 s_step = False
             else:
                 block_start, block_end = j, j + block.shape[1]
@@ -412,14 +410,10 @@ def gmres(
             nw = H[j + 1, j].real
         else:
             if w is None:
-                z = M(V[j]) if M is not None else V[j].copy()
-                w = np.asarray(A(z), dtype=np.complex128)
-            norm_w0 = np.linalg.norm(w)
-            w = _mgs_pass(V[: j + 1], w, H[: j + 1, j])
+                w = AM(V[j])
+            for _ in range(2):  # CGS2: the one-row case of the block's two projections
+                H[: j + 1, j] += _project_out(V[: j + 1], w[None], chunks, shares)[:, 0]
             nw = np.linalg.norm(w)
-            if nw < norm_w0 / 100.0:  # severe cancellation: one more MGS pass
-                w = _mgs_pass(V[: j + 1], w, H[: j + 1, j])
-                nw = np.linalg.norm(w)
             H[j + 1, j] = nw
         H_arnoldi[: j + 2, j] = H[: j + 2, j]
         m = j + 1

@@ -1,11 +1,12 @@
 """The one thread pool of the package, its planner and its fork-join.
 
-The local factorizations and solves of the one-level preconditioner and the
-block sweeps of GMRES run on it.  Work is cut into fixed blocks of at most
-BLOCK_BYTES, whatever the worker count, planned into LOCAL_SOLVE_WORKERS
-shares and run by _fork_join, so results do not depend on the worker count.
-Callers read LOCAL_SOLVE_WORKERS and BLOCK_BYTES from this module when they
-plan, so setting them here reaches every plan made afterwards.
+The local factorizations and solves of the one-level preconditioner and
+every Gram-Schmidt projection of GMRES, single steps and blocks alike, run
+on it.  Work is cut into fixed blocks of at most BLOCK_BYTES, whatever the
+worker count, planned into LOCAL_SOLVE_WORKERS shares and run by
+_fork_join, so results do not depend on the worker count.  Callers read
+LOCAL_SOLVE_WORKERS and BLOCK_BYTES from this module when they plan, so
+setting them here reaches every plan made afterwards.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ LOCAL_SOLVE_WORKERS = (
 _POOL = ThreadPoolExecutor(max(LOCAL_SOLVE_WORKERS - 1, 1), thread_name_prefix="helmdd-pool")
 
 # Bytes of one block of work: the right-hand sides of one local solve call, or
-# one column chunk of a GMRES block sweep.  Blocks are cut to this size
-# whatever the worker count, so each call gets the same columns on any number
-# of threads.  Small blocks keep the pool threads' temporaries small, and
-# glibc's per-thread heaps (which keep freed memory) small with them.
+# one column chunk of an 8-row GMRES block, whose columns a single step sweeps
+# too.  Blocks are cut to this size whatever the worker count, so each call
+# gets the same columns on any number of threads.  Small blocks keep the pool
+# threads' temporaries small, and glibc's per-thread heaps (which keep freed
+# memory) small with them.
 BLOCK_BYTES = 1 << 20
 
 
