@@ -11,12 +11,12 @@ with a fixed right-hand side and raises ``FactorizationError`` above 1e-10.
 
 GMRES is unrestarted (full Krylov basis up to max_iter) and s-step after a
 prefix.  Every step orthogonalizes with one kernel, C = V^H P then P -= V C
-for the basis rows V and the rows P of the new vectors.  Both products are
-cut along the n axis into fixed chunks of pool.BLOCK_BYTES of an
+for the basis rows V and the rows P of the new vectors.  pool.blocks cuts
+both products along the n axis into fixed chunks of pool.BLOCK_BYTES of an
 S_STEP_BLOCK-row block, 8,192 columns, whatever the rows swept and the
-worker count.  Each chunk is one ``numpy.matmul``, which releases the GIL;
-the chunks run on the package's thread pool and the partial products C_c
-are summed in chunk order, so C does not depend on the worker count.
+worker count.  Each chunk is one ``numpy.matmul``, which releases the GIL,
+run on the package's thread pool by pool.run; the partial products C_c are
+summed in chunk order, so C does not depend on the worker count.
 
 The first S_STEP_PREFIX = 64 steps are single Arnoldi steps, the kernel's
 one-row case taken twice: classical Gram-Schmidt with one
@@ -184,40 +184,27 @@ def _leja_order(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
-def _column_chunks(n: int) -> tuple[list, list]:
-    """The n basis columns cut into fixed chunks of pool.BLOCK_BYTES of an
-    S_STEP_BLOCK-row block, whatever the rows swept and the worker count, and
-    their shares of the pool."""
-    width = max(1, pool.BLOCK_BYTES // (16 * S_STEP_BLOCK))
-    chunks = [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
-    shares = pool._plan([c.stop - c.start for c in chunks], pool.LOCAL_SOLVE_WORKERS)
-    return chunks, shares
-
-
-def _project_out(basis: np.ndarray, block: np.ndarray, chunks: list, shares: list) -> np.ndarray:
+def _project_out(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     """C = V^H P, then P -= V C in place, for the basis rows V and the block
-    rows P: one numpy.matmul per column chunk c for each product, the partial
-    conj(P_c) V_c^T of C summed in chunk order.  Returns C."""
-    partial = [None] * len(chunks)
-
-    def project(share):
-        for c in share:
-            partial[c] = block[:, chunks[c]].conj() @ basis[:, chunks[c]].T
-
-    def subtract(share):
-        for c in share:
-            block[:, chunks[c]] -= coef.T @ basis[:, chunks[c]]
-
-    pool._fork_join(project, shares)
+    rows P: one numpy.matmul per column chunk c (pool.blocks) for each product,
+    on pool.run, the partial conj(P_c) V_c^T of C summed in chunk order.
+    Returns C."""
+    chunks = pool.blocks(basis.shape[1], 16 * S_STEP_BLOCK)
+    work = [c.stop - c.start for c in chunks]
+    partial = pool.run(lambda c: block[:, chunks[c]].conj() @ basis[:, chunks[c]].T, work)
     coef = partial[0]
     for term in partial[1:]:
         coef += term
     coef = coef.conj().T
-    pool._fork_join(subtract, shares)
+
+    def subtract(c):
+        block[:, chunks[c]] -= coef.T @ basis[:, chunks[c]]
+
+    pool.run(subtract, work)
     return coef
 
 
-def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray, chunks, shares):
+def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
     """One s-step Arnoldi block after v_j = V[j], with s = len(shifts) and AM
     the product with A M^{-1}.
 
@@ -254,7 +241,7 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray, 
     C = np.zeros((j + 1, s), dtype=np.complex128)
     R_S = np.eye(s, dtype=np.complex128)
     for _ in range(2):
-        coef = _project_out(basis, block, chunks, shares)
+        coef = _project_out(basis, block)
         try:
             R = scipy.linalg.cholesky(zgemm(1.0, P, P, trans_a=2))
         except np.linalg.LinAlgError:
@@ -363,7 +350,6 @@ def gmres(
     g[0] = beta
 
     V = np.empty((max_iter + 1, n), dtype=np.complex128)  # rows are committed as written
-    chunks, shares = _column_chunks(n)
     checked = 0  # rows of V whose memory has been checked
 
     def check_memory(rows: int) -> None:
@@ -400,7 +386,7 @@ def gmres(
                 ritz = generalized_eig(H_prefix, np.eye(S_STEP_PREFIX)).values
                 shifts = _leja_order(ritz)[:S_STEP_BLOCK]
             check_memory(j + 1 + min(S_STEP_BLOCK, max_iter - j))
-            block, w = _newton_block(AM, V, H_arnoldi, j, shifts[: max_iter - j], chunks, shares)
+            block, w = _newton_block(AM, V, H_arnoldi, j, shifts[: max_iter - j])
             if block is None:  # w = A M^{-1} v_j starts the single steps
                 s_step = False
             else:
@@ -412,7 +398,7 @@ def gmres(
             if w is None:
                 w = AM(V[j])
             for _ in range(2):  # CGS2: the one-row case of the block's two projections
-                H[: j + 1, j] += _project_out(V[: j + 1], w[None], chunks, shares)[:, 0]
+                H[: j + 1, j] += _project_out(V[: j + 1], w[None])[:, 0]
             nw = np.linalg.norm(w)
             H[j + 1, j] = nw
         H_arnoldi[: j + 2, j] = H[: j + 2, j]

@@ -1,12 +1,12 @@
-"""The one thread pool of the package, its planner and its fork-join.
+"""The one thread pool of the package and its two entry points, blocks and run.
 
 The local factorizations and solves of the one-level preconditioner and
 every Gram-Schmidt projection of GMRES, single steps and blocks alike, run
-on it.  Work is cut into fixed blocks of at most BLOCK_BYTES, whatever the
-worker count, planned into LOCAL_SOLVE_WORKERS shares and run by
-_fork_join, so results do not depend on the worker count.  Callers read
-LOCAL_SOLVE_WORKERS and BLOCK_BYTES from this module when they plan, so
-setting them here reaches every plan made afterwards.
+on it.  blocks cuts work into fixed blocks of at most BLOCK_BYTES, whatever
+the worker count; run plans tasks into LOCAL_SOLVE_WORKERS shares, runs them
+and returns the results in task order.  So results do not depend on the
+worker count.  Both read BLOCK_BYTES and LOCAL_SOLVE_WORKERS from this
+module on every call, so setting them here reaches all later work.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ _POOL = ThreadPoolExecutor(max(LOCAL_SOLVE_WORKERS - 1, 1), thread_name_prefix="
 BLOCK_BYTES = 1 << 20
 
 
+def blocks(count: int, item_bytes: int) -> list:
+    """range(count) cut into slices of at most BLOCK_BYTES of items of
+    item_bytes each (one item where a single one is larger), whatever the
+    worker count."""
+    size = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
 def _plan(work, workers: int) -> list:
     """Shares of task indices: each task, largest work first, goes to the
     least-loaded share (Graham's LPT rule, SIAM J. Appl. Math. 17, 1969), so
@@ -44,14 +52,25 @@ def _plan(work, workers: int) -> list:
     return [share for share in shares if share]
 
 
-def _fork_join(run, shares) -> None:
-    """run(share) for every share: the caller runs the first, the pool the
-    others.  Returns when all have finished and raises the first error; the
-    pool's tasks submit none, so it never nests."""
-    futures = [_POOL.submit(run, share) for share in shares[1:]]
+def run(task, work) -> list:
+    """[task(t) for t in range(len(work))], task t expected to cost work[t].
+
+    The tasks are planned into LOCAL_SOLVE_WORKERS shares; the caller runs the
+    first share and the pool the others.  Returns when every share has
+    finished, raising the first error in share order.  No task may call run:
+    the pool's threads would wait on shares queued behind them."""
+    results = [None] * len(work)
+
+    def run_share(share):
+        for t in share:
+            results[t] = task(t)
+
+    first, *rest = _plan(work, LOCAL_SOLVE_WORKERS)
+    futures = [_POOL.submit(run_share, share) for share in rest]
     try:
-        run(shares[0])
+        run_share(first)
     finally:
         wait(futures)
-        for future in futures:
-            future.result()
+    for future in futures:
+        future.result()
+    return results

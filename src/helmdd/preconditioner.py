@@ -16,7 +16,8 @@ widths up to an axis permutation), 3 in 2d and 4 in 3d.  Every member is
 gathered from and prolonged to its dofs in the representative's vertex order
 (in 3d its nested-dissection order), the class gathers of congruence_classes;
 a member with the representative's key has bitwise its matrix, a mirrored or
-axis-swapped one its matrix to rounding (about 1e-16).
+axis-swapped one its matrix to rounding (about 1e-16).  The class LUs run on
+pool.run, and so do the local solves, in blocks cut by pool.blocks.
 """
 
 from __future__ import annotations
@@ -98,14 +99,13 @@ class OneLevelORAS:
     classes[c] is width class c, whose (members, n_local) arrays dofs and pou
     hold its members' global dofs and partition-of-unity weights, each row in
     the representative's numbering (see congruence_classes), and
-    factorizations[c] is their shared LU.  Each class is cut into fixed
-    blocks of members, at most pool.BLOCK_BYTES of right-hand sides each; apply
-    stacks R_j v of a block as the columns of one multi-right-hand-side solve
-    and scatters every result back through the weighted prolongation
-    [R~_j^T ...], an n x sum_j n_j sparse matrix built once.  The blocks are
-    planned into pool.LOCAL_SOLVE_WORKERS shares by work fill x columns and
-    solved concurrently.  They do not depend on the worker count, so neither does
-    the result.
+    factorizations[c] is their shared LU.  Each class is cut by pool.blocks
+    into fixed blocks of members, at most pool.BLOCK_BYTES of right-hand sides
+    each; apply stacks R_j v of a block as the columns of one
+    multi-right-hand-side solve and scatters every result back through the
+    weighted prolongation [R~_j^T ...], an n x sum_j n_j sparse matrix built
+    once.  pool.run solves the blocks concurrently, by work fill x columns.
+    They do not depend on the worker count, so neither does the result.
     """
 
     def __init__(self, n: int, classes: list, factorizations: list):
@@ -118,27 +118,24 @@ class OneLevelORAS:
         )
         # (LU, gather, start, stop) per block: v[gather].T is its stacked R_j v
         # and its solutions fill out[start:stop]
-        tasks = []
+        self._tasks = []
         start = 0
         for lu, cls in zip(factorizations, classes):
             members, n_local = cls.dofs.shape
-            size = max(1, pool.BLOCK_BYTES // (16 * n_local))
-            for first in range(0, members, size):
-                dofs = cls.dofs[first:first + size]
-                tasks.append((lu, dofs, start, start + dofs.size))
+            for block in pool.blocks(members, 16 * n_local):
+                dofs = cls.dofs[block]
+                self._tasks.append((lu, dofs, start, start + dofs.size))
                 start += dofs.size
-        work = [lu.fill * len(dofs) for lu, dofs, _, _ in tasks]
-        shares = pool._plan(work, pool.LOCAL_SOLVE_WORKERS)
-        self._shares = [[tasks[t] for t in share] for share in shares]
+        self._work = [lu.fill * len(dofs) for lu, dofs, _, _ in self._tasks]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(self._prolong.shape[1], dtype=np.complex128)
 
-        def solve(share):
-            for lu, dofs, start, stop in share:
-                out[start:stop] = lu.solve(v[dofs].T).ravel(order="F")
+        def solve(t):
+            lu, dofs, start, stop = self._tasks[t]
+            out[start:stop] = lu.solve(v[dofs].T).ravel(order="F")
 
-        pool._fork_join(solve, self._shares)
+        pool.run(solve, self._work)
         return self._prolong @ out
 
 
@@ -166,20 +163,15 @@ def build_one_level(
     In 3d each class is numbered in nested-dissection order, its gathers and
     A_local alike, and SuperLU keeps that order; it fills less there than
     minimum degree, which 2d keeps (see README).  The classes are assembled
-    and factorized concurrently, planned into pool.LOCAL_SOLVE_WORKERS shares
-    by expected work n_local^2 (see helmdd.pool).
+    and factorized concurrently by pool.run, by expected work n_local^2.
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
     numbering = nested_dissection if mesh.dim == 3 else None
     classes = congruence_classes(decomposition, sides=False, numbering=numbering)
-    factorizations = [None] * len(classes)
-
-    def factorize_share(share):
-        for c in share:
-            factorizations[c] = _class_lu(mesh, classes[c], params, numbering)
-
-    work = [cls.dofs.shape[1] ** 2 for cls in classes]
-    pool._fork_join(factorize_share, pool._plan(work, pool.LOCAL_SOLVE_WORKERS))
+    factorizations = pool.run(
+        lambda c: _class_lu(mesh, classes[c], params, numbering),
+        [cls.dofs.shape[1] ** 2 for cls in classes],
+    )
     return OneLevelORAS(mesh.n_vertices, classes, factorizations)
 
 
@@ -272,7 +264,7 @@ def build_dtn_cs(
         A = mats.A_neu.tocsc()
         A_II = A[inner][:, inner]
         A_IG = np.asarray(A[inner][:, gamma].todense())
-        A_GI = np.asarray(A[gamma][:, inner].todense())
+        A_GI = A_IG.T  # A_neu is exactly symmetric
         A_GG = np.asarray(A[gamma][:, gamma].todense())
         M_GG = np.asarray(mats.M_interface.tocsc()[gamma][:, gamma].todense()).real
 

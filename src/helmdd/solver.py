@@ -102,7 +102,7 @@ class SolveReport:
     # L.nnz + U.nnz: "local" summed over the width-class LUs, "coarse" of E (0 where absent)
     lu_fill_nnz: dict
     local_factorizations: int  # one-level LUs, one per subdomain width class
-    local_solve_workers: int  # threads the local solves may use (CPU affinity set); 0 if none
+    local_solve_workers: int  # pool.run shares for the local solves (CPU affinity set); 0 if none
     operator_applies: int  # products with A0 in GMRES, the initial residual's included
     coarse_info: dict | None = None
     solution: np.ndarray | None = None  # not serialized

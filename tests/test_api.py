@@ -73,6 +73,44 @@ def test_every_sparse_lu_goes_through_factorize():
     assert outside == []
 
 
+def _references(tree, names):
+    """(enclosing function, node) of every name, attribute or import of a name in names."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in names:
+            found.append((function, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_all_pool_work_goes_through_pool_run():
+    # the fixed blocks and the plan keep results the same for any worker count only
+    # if no module plans or submits work past pool.run; the harness's --jobs
+    # executor runs whole configurations, not blocks
+    outside = []
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs = _references(tree, ("_plan", "_POOL", "_fork_join"))
+        executors = _references(tree, ("ThreadPoolExecutor",))
+        if path.name == "pool.py":
+            assert refs and executors, "the guard no longer sees the pool"
+            continue
+        if path.name == "harness.py":  # its import and run_sweep
+            executors = [(fn, node) for fn, node in executors
+                         if fn != "run_sweep" and not isinstance(node, ast.alias)]
+        outside += [f"{path.name}:{node.lineno} in {fn}" for fn, node in refs + executors]
+    assert outside == []
+
+
 def test_no_qz_on_a_pencil():
     # generalized_eig reduces the pencil with the Cholesky factor of M; QZ, an
     # eig or eigvals call given a second (b) matrix, is left to the tests

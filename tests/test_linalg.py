@@ -397,17 +397,26 @@ def record_single_steps(monkeypatch):
     """Basis sizes j+1 of the one-row projections gmres makes from now on (two per
     single step); every projection, one row or a block, must sweep the basis in
     chunks of 8,192 columns."""
-    sizes = []
-    project_out = linalg._project_out
+    sizes, cuts = [], []
+    project_out, blocks = linalg._project_out, pool.blocks
 
-    def recorded(basis, block, chunks, shares):
+    def recorded(basis, block):
+        cuts.clear()
+        coef = project_out(basis, block)
         n = basis.shape[1]
-        assert [c.stop - c.start for c in chunks] == [min(8192, n - lo) for lo in range(0, n, 8192)]
+        assert [[c.stop - c.start for c in cut] for cut in cuts] == [
+            [min(8192, n - lo) for lo in range(0, n, 8192)]
+        ]
         if len(block) == 1:
             sizes.append(len(basis))
-        return project_out(basis, block, chunks, shares)
+        return coef
+
+    def recorded_blocks(count, item_bytes):
+        cuts.append(blocks(count, item_bytes))
+        return cuts[-1]
 
     monkeypatch.setattr(linalg, "_project_out", recorded)
+    monkeypatch.setattr(pool, "blocks", recorded_blocks)
     return sizes
 
 
@@ -451,14 +460,23 @@ def test_block_sweeps_over_column_chunks_match_the_dense_products(monkeypatch):
     basis = V[:rows]
     oracle = basis.conj() @ V[rows:].T  # C = V^H P with the basis vectors as columns
     results = {}
+    plan, plans = pool._plan, []
+
+    def recorded_plan(work, workers):
+        plans.append((work, plan(work, workers)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(pool, "_plan", recorded_plan)
     for workers in (1, 2, 3):
         monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", workers)
-        chunks, shares = linalg._column_chunks(n)
-        assert [c.stop - c.start for c in chunks] == [100] * 10 + [37]
-        assert len(shares) == workers and sorted(sum(shares, [])) == list(range(11))
         for p in (s, 1):
             block = V[rows : rows + p].copy()
-            coef = linalg._project_out(basis, block, chunks, shares)
+            plans.clear()
+            coef = linalg._project_out(basis, block)
+            assert len(plans) == 2  # one plan for each product
+            for work, shares in plans:
+                assert work == [100] * 10 + [37]
+                assert len(shares) == workers and sorted(sum(shares, [])) == list(range(11))
             np.testing.assert_allclose(coef, oracle[:, :p], rtol=0, atol=1e-13)
             expected = V[rows : rows + p] - oracle[:, :p].T @ basis
             np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13)

@@ -160,7 +160,7 @@ def test_one_level_apply_is_bitwise_the_serial_class_solves(monkeypatch, dim, m,
     mesh = build_uniform_mesh(dim, m)
     dec = build_decomposition(mesh, n1d, 2 if dim == 2 else 1)
     one = build_one_level(mesh, dec, k, k)
-    assert 1 <= len(one._shares) <= workers
+    assert 1 <= len(pool._plan(one._work, pool.LOCAL_SOLVE_WORKERS)) <= workers
     serial = serial_one_level(mesh, dec, one)
     rng = np.random.default_rng(workers)
     for _ in range(3):
@@ -239,7 +239,8 @@ def synthetic_one_level(fills, shapes):
 def test_local_solve_plan_covers_every_member_once(monkeypatch, fills, shapes, workers):
     def tasks_at(count):
         monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", count)
-        shares = synthetic_one_level(fills, shapes)._shares
+        one = synthetic_one_level(fills, shapes)
+        shares = [[one._tasks[t] for t in share] for share in pool._plan(one._work, count)]
         assert 1 <= len(shares) <= count and all(shares)
         return shares, [task for share in shares for task in share]
 
@@ -268,8 +269,7 @@ def test_one_level_tasks_fill_the_stacked_solution_once(monkeypatch):
     dec = build_decomposition(mesh, 10, 2)
     one = build_one_level(mesh, dec, 20.0, 20.0)
     tasks = sorted(
-        ((start, stop, dofs) for share in one._shares for _, dofs, start, stop in share),
-        key=lambda task: task[0],
+        ((start, stop, dofs) for _, dofs, start, stop in one._tasks), key=lambda task: task[0]
     )
     assert len(tasks) > len(one.factorizations)  # the interior class is split
     assert tasks[0][0] == 0 and tasks[-1][1] == one._prolong.shape[1]
