@@ -18,7 +18,7 @@ worker count.  Each chunk is one ``numpy.matmul``, which releases the GIL,
 run on the package's thread pool by pool.run; the partial products C_c are
 summed in chunk order, so C does not depend on the worker count.
 
-The first S_STEP_PREFIX = 64 steps are single Arnoldi steps, the kernel's
+The first S_STEP_PREFIX = 32 steps are single Arnoldi steps, the kernel's
 one-row case taken twice: classical Gram-Schmidt with one
 reorthogonalization (CGS2), which keeps the basis orthogonal to working
 precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
@@ -31,29 +31,37 @@ Later steps come in blocks of S_STEP_BLOCK = 8 (Hoemmen,
   shifts theta_i are the first 8 Leja points of the Ritz values of the
   prefix's Hessenberg matrix (Bai, Hu & Reichel, IMA J. Numer. Anal. 14,
   1994);
-- the block is projected off the basis twice and made orthonormal by a
-  Cholesky QR after each projection, an in-place ``ztrsm`` (BCGS2 with
-  CholQR2; Barlow & Smoktunowicz, Numer. Math. 123, 2013);
+- the block is projected off the basis once and made orthonormal by two
+  Cholesky QRs (CholQR2), each an in-place ``ztrsm``.  Block CGS with a
+  stable in-block QR loses about eps * kappa^2 of orthogonality per block
+  (Carson, Lund, Rozloznik & Thomas, Linear Algebra Appl. 638, 2022), so a
+  second projection precedes the second Cholesky QR when the first factor
+  R_1 shows an ill-conditioned block: kappa_1 = sqrt(s) / sigma_min(R_1)
+  above REPROJECT_COND = 100, where sqrt(s) = ||P||_F since every Newton
+  column has norm 1 (Stewart, SIAM J. Sci. Comput. 31, 2008).  The test is
+  one s x s SVD.  A block projected once keeps at most about 100 eps of the
+  basis; one projected twice is BCGS2 with CholQR2 (Barlow & Smoktunowicz,
+  Numer. Math. 123, 2013);
 - the block's 8 Hessenberg columns are recovered from the change of basis
   and fed one at a time through the same Givens update and residual test as
   a single step, so the solve stops at the step the residual says.
 
-A block reads the basis 4 times where 8 single steps read it 32 times, and
-makes at most 7 products with A M^{-1} beyond the last step.  If a block's
-Cholesky QR fails (a rank-deficient or ill-conditioned block), the block is
-dropped and the solve ends with single steps.  The residual history is the
-exact least-squares residual of the Arnoldi problem, which for right
-preconditioning equals the true residual of the original system, reported
-relative to ||b||.  The diagnostic ``GmresOutcome.orthogonality_loss`` is
-max_i |<v_i, v_{m-1}>| over the m basis vectors that form the solution, one
-matrix-vector product at exit.
+A block makes at most 7 products with A M^{-1} beyond the last step.  If a
+block's Cholesky QR fails (a rank-deficient or ill-conditioned block), the
+block is dropped and the solve ends with single steps.
+``GmresOutcome.s_step_blocks`` counts the blocks projected once, twice, or
+dropped.  The residual history is the exact least-squares residual of the
+Arnoldi problem, which for right preconditioning equals the true residual of
+the original system, reported relative to ||b||.  The diagnostic
+``GmresOutcome.orthogonality_loss`` is max_i |<v_i, v_{m-1}>| over the m
+basis vectors that form the solution, one matrix-vector product at exit.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -147,6 +155,11 @@ def random_initial_guess(n: int, seed: int) -> np.ndarray:
     return re + 1j * im
 
 
+def _block_counts() -> dict:
+    """s-step blocks by outcome: projected off the basis once, twice, or dropped."""
+    return {"one_projection": 0, "two_projections": 0, "dropped": 0}
+
+
 @dataclass
 class GmresOutcome:
     solution: np.ndarray
@@ -156,6 +169,7 @@ class GmresOutcome:
     breakdown: bool = False
     orthogonality_loss: float = 0.0  # max_i |<v_i, v_{m-1}>|; 0.0 when m <= 1
     operator_applies: int = 0  # products with A, the initial residual's included
+    s_step_blocks: dict = field(default_factory=_block_counts)
 
 
 def _as_operator(op):
@@ -164,12 +178,17 @@ def _as_operator(op):
     return lambda v: op @ v
 
 
-S_STEP_PREFIX = 64  # single steps before the first block; their Ritz values give the shifts
+S_STEP_PREFIX = 32  # single steps before the first block; their Ritz values give the shifts
 S_STEP_BLOCK = 8  # Krylov vectors per block
 # A block whose Cholesky QR factor is worse conditioned than this is dropped.  Below it the
 # first Cholesky QR leaves at most about eps * cond^2 = 1e-4 of orthogonality for the second
 # to remove.  The largest measured on the 2d k <= 40 solves is 1.7e5 (grid, alpha = 0.6).
 CHOLQR_MAX_COND = 1e6
+# A block is projected off the basis a second time when its first Cholesky factor R_1 has
+# kappa_1 = ||P||_F / sigma_min(R_1) above this.  One projection leaves about eps * kappa_1
+# of the basis in the block (Stewart, SIAM J. Sci. Comput. 31, 2008), so at most about
+# 100 eps where the second is skipped.
+REPROJECT_COND = 100.0
 
 
 def _leja_order(points: np.ndarray) -> np.ndarray:
@@ -210,8 +229,10 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
 
     Writes the Newton basis p_i = (A M^{-1} - theta_i) p_{i-1} / sigma_i,
     p_0 = v_j, into V[j+1 : j+s+1] and makes it orthonormal to V[:j+1] and
-    within itself in place: two passes of C = V^H P, P -= V C, each followed by
-    a Cholesky QR.  So [v_j, p_1..p_s] = V[:j+s+1] R, where R's first column is
+    within itself in place: one pass of C = V^H P, P -= V C, then two Cholesky
+    QRs (CholQR2).  A second pass precedes the second Cholesky QR only when the
+    first factor R_1 has sqrt(s) / sigma_min(R_1) > REPROJECT_COND.  So
+    [v_j, p_1..p_s] = V[:j+s+1] R, where R's first column is
     e_j and its rows j.. are upper triangular, and A M^{-1} [v_j, p_1..p_{s-1}]
     = [v_j, p_1..p_s] N with N bidiagonal (theta_i on the diagonal, sigma_i
     below).  With H the unrotated Hessenberg matrix of steps 0..j-1, the new
@@ -219,7 +240,7 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
 
     Returns those (j+s+1) x s columns, or None when a Cholesky factorization
     fails, a factor's condition number exceeds CHOLQR_MAX_COND or a sigma_i is
-    0, and the first product A M^{-1} v_j either way.
+    0; the first product A M^{-1} v_j either way; and the passes made.
     """
     s = len(shifts)
     sigma = np.empty(s)
@@ -232,7 +253,7 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
         p += w
         sigma[i] = np.linalg.norm(p)
         if not 0.0 < sigma[i] < math.inf:
-            return None, first
+            return None, first, 0
         p /= sigma[i]
 
     basis = V[: j + 1]
@@ -240,16 +261,22 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
     P = block.T  # n x s in Fortran order: the Gram product and ztrsm copy nothing
     C = np.zeros((j + 1, s), dtype=np.complex128)
     R_S = np.eye(s, dtype=np.complex128)
-    for _ in range(2):
-        coef = _project_out(basis, block)
+    projections = 0
+    reproject = True  # the first Cholesky QR always follows a projection
+    for _ in range(2):  # CholQR2
+        if reproject:
+            C += _project_out(basis, block) @ R_S
+            projections += 1
         try:
             R = scipy.linalg.cholesky(zgemm(1.0, P, P, trans_a=2))
         except np.linalg.LinAlgError:
-            return None, first
-        if not np.linalg.cond(R) <= CHOLQR_MAX_COND:
-            return None, first
+            return None, first, projections
+        singular_values = np.linalg.svd(R, compute_uv=False)
+        if not singular_values[0] <= CHOLQR_MAX_COND * singular_values[-1]:
+            return None, first, projections
+        # ||P||_F = sqrt(s) before the first projection: every Newton column has norm 1
+        reproject = math.sqrt(s) > REPROJECT_COND * singular_values[-1]
         ztrsm(1.0, R, P, side=1, overwrite_b=1)
-        C += coef @ R_S
         R_S = R @ R_S
 
     Rhat = np.zeros((j + s + 1, s + 1), dtype=np.complex128)
@@ -263,7 +290,7 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
     Y = Rhat @ N
     Y[: j + 1] -= H[: j + 1, :j] @ Rhat[:j, :s]
     columns = scipy.linalg.solve_triangular(Rhat[j : j + s, :s], Y.T, trans="T").T
-    return columns, first
+    return columns, first, projections
 
 
 def _available_memory() -> int:
@@ -377,6 +404,7 @@ def gmres(
     breakdown = False
     shifts = None
     s_step = True  # until a block's Cholesky QR fails
+    block_counts = _block_counts()
     block_start = block_end = 0  # steps whose columns the current block holds
     for j in range(max_iter):
         w = None
@@ -386,11 +414,13 @@ def gmres(
                 ritz = generalized_eig(H_prefix, np.eye(S_STEP_PREFIX)).values
                 shifts = _leja_order(ritz)[:S_STEP_BLOCK]
             check_memory(j + 1 + min(S_STEP_BLOCK, max_iter - j))
-            block, w = _newton_block(AM, V, H_arnoldi, j, shifts[: max_iter - j])
+            block, w, projections = _newton_block(AM, V, H_arnoldi, j, shifts[: max_iter - j])
             if block is None:  # w = A M^{-1} v_j starts the single steps
                 s_step = False
+                block_counts["dropped"] += 1
             else:
                 block_start, block_end = j, j + block.shape[1]
+                block_counts["one_projection" if projections == 1 else "two_projections"] += 1
         if j < block_end:
             H[: j + 2, j] = block[: j + 2, j - block_start]
             nw = H[j + 1, j].real
@@ -440,7 +470,7 @@ def gmres(
 
     if m == 0:
         return GmresOutcome(
-            x0.copy(), 0, np.asarray(history), converged, breakdown, operator_applies=applies
+            x0.copy(), 0, np.asarray(history), converged, breakdown, 0.0, applies, block_counts
         )
     y = scipy.linalg.solve_triangular(H[:m, :m], g[:m])
     u = y @ V[:m]
@@ -451,7 +481,9 @@ def gmres(
         true_res = np.linalg.norm(b - A(x)) / ref
         history.append(true_res)
         converged = true_res <= tol
-    return GmresOutcome(x, m, np.asarray(history), converged, breakdown, loss, applies)
+    return GmresOutcome(
+        x, m, np.asarray(history), converged, breakdown, loss, applies, block_counts
+    )
 
 
 @dataclass

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import pool
+from . import linalg, pool
 from .assembly import HelmholtzParams, assemble_subdomain
 from .decomposition import Decomposition, congruence_classes, nested_dissection
 from .linalg import SparseFactorization, factorize, generalized_eig
@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 EIG_RESIDUAL_TOL = 1e-8
+# n_G x n_G complex arrays a DtN orbit holds at once: A_GG, M_GG, S, and in generalized_eig
+# and its residual check L, C, eig's copy of C, its vectors and the mapped vectors
+DTN_SQUARE_ARRAYS = 8
 
 
 class PreconditionerError(Exception):
@@ -247,6 +250,11 @@ def build_dtn_cs(
     Columns of Z live in exactly one subdomain block, in subdomain order; rows
     are shared across overlapping blocks.  The subdomain matrices are those of
     the shifted problem (epsilon_prec, eta = k).
+
+    Before an orbit is assembled, the bytes of its dense arrays (A_IG and X,
+    n_I x n_G each, and DTN_SQUARE_ARRAYS n_G x n_G ones, all complex) are
+    compared with the memory still available (linalg._available_memory); a
+    shortfall raises MemoryError naming the orbit's key.
     """
     params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
     classes = congruence_classes(decomposition)
@@ -259,6 +267,14 @@ def build_dtn_cs(
             continue
         n_local = cls.dofs.shape[1]
         inner = np.setdiff1d(np.arange(n_local), gamma, assume_unique=True)
+        key = [list(axis) for axis in cls.key]
+        dense = 16 * gamma.size * (2 * inner.size + DTN_SQUARE_ARRAYS * gamma.size)
+        available = linalg._available_memory()
+        if dense > available:
+            raise MemoryError(
+                f"DtN orbit {key}: its dense A_IG, X, S and pencil need {dense:,} bytes, "
+                f"more than the {available:,} bytes of memory available"
+            )
 
         mats = assemble_subdomain(mesh, cls, params)
         A = mats.A_neu.tocsc()
@@ -292,7 +308,7 @@ def build_dtn_cs(
         counts[cls.members] = len(chosen)
         records.append(
             {
-                "key": [list(axis) for axis in cls.key],
+                "key": key,
                 "members": len(cls.members),
                 "count": len(chosen),
                 "margin": float(np.abs(pairs.values.real - k).min() / k),

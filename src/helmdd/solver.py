@@ -104,6 +104,7 @@ class SolveReport:
     local_factorizations: int  # one-level LUs, one per subdomain width class
     local_solve_workers: int  # pool.run shares for the local solves (CPU affinity set); 0 if none
     operator_applies: int  # products with A0 in GMRES, the initial residual's included
+    s_step_blocks: dict  # GMRES s-step blocks projected once, twice, or dropped
     coarse_info: dict | None = None
     solution: np.ndarray | None = None  # not serialized
 
@@ -227,6 +228,7 @@ class SolverContext:
             local_factorizations=len(lus),
             local_solve_workers=0 if self.one_level is None else pool.LOCAL_SOLVE_WORKERS,
             operator_applies=outcome.operator_applies,
+            s_step_blocks=outcome.s_step_blocks,
             coarse_info=None if self.coarse is None else self.coarse.summary(),
             solution=outcome.solution,
         )

@@ -319,7 +319,8 @@ def mgs_arnoldi_oracle(A, M, b, x0, tol, max_iter):
     return H[: j + 2, : j + 1], np.array(V), np.array(history)
 
 
-def test_gmres_matches_numpy_mgs_oracle_on_one_level_oras():
+def test_gmres_matches_numpy_mgs_oracle_on_one_level_oras(monkeypatch):
+    monkeypatch.setattr(linalg, "S_STEP_PREFIX", 200)  # single steps only, up to max_iter
     ctx = SolverContext(SolveConfig(dim=2, k=10.0, alpha=1.0, precon="one_level"))
     # x0 = 0 keeps the history within [tol, 1]: a least-squares residual is exact only
     # to rounding of the initial one, about 5e4 ||b|| for a random guess here
@@ -345,9 +346,10 @@ def test_gmres_matches_numpy_mgs_oracle_on_one_level_oras():
     assert np.abs(V[:-1].conj() @ V[-1]).max() < 1e-8
 
 
-def test_gmres_single_steps_keep_the_basis_orthogonal():
-    # the 64 single steps of 2d k = 20, alpha = 0.8 one_level, the prefix of an 87-step
-    # solve; modified Gram-Schmidt with a reorthogonalization threshold lost 1.7e-7 here
+def test_gmres_single_steps_keep_the_basis_orthogonal(monkeypatch):
+    # the first 64 steps of the 87-step 2d k = 20, alpha = 0.8 one_level solve, all of them
+    # single steps; modified Gram-Schmidt with a reorthogonalization threshold lost 1.7e-7 here
+    monkeypatch.setattr(linalg, "S_STEP_PREFIX", 64)
     ctx = SolverContext(SolveConfig(dim=2, k=20.0, alpha=0.8, precon="one_level"))
     x0 = random_initial_guess(ctx.n, 0)
     out = gmres(ctx.A0, ctx.f, apply_M=ctx.precon.apply, x0=x0, tol=1e-6, max_iter=64)
@@ -428,13 +430,15 @@ def circle_spectrum(distinct, radius, repeats=1):
 
 def test_gmres_blocks_match_the_numpy_mgs_oracle_on_one_level_oras(monkeypatch):
     ctx = SolverContext(SolveConfig(dim=2, k=20.0, alpha=0.8, precon="one_level"))
-    x0 = random_initial_guess(ctx.n, 0)  # the solver's guess: 87 steps, 3 blocks
+    x0 = random_initial_guess(ctx.n, 0)  # the solver's guess: 87 steps, 7 blocks
     single_steps = record_single_steps(monkeypatch)
     out = gmres(ctx.A0, ctx.f, apply_M=ctx.precon.apply, x0=x0, tol=1e-6, max_iter=200)
     H, V, history = mgs_arnoldi_oracle(ctx.A0, ctx.precon.apply, ctx.f, x0, 1e-6, 200)
     m = out.iterations
     assert out.converged and m == H.shape[1] == 87
     assert max(single_steps) == linalg.S_STEP_PREFIX  # every later step came from a block
+    # kappa_1 of its 7 blocks is measured at 73 for the second, 110 to 406 for the others
+    assert out.s_step_blocks == {"one_projection": 1, "two_projections": 6, "dropped": 0}
     # at most 7 products past the last step, plus the initial residual's
     assert m + 1 <= out.operator_applies <= m + 8
     # the history falls from 2.4e5 to 1e-6 of ||b||: measured 1.8e-7 relative at most
@@ -486,10 +490,12 @@ def test_block_sweeps_over_column_chunks_match_the_dense_products(monkeypatch):
 
 @pytest.mark.parametrize("split", [0.0, 1e-9])
 def test_gmres_drops_a_block_its_cholesky_qr_cannot_take(monkeypatch, split):
-    # split 0: 68 distinct eigenvalues, so the Krylov space stops growing at dimension 68,
-    # the block at step 64 has only 3 new directions for 8 vectors and its Cholesky
-    # factorization fails.  split 1e-9: 136 distinct eigenvalues in 68 close pairs; the
-    # block's Cholesky factor exists but its condition number, about 3e8, is over the bound
+    # with the prefix pinned at 64 steps, split 0: 68 distinct eigenvalues, so the Krylov
+    # space stops growing at dimension 68, the block at step 64 has only 3 new directions for
+    # 8 vectors and its Cholesky factorization fails.  split 1e-9: 136 distinct eigenvalues
+    # in 68 close pairs; the block's Cholesky factor exists but its condition number, about
+    # 2e8, is over the bound.  (After a 32-step prefix both blocks fail their Cholesky.)
+    monkeypatch.setattr(linalg, "S_STEP_PREFIX", 64)
     points = circle_spectrum(68, 0.9)
     d = np.concatenate([points, points + split])
     rng = np.random.default_rng(3)
@@ -498,12 +504,14 @@ def test_gmres_drops_a_block_its_cholesky_qr_cannot_take(monkeypatch, split):
     out = gmres(lambda v: d * v, b, max_iter=100)
     assert out.converged and out.iterations == 68 and len(out.residual_history) == 69
     assert {s for s in single_steps if s > linalg.S_STEP_PREFIX} == {65, 66, 67, 68}  # steps 64..67
+    assert out.s_step_blocks == {"one_projection": 0, "two_projections": 0, "dropped": 1}
     # the dropped block reuses its first product for step 64 and wastes the other 7
     assert out.operator_applies == 1 + 68 + 7
     # from the fallback on, the steps are single steps: the same bits as a solve without blocks
     monkeypatch.setattr(linalg, "S_STEP_PREFIX", 10**6)
     single = gmres(lambda v: d * v, b, max_iter=100)
     assert single.operator_applies == 1 + 68
+    assert sum(single.s_step_blocks.values()) == 0
     np.testing.assert_array_equal(out.residual_history, single.residual_history)
     np.testing.assert_array_equal(out.solution, single.solution)
 
@@ -515,7 +523,7 @@ def test_gmres_stops_at_max_iter_inside_a_block(monkeypatch):
     single_steps = record_single_steps(monkeypatch)
     out = gmres(lambda v: d * v, b, max_iter=70)
     assert not out.converged and out.iterations == 70 and len(out.residual_history) == 71
-    assert max(single_steps) == linalg.S_STEP_PREFIX  # steps 64..69: one block of 6
+    assert max(single_steps) == linalg.S_STEP_PREFIX  # the last block, steps 64..69, has 6
     assert out.operator_applies == 1 + 70
     assert out.orthogonality_loss <= 1e-12
     true_residual = np.linalg.norm(b - d * out.solution) / np.linalg.norm(b)
@@ -545,6 +553,45 @@ def test_gmres_blocks_accept_a_strided_operator_result(monkeypatch):
     np.testing.assert_allclose(out.residual_history, ref.residual_history, rtol=1e-12, atol=0)
     np.testing.assert_allclose(out.solution, ref.solution, rtol=1e-12)
     assert out.orthogonality_loss == pytest.approx(ref.orthogonality_loss, abs=1e-15)
+
+
+@pytest.mark.parametrize("near", [None, 1e-5])
+def test_newton_block_projects_a_second_time_only_a_block_near_the_basis(monkeypatch, near):
+    # a random operator, shifted at the Leja points of its spectrum: kappa_1 =
+    # sqrt(8) / sigma_min(R_1) is about 16 and one projection keeps the block orthogonal to
+    # the basis.  With p_3 inside span(V) but for `near` of its norm, kappa_1 is about 3e5:
+    # one projection alone would leave about 4e-11 of the basis in the block
+    rng = np.random.default_rng(21)
+    n, j, s = 300, 12, linalg.S_STEP_BLOCK
+    A = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    shifts = linalg._leja_order(np.linalg.eigvals(A))[:s]
+    raw = rng.standard_normal((j + 1, n)) + 1j * rng.standard_normal((j + 1, n))
+    v = raw[j] / np.linalg.norm(raw[j])
+    if near is not None:
+        p = v
+        for theta in shifts[:3]:  # p_3 of the Newton basis from v
+            p = A @ p - theta * p
+            p /= np.linalg.norm(p)
+        raw[0] = p + near * raw[0] / np.linalg.norm(raw[0])
+    Q = np.linalg.qr(np.vstack([v, raw[:j]]).T)[0].T  # orthonormal rows, Q[0] = v up to phase
+    V = np.zeros((j + s + 1, n), dtype=complex)
+    V[:j], V[j] = Q[1:], Q[0]
+    calls = []
+    project_out = linalg._project_out
+
+    def counted(basis, block):
+        calls.append(block.shape)
+        return project_out(basis, block)
+
+    monkeypatch.setattr(linalg, "_project_out", counted)
+    H = np.zeros((j + s + 1, j + s), dtype=complex)
+    columns, first, projections = linalg._newton_block(lambda x: A @ x, V, H, j, shifts)
+    expected = 1 if near is None else 2
+    assert columns is not None and projections == expected and calls == [(s, n)] * expected
+    np.testing.assert_array_equal(first, A @ V[j])
+    basis, block = V[: j + 1], V[j + 1 :]
+    assert np.linalg.norm(basis.conj() @ block.T, 2) <= 1e-13
+    assert np.linalg.norm(block.conj() @ block.T - np.eye(s), 2) <= 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -666,7 +713,7 @@ def test_gmres_runs_a_basis_larger_than_the_available_memory_whose_stretches_fit
 
 @pytest.mark.parametrize(
     "checks, steps, distinct",
-    [(2, 16, 20), (9, 64, 200)],  # the third stretch of single steps; the first block's
+    [(2, 16, 20), (9, 64, 200)],  # the third stretch of single steps; the block at step 64
 )
 def test_gmres_stops_where_a_stretch_of_the_basis_does_not_fit(
     monkeypatch, checks, steps, distinct

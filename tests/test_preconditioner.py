@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 
 import p1_oracle
 from test_linalg import assert_eig_matches_qz
-from helmdd import pool, preconditioner
+from helmdd import harness, linalg, pool, preconditioner
 from helmdd.assembly import (
     HelmholtzParams,
     assemble_global,
@@ -28,6 +29,7 @@ from helmdd.preconditioner import (
     OneLevelORAS,
     build_one_level,
 )
+from helmdd.solver import SolveConfig
 
 
 def dense_one_level(mesh, subs, k, eps):
@@ -406,6 +408,37 @@ def test_dtn_rejects_empty_selection(monkeypatch):
     monkeypatch.setattr(SelectionPolicy, "select", lambda self, values, k: np.arange(0))
     with pytest.raises(PreconditionerError, match="empty"):
         build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("automatic"), A_eps)
+
+
+def test_dtn_checks_each_orbits_dense_bytes_before_assembling_it(monkeypatch):
+    # the toy's two orbits, each with n_G = 11 and n_I = 38: A_IG and X, n_I x n_G, and 8
+    # n_G x n_G arrays of 16 bytes.  The first orbit finds its bytes exactly, the second one
+    # byte fewer, and the build stops before the second assembly
+    mesh, dec, A_eps = toy_setup()
+    first, second = congruence_classes(dec)
+    dense = 16 * 11 * (2 * 38 + 8 * 11)
+    assert [c.interface.size for c in (first, second)] == [11, 11]
+    assert [c.dofs.shape[1] for c in (first, second)] == [49, 49]
+    available = iter([dense, dense - 1])
+    monkeypatch.setattr(linalg, "_available_memory", lambda: next(available))
+    assembled = []
+    assemble = preconditioner.assemble_subdomain
+
+    def counted(mesh, cls, params):
+        assembled.append(cls.key)
+        return assemble(mesh, cls, params)
+
+    monkeypatch.setattr(preconditioner, "assemble_subdomain", counted)
+    key = re.escape(str([list(axis) for axis in second.key]))
+    with pytest.raises(MemoryError, match=f"DtN orbit {key}: .* need {dense:,} bytes"):
+        build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
+    assert assembled == [first.key]
+    # a sweep keeps the cell: each seed a failure row, with the error named
+    monkeypatch.setattr(linalg, "_available_memory", lambda: 0)
+    config = SolveConfig(dim=2, k=10.0, precon="two_level_dtn")
+    rows, reports, error = harness.run_config_group(config, [0, 1])
+    assert [row["iterations"] for row in rows] == [-1, -1] and reports == []
+    assert error.startswith("MemoryError: DtN orbit")
 
 
 def test_dtn_eigenvalues_nonnegative_for_laplacian_dominated_problem():

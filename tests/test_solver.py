@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmdd import solver
+from helmdd import linalg, solver
 from helmdd.assembly import HelmholtzParams, assemble_global, assemble_rhs
 from helmdd.linalg import factorize
 from helmdd.mesh import build_uniform_mesh
@@ -138,7 +138,8 @@ def test_report_serialization(tmp_path):
     assert parsed["residual_history"][-1] <= 1e-6
     assert 0 < report.orthogonality_loss < 1e-12  # CGS2 keeps the basis orthogonal
     assert parsed["orthogonality_loss"] == data["orthogonality_loss"] == report.orthogonality_loss
-    # a solve of at most 64 steps makes one product per step and the initial residual's
+    # a solve of at most S_STEP_PREFIX = 32 steps makes one product per step and the
+    # initial residual's
     assert parsed["operator_applies"] == report.operator_applies == report.iterations + 1
     # LU fill: the class Robin LUs of the one-level part and the coarse E
     local = sum(lu.fill for lu in ctx.precon.one_level.factorizations)
@@ -213,7 +214,7 @@ def test_3d_solves_are_bitwise_the_same_for_any_worker_count(
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_block_solve_is_bitwise_the_same_for_any_worker_count(blas_threads):
-    # 87 steps: 64 single steps and 3 s-step blocks, all of whose projections run their
+    # 87 steps: 32 single steps and 7 s-step blocks, all of whose projections run their
     # fixed column chunks in 1, 2 or 3 shares and sum them in chunk order
     config = {"dim": 2, "k": 20.0, "alpha": 0.8, "precon": "one_level"}
     runs = solve_with_1_2_and_3_workers(config, blas_threads)
@@ -234,7 +235,7 @@ def test_unpreconditioned_solve_path():
 REPORT_KEYS = [
     "iterations", "converged", "n", "N_sub", "n_CS", "residual_history", "timings", "config",
     "seed", "final_residual", "orthogonality_loss", "lu_fill_nnz", "local_factorizations",
-    "local_solve_workers", "operator_applies", "coarse_info",
+    "local_solve_workers", "operator_applies", "s_step_blocks", "coarse_info",
 ]
 
 
@@ -266,6 +267,11 @@ def test_report_schema(precon, extra):
         assert d["coarse_info"]["n_cs"] == d["n_CS"] > 0
     if precon == "none":
         assert d["lu_fill_nnz"] == {"local": 0, "coarse": 0}
+    blocks = d["s_step_blocks"]
+    assert list(blocks) == ["one_projection", "two_projections", "dropped"]
+    if blocks["dropped"] == 0:  # every step past the prefix came from a block
+        past_prefix = max(d["iterations"] - linalg.S_STEP_PREFIX, 0)
+        assert sum(blocks.values()) == -(-past_prefix // linalg.S_STEP_BLOCK)
     assert json.loads(json.dumps(d)) == d
 
 
