@@ -42,13 +42,15 @@ Later steps come in blocks of S_STEP_BLOCK = 8 (Hoemmen,
   one s x s SVD.  A block projected once keeps at most about 100 eps of the
   basis; one projected twice is BCGS2 with CholQR2 (Barlow & Smoktunowicz,
   Numer. Math. 123, 2013);
-- the block's 8 Hessenberg columns are recovered from the change of basis
-  and fed one at a time through the same Givens update and residual test as
-  a single step, so the solve stops at the step the residual says.
+- the block writes its 8 Hessenberg columns, recovered from the change of
+  basis, into the unrotated Hessenberg matrix, where a single step writes
+  its one.  Each column goes from there through the same Givens update and
+  residual test, so the solve stops at the step the residual says.
 
-A block makes at most 7 products with A M^{-1} beyond the last step.  If a
-block's Cholesky QR fails (a rank-deficient or ill-conditioned block), the
-block is dropped and the solve ends with single steps.
+A step no block covers makes its product A M^{-1} v_j once, and a block
+starts its basis from it: at most 7 products beyond the last step.  A block
+whose Cholesky QR fails (rank-deficient or ill-conditioned) is dropped,
+writes no column, and single steps from that product end the solve.
 ``GmresOutcome.s_step_blocks`` counts the blocks projected once, twice, or
 dropped.  The residual history is the exact least-squares residual of the
 Arnoldi problem, which for right preconditioning equals the true residual of
@@ -166,7 +168,6 @@ class GmresOutcome:
     iterations: int
     residual_history: np.ndarray
     converged: bool
-    breakdown: bool = False
     orthogonality_loss: float = 0.0  # max_i |<v_i, v_{m-1}>|; 0.0 when m <= 1
     operator_applies: int = 0  # products with A, the initial residual's included
     s_step_blocks: dict = field(default_factory=_block_counts)
@@ -223,9 +224,11 @@ def _project_out(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
-    """One s-step Arnoldi block after v_j = V[j], with s = len(shifts) and AM
-    the product with A M^{-1}.
+def _newton_block(
+    AM, V: np.ndarray, H: np.ndarray, j: int, w: np.ndarray, shifts: np.ndarray
+) -> int:
+    """One s-step Arnoldi block after v_j = V[j], with s = len(shifts), AM
+    the product with A M^{-1} and w = A M^{-1} v_j, left unchanged.
 
     Writes the Newton basis p_i = (A M^{-1} - theta_i) p_{i-1} / sigma_i,
     p_0 = v_j, into V[j+1 : j+s+1] and makes it orthonormal to V[:j+1] and
@@ -238,22 +241,20 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
     below).  With H the unrotated Hessenberg matrix of steps 0..j-1, the new
     columns j..j+s-1 are (R N - [H[:j+1, :j] R[:j, :s]; 0]) R[j:j+s, :s]^{-1}.
 
-    Returns those (j+s+1) x s columns, or None when a Cholesky factorization
+    Writes those columns into H[:j+s+1, j:j+s] and returns the passes made, 1
+    or 2.  Returns 0 and writes no column of H when a Cholesky factorization
     fails, a factor's condition number exceeds CHOLQR_MAX_COND or a sigma_i is
-    0; the first product A M^{-1} v_j either way; and the passes made.
+    0: the block is dropped.
     """
     s = len(shifts)
     sigma = np.empty(s)
     for i in range(s):
-        w = AM(V[j + i])
-        if i == 0:
-            first = w
         p = V[j + i + 1]
         np.multiply(V[j + i], -shifts[i], out=p)
-        p += w
+        p += AM(V[j + i]) if i else w
         sigma[i] = np.linalg.norm(p)
         if not 0.0 < sigma[i] < math.inf:
-            return None, first, 0
+            return 0
         p /= sigma[i]
 
     basis = V[: j + 1]
@@ -270,10 +271,10 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
         try:
             R = scipy.linalg.cholesky(zgemm(1.0, P, P, trans_a=2))
         except np.linalg.LinAlgError:
-            return None, first, projections
+            return 0
         singular_values = np.linalg.svd(R, compute_uv=False)
         if not singular_values[0] <= CHOLQR_MAX_COND * singular_values[-1]:
-            return None, first, projections
+            return 0
         # ||P||_F = sqrt(s) before the first projection: every Newton column has norm 1
         reproject = math.sqrt(s) > REPROJECT_COND * singular_values[-1]
         ztrsm(1.0, R, P, side=1, overwrite_b=1)
@@ -290,7 +291,8 @@ def _newton_block(AM, V: np.ndarray, H: np.ndarray, j: int, shifts: np.ndarray):
     Y = Rhat @ N
     Y[: j + 1] -= H[: j + 1, :j] @ Rhat[:j, :s]
     columns = scipy.linalg.solve_triangular(Rhat[j : j + s, :s], Y.T, trans="T").T
-    return columns, first, projections
+    H[: j + s + 1, j : j + s] = columns
+    return projections
 
 
 def _available_memory() -> int:
@@ -332,6 +334,8 @@ def gmres(
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     operator = _as_operator(apply_A)
     M = _as_operator(apply_M) if apply_M is not None else None
     applies = 0
@@ -370,7 +374,7 @@ def gmres(
         return GmresOutcome(x0.copy(), 0, np.asarray(history), True, operator_applies=applies)
 
     H = np.zeros((max_iter + 1, max_iter), dtype=np.complex128)
-    H_arnoldi = np.zeros_like(H)  # H before the Givens rotations, for the shifts and the blocks
+    H_arnoldi = np.zeros_like(H)  # H before the Givens rotations: each step writes its column here
     cs = np.zeros(max_iter)
     sn = np.zeros(max_iter, dtype=np.complex128)
     g = np.zeros(max_iter + 1, dtype=np.complex128)
@@ -405,33 +409,30 @@ def gmres(
     shifts = None
     s_step = True  # until a block's Cholesky QR fails
     block_counts = _block_counts()
-    block_start = block_end = 0  # steps whose columns the current block holds
+    block_end = 0  # the first step past the last block
     for j in range(max_iter):
-        w = None
-        if s_step and j >= max(block_end, S_STEP_PREFIX):
-            if shifts is None:  # Ritz values: the eigenvalues of the pencil (H, I)
-                H_prefix = H_arnoldi[:S_STEP_PREFIX, :S_STEP_PREFIX]
-                ritz = generalized_eig(H_prefix, np.eye(S_STEP_PREFIX)).values
-                shifts = _leja_order(ritz)[:S_STEP_BLOCK]
-            check_memory(j + 1 + min(S_STEP_BLOCK, max_iter - j))
-            block, w, projections = _newton_block(AM, V, H_arnoldi, j, shifts[: max_iter - j])
-            if block is None:  # w = A M^{-1} v_j starts the single steps
-                s_step = False
-                block_counts["dropped"] += 1
-            else:
-                block_start, block_end = j, j + block.shape[1]
-                block_counts["one_projection" if projections == 1 else "two_projections"] += 1
-        if j < block_end:
-            H[: j + 2, j] = block[: j + 2, j - block_start]
-            nw = H[j + 1, j].real
-        else:
-            if w is None:
-                w = AM(V[j])
+        if j >= block_end:
+            w = AM(V[j])
+            if s_step and j >= S_STEP_PREFIX:
+                if shifts is None:  # Ritz values: the eigenvalues of the pencil (H, I)
+                    H_prefix = H_arnoldi[:S_STEP_PREFIX, :S_STEP_PREFIX]
+                    ritz = generalized_eig(H_prefix, np.eye(S_STEP_PREFIX)).values
+                    shifts = _leja_order(ritz)[:S_STEP_BLOCK]
+                s = min(S_STEP_BLOCK, max_iter - j)
+                check_memory(j + 1 + s)
+                projections = _newton_block(AM, V, H_arnoldi, j, w, shifts[:s])
+                if projections == 0:  # w starts the single steps
+                    s_step = False
+                    block_counts["dropped"] += 1
+                else:
+                    block_end = j + s
+                    block_counts["one_projection" if projections == 1 else "two_projections"] += 1
+        if j >= block_end:
             for _ in range(2):  # CGS2: the one-row case of the block's two projections
-                H[: j + 1, j] += _project_out(V[: j + 1], w[None])[:, 0]
-            nw = np.linalg.norm(w)
-            H[j + 1, j] = nw
-        H_arnoldi[: j + 2, j] = H[: j + 2, j]
+                H_arnoldi[: j + 1, j] += _project_out(V[: j + 1], w[None])[:, 0]
+            H_arnoldi[j + 1, j] = np.linalg.norm(w)
+        H[: j + 2, j] = H_arnoldi[: j + 2, j]
+        nw = H[j + 1, j].real
         m = j + 1
 
         for i in range(j):
@@ -470,7 +471,7 @@ def gmres(
 
     if m == 0:
         return GmresOutcome(
-            x0.copy(), 0, np.asarray(history), converged, breakdown, 0.0, applies, block_counts
+            x0.copy(), 0, np.asarray(history), converged, 0.0, applies, block_counts
         )
     y = scipy.linalg.solve_triangular(H[:m, :m], g[:m])
     u = y @ V[:m]
@@ -481,9 +482,7 @@ def gmres(
         true_res = np.linalg.norm(b - A(x)) / ref
         history.append(true_res)
         converged = true_res <= tol
-    return GmresOutcome(
-        x, m, np.asarray(history), converged, breakdown, loss, applies, block_counts
-    )
+    return GmresOutcome(x, m, np.asarray(history), converged, loss, applies, block_counts)
 
 
 @dataclass

@@ -263,6 +263,9 @@ def test_gmres_relative_to_initial():
         gmres(A, b, tol=0.0)
     with pytest.raises(ValueError):  # tolerance is checked before the residual
         gmres(sp.eye(4, format="csr"), np.ones(4), x0=np.ones(4), tol=0.0)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            gmres(A, b, x0=x0, max_iter=max_iter)
 
 
 def test_gmres_happy_breakdown_on_invariant_subspace():
@@ -555,16 +558,32 @@ def test_gmres_blocks_accept_a_strided_operator_result(monkeypatch):
     assert out.orthogonality_loss == pytest.approx(ref.orthogonality_loss, abs=1e-15)
 
 
+def random_operator(n, s, seed):
+    """A random n x n operator and the first s Leja points of its spectrum."""
+    rng = np.random.default_rng(seed)
+    A = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    return rng, A, linalg._leja_order(np.linalg.eigvals(A))[:s]
+
+
+def counted_operator(A):
+    """x -> A x, and the list its calls append to."""
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return A @ x
+
+    return apply, calls
+
+
 @pytest.mark.parametrize("near", [None, 1e-5])
 def test_newton_block_projects_a_second_time_only_a_block_near_the_basis(monkeypatch, near):
     # a random operator, shifted at the Leja points of its spectrum: kappa_1 =
     # sqrt(8) / sigma_min(R_1) is about 16 and one projection keeps the block orthogonal to
     # the basis.  With p_3 inside span(V) but for `near` of its norm, kappa_1 is about 3e5:
     # one projection alone would leave about 4e-11 of the basis in the block
-    rng = np.random.default_rng(21)
     n, j, s = 300, 12, linalg.S_STEP_BLOCK
-    A = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
-    shifts = linalg._leja_order(np.linalg.eigvals(A))[:s]
+    rng, A, shifts = random_operator(n, s, 21)
     raw = rng.standard_normal((j + 1, n)) + 1j * rng.standard_normal((j + 1, n))
     v = raw[j] / np.linalg.norm(raw[j])
     if near is not None:
@@ -585,13 +604,57 @@ def test_newton_block_projects_a_second_time_only_a_block_near_the_basis(monkeyp
 
     monkeypatch.setattr(linalg, "_project_out", counted)
     H = np.zeros((j + s + 1, j + s), dtype=complex)
-    columns, first, projections = linalg._newton_block(lambda x: A @ x, V, H, j, shifts)
+    apply, applies = counted_operator(A)
+    w = A @ V[j]
+    first = w.copy()
+    projections = linalg._newton_block(apply, V, H, j, w, shifts)
     expected = 1 if near is None else 2
-    assert columns is not None and projections == expected and calls == [(s, n)] * expected
-    np.testing.assert_array_equal(first, A @ V[j])
+    assert projections == expected and calls == [(s, n)] * expected
+    assert len(applies) == s - 1  # the first product is the caller's, and it is left as it was
+    np.testing.assert_array_equal(w, first)
     basis, block = V[: j + 1], V[j + 1 :]
     assert np.linalg.norm(basis.conj() @ block.T, 2) <= 1e-13
     assert np.linalg.norm(block.conj() @ block.T - np.eye(s), 2) <= 1e-13
+
+
+def test_newton_block_writes_columns_that_satisfy_the_arnoldi_relation():
+    # V[:j+1] and H[:j+1, :j] from j CGS2 Arnoldi steps of the same operator, so that
+    # A V[:j]^T = V[:j+1]^T H[:j+1, :j] holds for the columns before the block
+    n, j, s = 300, 12, linalg.S_STEP_BLOCK
+    rng, A, shifts = random_operator(n, s, 22)
+    V = np.zeros((j + s + 1, n), dtype=complex)
+    H = np.zeros((j + s + 1, j + s), dtype=complex)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    V[0] = v0 / np.linalg.norm(v0)
+    for k in range(j):
+        w = A @ V[k]
+        for _ in range(2):
+            c = V[: k + 1].conj() @ w
+            H[: k + 1, k] += c
+            w -= c @ V[: k + 1]
+        H[k + 1, k] = np.linalg.norm(w)
+        V[k + 1] = w / H[k + 1, k]
+    prefix = H[:, :j].copy()
+    apply, applies = counted_operator(A)
+    assert linalg._newton_block(apply, V, H, j, A @ V[j], shifts) in (1, 2)
+    assert len(applies) == s - 1
+    np.testing.assert_array_equal(H[:, :j], prefix)  # only the block's s columns are written
+    lhs = A @ V[j : j + s].T
+    rhs = V[: j + s + 1].T @ H[: j + s + 1, j : j + s]
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+    assert np.linalg.norm(V.conj() @ V.T - np.eye(j + s + 1), 2) <= 1e-13
+
+
+def test_newton_block_drops_a_block_without_writing_a_column():
+    # A = I with a first shift of 1: p_1 = (A - 1) v_j = 0, so sigma_1 = 0 and the block is
+    # dropped.  GMRES's single step then adds its projections into the same column j of H
+    n, j, s = 50, 4, linalg.S_STEP_BLOCK
+    V = np.linalg.qr(np.random.default_rng(23).standard_normal((n, j + s + 1)))[0].T.astype(complex)
+    H = np.zeros((j + s + 1, j + s), dtype=complex)
+    shifts = np.concatenate([[1.0], np.linspace(2.0, 3.0, s - 1)])
+    apply, applies = counted_operator(np.eye(n))
+    assert linalg._newton_block(apply, V, H, j, V[j].copy(), shifts) == 0
+    assert not applies and not H.any()
 
 
 # --------------------------------------------------------------------------
