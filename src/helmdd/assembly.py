@@ -1,16 +1,17 @@
 """P1 finite-element assembly for the Helmholtz bilinear form with absorption.
 
-The assembled operator is  K - (k^2 + i*eps) M - i*eta B  where K is the
+The assembled operator is  K - (k^2 + i*eps) M - i k B  where K is the
 stiffness matrix, M the domain mass matrix and B the boundary mass matrix of
-the Robin term.  The mesh is a lattice, so one kernel builds every operator:
-the P1 matrices of a box of cells with spacing h, as a stencil.  Every Kuhn
-edge joins a vertex r to r + delta with delta in {0,1}^d or -{0,1}^d, so a
-row holds at most 7 (2d) or 15 (3d) entries, at fixed vertex-id offsets.
-The value at each offset is summed from the element matrices of the d! Kuhn
-shapes of the unit cell (for B, of the (d-1)-dimensional Kuhn simplices of
-the box faces) by slice-adds over the box's vertex grid, and CSR is emitted
-offset by offset: rows come out sorted, with no sort, and every matrix is
-bitwise symmetric because its delta < 0 half mirrors the delta >= 0 half.
+the Robin term, whose coefficient is k on every boundary, physical or local.
+The mesh is a lattice, so one kernel builds every operator: the P1 matrices
+of a box of cells with spacing h, as a stencil.  Every Kuhn edge joins a
+vertex r to r + delta with delta in {0,1}^d or -{0,1}^d, so a row holds at
+most 7 (2d) or 15 (3d) entries, at fixed vertex-id offsets.  The value at
+each offset is summed from the element matrices of the d! Kuhn shapes of the
+unit cell (for B, of the (d-1)-dimensional Kuhn simplices of the box faces)
+by slice-adds over the box's vertex grid, and CSR is emitted offset by
+offset: rows come out sorted, with no sort, and every matrix is bitwise
+symmetric because its delta < 0 half mirrors the delta >= 0 half.
 Element integrals are exact for P1, so K, M and B carry no quadrature error;
 only the right-hand side uses (vertex-lumped) quadrature.
 """
@@ -37,17 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HelmholtzParams:
-    """Wavenumber, absorption shift and Robin coefficient (eta defaults to k)."""
+    """Wavenumber k, which is also the Robin coefficient, and absorption shift epsilon."""
 
     k: float
     epsilon: float = 0.0
-    eta: float = None  # type: ignore[assignment]  # None -> k
 
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError(f"wavenumber must be positive, got {self.k}")
-        if self.eta is None:
-            object.__setattr__(self, "eta", self.k)
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def _volume_part(K, M, params: HelmholtzParams) -> np.ndarray:
 
 
 def assemble_global(mesh: SimplicialMesh, params: HelmholtzParams, *, with_mass: bool = False):
-    """Assemble K - (k^2 + i*eps) M - i*eta B on the whole mesh (complex CSR).
+    """Assemble K - (k^2 + i*eps) M - i k B on the whole mesh (complex CSR).
 
     The operator is complex symmetric (A == A.T entrywise) but not Hermitian.
     With with_mass, returns (A, M): the mass matrix of the same pass, from
@@ -216,46 +214,21 @@ def assemble_global(mesh: SimplicialMesh, params: HelmholtzParams, *, with_mass:
     K, M, pattern = _volume(widths, h)
     A = _volume_part(K, M, params)
     del K  # freed before the boundary term allocates, which keeps peak memory down
-    A += (-1j * params.eta) * _boundary(widths, h, _faces(((True, True),) * mesh.dim))
+    A += (-1j * params.k) * _boundary(widths, h, _faces(((True, True),) * mesh.dim))
     A = _csr(A, pattern, widths)
     return (A, _csr(M, pattern, widths)) if with_mass else A
 
 
-def _gauss2d(points: np.ndarray) -> np.ndarray:
-    r2 = (points[:, 0] - 0.5) ** 2 + (points[:, 1] - 0.5) ** 2
-    return -np.exp(-100.0 * r2)
-
-
-def _gauss3d(points: np.ndarray) -> np.ndarray:
-    r2 = ((points - 0.5) ** 2).sum(axis=1)
-    return -np.exp(-400.0 * r2)
-
-
-_NAMED_SOURCES = {"gauss2d": (2, _gauss2d), "gauss3d": (3, _gauss3d)}
-
-
-def assemble_rhs(mesh: SimplicialMesh, source) -> np.ndarray:
-    """Load vector (f)_v = f(x_v) * lumped_weight(v); deterministic vertex quadrature.
+def assemble_rhs(mesh: SimplicialMesh) -> np.ndarray:
+    """Load vector of the source -exp(-a |x - c|^2) centred at c = (0.5, ...),
+    a = 100 in 2d and 400 in 3d: (f)_v = f(x_v) * lumped_weight(v).
 
     The lumped weight of a vertex is its row sum of the mass matrix: the
     number of simplices that contain it times h^d / (d! (d+1)).
-
-    source is either a registered name ("gauss2d", "gauss3d") or a callable
-    mapping an (n, dim) point array to n values.
     """
-    if isinstance(source, str):
-        try:
-            want_dim, fn = _NAMED_SOURCES[source]
-        except KeyError:
-            raise ValueError(f"unknown source {source!r}") from None
-        if want_dim != mesh.dim:
-            raise ValueError(f"source {source!r} is {want_dim}d but mesh is {mesh.dim}d")
-    else:
-        fn = source
-    values = np.asarray(fn(mesh.vertices), dtype=np.complex128)
-    if values.shape != (mesh.n_vertices,):
-        raise ValueError("source must return one value per vertex")
     d, m = mesh.dim, mesh.intervals_per_edge
+    r2 = ((mesh.vertices - 0.5) ** 2).sum(axis=1)
+    values = (-np.exp(-(100.0 if d == 2 else 400.0) * r2)).astype(np.complex128)
     return values * (_incidence(d, m) * ((1.0 / m) ** d / (math.factorial(d) * (d + 1))))
 
 
@@ -281,7 +254,7 @@ def assemble_subdomain(mesh: SimplicialMesh, box, params: HelmholtzParams) -> Su
     Only box.cell_lo and box.cell_hi are read (a BoxClass holds them): a side
     is physical where it lies on the domain boundary, and the box numbers its
     vertices with x fastest, the order of a row of the class's dofs.  A_local
-    is the volume part minus i*eta times the mass of the whole box boundary,
+    is the volume part minus i k times the mass of the whole box boundary,
     so boxes of equal widths get bitwise the same A_local, and translated
     boxes bitwise the same matrices (see congruence_classes).
     """
@@ -291,7 +264,7 @@ def assemble_subdomain(mesh: SimplicialMesh, box, params: HelmholtzParams) -> Su
     physical = [(lo == 0, hi == m) for lo, hi in extents]
     K, M, pattern = _volume(widths, h)
     volume = _volume_part(K, M, params)
-    robin = -1j * params.eta
+    robin = -1j * params.k
     A_local = volume + robin * _boundary(widths, h, _faces(physical))
     A_neu = volume + robin * _boundary(widths, h, _faces(physical, True))
     B_intf = _boundary(widths, h, _faces(physical, False))

@@ -141,7 +141,7 @@ def _precon_label(cfg: dict) -> str:
 
 
 def run_config_group(config: SolveConfig, seeds) -> tuple:
-    """Build one solver context and run it for every seed; returns (rows, reports, error).
+    """Build one solver context and run it for every seed; returns (rows, error).
 
     A failed setup fails every seed; a failed solve fails only its seed.  Each
     failure keeps its row (iterations = -1) and error is the failures' text,
@@ -150,8 +150,8 @@ def run_config_group(config: SolveConfig, seeds) -> tuple:
     try:
         ctx = SolverContext(config)
     except Exception as exc:  # record and continue with the rest of the sweep
-        return [_failure_row(config) for _ in seeds], [], f"{type(exc).__name__}: {exc}"
-    rows, reports, failures = [], [], []
+        return [_failure_row(config) for _ in seeds], f"{type(exc).__name__}: {exc}"
+    rows, failures = [], []
     for seed in seeds:
         try:
             report = ctx.run(seed)
@@ -160,8 +160,7 @@ def run_config_group(config: SolveConfig, seeds) -> tuple:
             failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
             continue
         rows.append(_row_from_report(report))
-        reports.append(report)
-    return rows, reports, "\n".join(failures) or None
+    return rows, "\n".join(failures) or None
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, echo=None):
@@ -186,7 +185,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, echo=None):
 
 def _collect(config, result, rows, errors, echo) -> None:
     """Add one run_config_group result to the rows and errors, echoing its progress."""
-    group_rows, _, err = result
+    group_rows, err = result
     rows.extend(group_rows)
     if err is not None:
         errors.append({"config": config.to_dict(), "error": err})
@@ -350,7 +349,7 @@ def run_table2_desk(kmax=None, alphas=(0.6, 0.8, 1.0), seeds=(0, 1, 2), full=Fal
     def run_one(config):
         result = run_config_group(config, seeds)
         _collect(config, result, rows, errors, echo)
-        return result[1]
+        return result[0]
 
     for alpha, alpha_prime in map(_pair, alphas):
         for k in _preset_ks(full, kmax):
@@ -359,9 +358,10 @@ def run_table2_desk(kmax=None, alphas=(0.6, 0.8, 1.0), seeds=(0, 1, 2), full=Fal
             run_one(replace(config, precon="two_level_grid"))
             run_one(replace(config, precon="two_level_dtn", selection="fixed2"))
             # right block: automatic DtN, then grid forced to the same size
-            reports = run_one(replace(config, precon="two_level_dtn", selection="automatic"))
-            if reports:
-                mc = max(1, round(reports[0].n_CS ** 0.5) - 1)
+            dtn_rows = run_one(replace(config, precon="two_level_dtn", selection="automatic"))
+            solved = [row for row in dtn_rows if row["iterations"] >= 0]
+            if solved:
+                mc = max(1, round(solved[0]["n_CS"] ** 0.5) - 1)
                 run_one(replace(config, precon="two_level_grid", coarse_m=mc))
 
     return _summarize_and_write(rows, errors, out)

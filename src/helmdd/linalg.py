@@ -151,6 +151,8 @@ def random_initial_guess(n: int, seed: int) -> np.ndarray:
     """Complex vector with re/im parts i.i.d. uniform on [-1, 1], from PCG64(seed)."""
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     re = rng.uniform(-1.0, 1.0, n)
     im = rng.uniform(-1.0, 1.0, n)
@@ -463,7 +465,6 @@ def gmres(
             break
         if nw == 0.0:  # exact breakdown: Krylov space is invariant
             breakdown = True
-            converged = res <= tol
             break
         if j >= block_end:  # a block's vectors are in V already
             check_memory(j + 2)

@@ -168,7 +168,7 @@ def build_one_level(
     minimum degree, which 2d keeps (see README).  The classes are assembled
     and factorized concurrently by pool.run, by expected work n_local^2.
     """
-    params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
+    params = HelmholtzParams(k=k, epsilon=epsilon_prec)
     numbering = nested_dissection if mesh.dim == 3 else None
     classes = congruence_classes(decomposition, sides=False, numbering=numbering)
     factorizations = pool.run(
@@ -256,7 +256,7 @@ def build_dtn_cs(
     compared with the memory still available (linalg._available_memory); a
     shortfall raises MemoryError naming the orbit's key.
     """
-    params = HelmholtzParams(k=k, epsilon=epsilon_prec, eta=k)
+    params = HelmholtzParams(k=k, epsilon=epsilon_prec)
     classes = congruence_classes(decomposition)
     counts = np.zeros(decomposition.n_subdomains, dtype=np.int64)  # modes per subdomain
     blocks = []  # (class, unscaled W) of every orbit that selects a mode

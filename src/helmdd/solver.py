@@ -67,6 +67,10 @@ class SolveConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.coarse_m is not None and self.coarse_m < 1:
+            raise ValueError(f"coarse_m must be >= 1, got {self.coarse_m}")
         if isinstance(self.selection, str):
             self.selection = SelectionPolicy.parse(self.selection)
 
@@ -143,12 +147,12 @@ class SolverContext:
             n1d = meshmod.subdomains_per_dimension(k, config.alpha)
         m = meshmod.fine_resolution(k, n1d)
         self.mesh = meshmod.build_uniform_mesh(config.dim, m)
-        params = HelmholtzParams(k=k, eta=k)
+        params = HelmholtzParams(k=k)
         if config.precon in ("two_level_grid", "two_level_dtn"):  # A_eps needs M
             self.A0, M = assemble_global(self.mesh, params, with_mass=True)
         else:
             self.A0 = assemble_global(self.mesh, params)
-        self.f = assemble_rhs(self.mesh, "gauss2d" if config.dim == 2 else "gauss3d")
+        self.f = assemble_rhs(self.mesh)
         t1 = time.perf_counter()
 
         self.decomposition = self.one_level = self.coarse = self.precon = None

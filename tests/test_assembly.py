@@ -55,7 +55,7 @@ def test_mass_part_integrates_domain_measure(dim, m):
     # is all that remains of 1^T A 1 once the Robin part is taken out
     A = assemble_global(mesh, params)
     boundary = ones @ (B @ ones)
-    total = ones @ (A @ ones) + 1j * params.eta * boundary
+    total = ones @ (A @ ones) + 1j * params.k * boundary
     assert abs(total - (-(params.k**2) - 1j * params.epsilon)) < 1e-12
 
 
@@ -69,9 +69,8 @@ def test_global_matrix_complex_symmetric_exactly(dim, m):
 
 def test_absorption_linearity():
     mesh = build_uniform_mesh(2, 7)
-    eta = 5.0
-    A_eps = assemble_global(mesh, HelmholtzParams(k=5.0, epsilon=12.5, eta=eta))
-    params_0 = HelmholtzParams(k=5.0, epsilon=0.0, eta=eta)
+    A_eps = assemble_global(mesh, HelmholtzParams(k=5.0, epsilon=12.5))
+    params_0 = HelmholtzParams(k=5.0, epsilon=0.0)
     A_0, M = assemble_global(mesh, params_0, with_mass=True)
     # the pair is the plain operator and the M of the same box pass, to the last bit
     plain = assemble_global(mesh, params_0)
@@ -86,7 +85,7 @@ def test_absorption_linearity():
 def test_coercivity_proxy_imaginary_part():
     mesh = build_uniform_mesh(2, 6)
     k, eps = 4.0, 4.0
-    A = assemble_global(mesh, HelmholtzParams(k=k, epsilon=eps))  # eta = k
+    A = assemble_global(mesh, HelmholtzParams(k=k, epsilon=eps))
     M = p1_oracle.global_box(mesh)[1]
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -96,21 +95,17 @@ def test_coercivity_proxy_imaginary_part():
         assert quad.imag <= -eps * mass_quad + 1e-10 * abs(quad)
 
 
-def test_default_eta_sign_rule():
-    # eta defaults to k whatever the sign of the shift; an explicit eta is kept
-    for epsilon in (0.0, 9.0, -9.0):
-        assert HelmholtzParams(k=3.0, epsilon=epsilon).eta == 3.0
-    assert HelmholtzParams(k=3.0, epsilon=9.0, eta=1.5).eta == 1.5
-    assert HelmholtzParams(k=3.0, epsilon=-9.0, eta=-3.0).eta == -3.0
-    with pytest.raises(ValueError):
-        HelmholtzParams(k=0.0)
+def test_params_reject_nonpositive_wavenumber():
+    for k in (0.0, -3.0):
+        with pytest.raises(ValueError, match="wavenumber"):
+            HelmholtzParams(k=k)
 
 
 def test_rhs_constant_total():
+    # the lumped weights are the row sums of M, so they integrate 1 exactly: |Omega| = 1
     for dim, m in [(2, 5), (3, 3)]:
-        mesh = build_uniform_mesh(dim, m)
-        f = assemble_rhs(mesh, lambda points: np.ones(len(points)))
-        assert abs(f.sum() - 1.0) < 1e-12
+        weights = _incidence(dim, m) * (1.0 / m) ** dim / (math.factorial(dim) * (dim + 1))
+        assert abs(weights.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("dim,m", [(2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (3, 5)])
@@ -123,21 +118,16 @@ def test_rhs_incidence_counts_the_simplices_at_each_vertex(dim, m):
 
 
 def test_rhs_gaussian_sign_and_total():
-    mesh = build_uniform_mesh(2, 8)
-    f = assemble_rhs(mesh, "gauss2d")
-    center = np.flatnonzero(np.all(mesh.vertices == 0.5, axis=1))[0]
-    assert f[center].real < 0
-    fine = build_uniform_mesh(2, 64)
-    total = assemble_rhs(fine, "gauss2d").sum().real
-    assert abs(total - (-np.pi / 100)) < 0.02 * np.pi / 100
-
-
-def test_rhs_source_dimension_mismatch():
-    mesh = build_uniform_mesh(3, 2)
-    with pytest.raises(ValueError):
-        assemble_rhs(mesh, "gauss2d")
-    with pytest.raises(ValueError):
-        assemble_rhs(mesh, "nonexistent")
+    # -exp(-a |x - c|^2) with a = 100 (2d) or 400 (3d) integrates to -(pi / a)^(d/2) over
+    # R^d; the vertex rule is the trapezoidal rule, spectrally accurate for a Gaussian
+    # that is e^-25 (2d) or e^-100 (3d) at the boundary, so the total holds to 1e-9
+    for dim, m, total in [(2, 64, -np.pi / 100), (3, 32, -((np.pi / 400) ** 1.5))]:
+        mesh = build_uniform_mesh(dim, m)
+        f = assemble_rhs(mesh)
+        assert f.dtype == np.complex128 and not f.imag.any()
+        center = np.flatnonzero(np.all(mesh.vertices == 0.5, axis=1))[0]
+        assert f[center].real < 0 and np.argmin(f.real) == center
+        assert f.sum().real == pytest.approx(total, rel=1e-9)
 
 
 def test_single_subdomain_matches_global():
@@ -161,7 +151,7 @@ def test_subdomain_interface_mass_total_and_robin_difference():
     ones = np.ones(sub.dofs.shape[1])
     assert abs(ones @ (mats.M_interface @ ones) - 1.5) < 1e-12
     # A_local - A_neu is exactly the interface Robin term
-    diff = (mats.A_local - mats.A_neu) - (-1j * params.eta) * mats.M_interface.astype(complex)
+    diff = (mats.A_local - mats.A_neu) - (-1j * params.k) * mats.M_interface.astype(complex)
     assert np.abs(diff.data).max() < 1e-12 if diff.nnz else True
     # and is supported only on dofs of interface facets (which include the
     # junction vertices where the interface meets the physical boundary)
@@ -228,22 +218,22 @@ def test_global_matrices_match_the_element_oracle(dim, m):
     for got, want in ((K_box, K), (M_box, M), (B_box, B)):
         assert_close(got, want)
         assert_same_pattern(got, want)
-    params = HelmholtzParams(k=7.0, epsilon=3.0, eta=5.0)
+    params = HelmholtzParams(k=7.0, epsilon=3.0)  # k^2 != k tells the Robin term from M's
     A = assemble_global(mesh, params)
-    assert_close(A, K - (49 + 3j) * M - 5j * B)
+    assert_close(A, K - (49 + 3j) * M - 7j * B)
     assert_same_pattern(A, K)
 
 
 @pytest.mark.parametrize("dim,m,n1d", [(2, 24, 4), (2, 8, 8), (3, 6, 3), (3, 6, 6)])
 def test_subdomain_matrices_match_the_element_oracle(dim, m, n1d):
     mesh = build_uniform_mesh(dim, m)
-    params = HelmholtzParams(k=7.0, epsilon=3.0, eta=5.0)
+    params = HelmholtzParams(k=7.0, epsilon=3.0)
     for sub in p1_oracle.subdomains(mesh, n1d, 2):
         oracle = p1_oracle.box_matrices(mesh, sub.cell_lo, sub.cell_hi)
         K, M, B_phys, B_intf = oracle
-        A_neu = K - (49 + 3j) * M - 5j * B_phys
+        A_neu = K - (49 + 3j) * M - 7j * B_phys
         mats = assemble_subdomain(mesh, sub, params)
-        assert_close(mats.A_local, A_neu - 5j * B_intf)
+        assert_close(mats.A_local, A_neu - 7j * B_intf)
         assert_close(mats.A_neu, A_neu)
         if B_intf.nnz:
             assert_close(mats.M_interface, B_intf)
@@ -285,12 +275,12 @@ def test_box_kernel_properties(dim, m, data):
         assert ones @ (B @ ones) == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
     mesh = build_uniform_mesh(dim, m)
-    params = HelmholtzParams(k=4.0, epsilon=2.0, eta=3.0)
+    params = HelmholtzParams(k=4.0, epsilon=2.0)
     mats = assemble_subdomain(mesh, SimpleNamespace(cell_lo=lo, cell_hi=hi), params)
-    diff = (mats.A_local - mats.A_neu) - (-3j) * mats.M_interface
+    diff = (mats.A_local - mats.A_neu) - (-4j) * mats.M_interface
     assert diff.nnz == 0 or abs(diff).max() <= 1e-15 * abs(mats.A_local).max()
     for A in (mats.A_local, mats.A_neu, mats.M_interface):
         assert_bitwise_symmetric(A)
     K_o, M_o, B_phys_o, B_intf_o = p1_oracle.box_matrices(mesh, lo, hi)
-    assert_close(mats.A_neu, K_o - (16 + 2j) * M_o - 3j * B_phys_o)
-    assert_close(mats.A_local, K_o - (16 + 2j) * M_o - 3j * (B_phys_o + B_intf_o))
+    assert_close(mats.A_neu, K_o - (16 + 2j) * M_o - 4j * B_phys_o)
+    assert_close(mats.A_local, K_o - (16 + 2j) * M_o - 4j * (B_phys_o + B_intf_o))

@@ -113,7 +113,7 @@ def test_run_sweep_records_failures(tmp_path):
 
     rows, errors = [], []
     results = [harness.run_config_group(cfg, spec.seeds) for cfg in configs]
-    for group_rows, _, err in results:
+    for group_rows, err in results:
         rows.extend(group_rows)
         if err:
             errors.append(err)
@@ -223,14 +223,15 @@ def test_table_headers_tell_beta_none_from_beta_zero(tmp_path):
 
 
 def _record_configs(monkeypatch):
-    """Stub run_config_group to record the configs instead of solving them."""
+    """Stub run_config_group to record the configs instead of solving them;
+    each returns one solved row with n_CS = 100."""
     import helmdd.harness as harness
 
     calls = []
 
     def fake(config, seeds):
         calls.append(config)
-        return [], [SimpleNamespace(n_CS=100)], None
+        return [harness._row(config.to_dict(), n_CS=100, iterations=1, converged=True)], None
 
     monkeypatch.setattr(harness, "run_config_group", fake)
     return calls

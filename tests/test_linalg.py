@@ -71,7 +71,7 @@ def test_factorize_class_robin_matrix_against_dense_solve():
     k = 6.0
     mesh = build_uniform_mesh(3, fine_resolution(k, 3))
     sub = max(build_decomposition(mesh, 3).classes, key=lambda c: c.dofs.shape[1])
-    A = assemble_subdomain(mesh, sub, HelmholtzParams(k=k, epsilon=k, eta=k)).A_local
+    A = assemble_subdomain(mesh, sub, HelmholtzParams(k=k, epsilon=k)).A_local
     assert A.shape == (1000, 1000)
     assert _dense_oracle_error(A, 0) <= 1e-10
 
@@ -189,6 +189,8 @@ def test_random_guess_range_and_mean():
 def test_random_guess_invalid_size():
     with pytest.raises(ValueError):
         random_initial_guess(0, 0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_initial_guess(3, -1)
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +217,7 @@ def test_gmres_perfect_preconditioner():
 def test_gmres_matches_direct_solve_on_helmholtz():
     mesh = build_uniform_mesh(2, 12)
     A = assemble_global(mesh, HelmholtzParams(k=10.0))
-    b = assemble_rhs(mesh, "gauss2d")
+    b = assemble_rhs(mesh)
     out = gmres(A, b, tol=1e-9, max_iter=mesh.n_vertices + 5)
     x_direct = factorize(A).solve(b)
     assert out.converged

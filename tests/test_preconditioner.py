@@ -37,7 +37,7 @@ def dense_one_level(mesh, subs, k, eps):
     from the boxes of p1_oracle.subdomains, one at a time."""
     n = mesh.n_vertices
     M1 = np.zeros((n, n), dtype=complex)
-    params = HelmholtzParams(k=k, epsilon=eps, eta=k)
+    params = HelmholtzParams(k=k, epsilon=eps)
     for sub in subs:
         A_loc = assemble_subdomain(mesh, sub, params).A_local.toarray()
         A_inv = np.linalg.inv(A_loc)
@@ -51,7 +51,7 @@ def toy_setup(k=6.0, eps=None):
     mesh = build_uniform_mesh(2, 8)
     dec = build_decomposition(mesh, 2, 2)
     eps = k if eps is None else eps
-    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=eps, eta=k))
+    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=eps))
     return mesh, dec, A_eps
 
 
@@ -60,7 +60,7 @@ def sharing_setup(k=10.0):
     the two corners that touch one lo and one hi side)."""
     mesh = build_uniform_mesh(2, 24)
     dec = build_decomposition(mesh, 4, 2)
-    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
+    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k))
     return mesh, dec, A_eps
 
 
@@ -436,8 +436,8 @@ def test_dtn_checks_each_orbits_dense_bytes_before_assembling_it(monkeypatch):
     # a sweep keeps the cell: each seed a failure row, with the error named
     monkeypatch.setattr(linalg, "_available_memory", lambda: 0)
     config = SolveConfig(dim=2, k=10.0, precon="two_level_dtn")
-    rows, reports, error = harness.run_config_group(config, [0, 1])
-    assert [row["iterations"] for row in rows] == [-1, -1] and reports == []
+    rows, error = harness.run_config_group(config, [0, 1])
+    assert [row["iterations"] for row in rows] == [-1, -1]
     assert error.startswith("MemoryError: DtN orbit")
 
 
@@ -574,13 +574,13 @@ def test_class_members_share_the_local_matrix():
     mesh, dec, _ = sharing_setup()
     subs = p1_oracle.subdomains(mesh, 4, 2)
     classes = assert_members_match_representative(
-        mesh, dec, subs, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0)
+        mesh, dec, subs, HelmholtzParams(k=10.0, epsilon=10.0)
     )
     assert len(classes) == 4
     assert sorted(len(cls.members) for cls in classes) == [2, 2, 4, 8]
     # corners, edges and interior by width: the one-level part needs 3 LUs
     widths = assert_members_match_representative(
-        mesh, dec, subs, HelmholtzParams(k=10.0, epsilon=10.0, eta=10.0), sides=False
+        mesh, dec, subs, HelmholtzParams(k=10.0, epsilon=10.0), sides=False
     )
     assert [len(cls.members) for cls in widths] == [4, 8, 4]
 
@@ -599,7 +599,7 @@ def test_orbit_members_match_the_representative(dim, m, n1d, overlap, orbits):
     dec = build_decomposition(mesh, n1d, overlap)
     subs = p1_oracle.subdomains(mesh, n1d, overlap)
     classes = assert_members_match_representative(
-        mesh, dec, subs, HelmholtzParams(k=6.0, epsilon=6.0, eta=6.0)
+        mesh, dec, subs, HelmholtzParams(k=6.0, epsilon=6.0)
     )
     assert len(classes) == orbits
 
@@ -620,7 +620,7 @@ def test_width_class_members_match_the_representative(dim, m, n1d, overlap, widt
     dec = build_decomposition(mesh, n1d, overlap)
     subs = p1_oracle.subdomains(mesh, n1d, overlap)
     classes = assert_members_match_representative(
-        mesh, dec, subs, HelmholtzParams(k=6.0, epsilon=6.0, eta=6.0), sides=False
+        mesh, dec, subs, HelmholtzParams(k=6.0, epsilon=6.0), sides=False
     )
     assert len(classes) == width_classes
 
@@ -663,7 +663,7 @@ def test_one_level_with_clipped_boxes_matches_dense_oracle():
 
 def assert_dtn_blocks_match_per_member(mesh, dec, subs, k, A_eps):
     cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("automatic"), A_eps)
-    params = HelmholtzParams(k=k, epsilon=k, eta=k)
+    params = HelmholtzParams(k=k, epsilon=k)
     Z = cs.Z.tocsc()
     counts = subdomain_counts(cs, dec)
     col = 0
@@ -694,7 +694,7 @@ def test_dtn_blocks_match_per_member_construction_3d():
     k = 6.0
     mesh = build_uniform_mesh(3, 9)
     dec = build_decomposition(mesh, 3, 1)
-    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
+    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k))
     assert_dtn_blocks_match_per_member(mesh, dec, p1_oracle.subdomains(mesh, 3, 1), k, A_eps)
 
 
@@ -702,10 +702,10 @@ def test_dtn_selection_margin_matches_dense_eig():
     k = 6.0
     mesh = build_uniform_mesh(2, 12)
     dec = build_decomposition(mesh, 3, 2)
-    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k, eta=k))
+    A_eps = assemble_global(mesh, HelmholtzParams(k=k, epsilon=k))
     cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("automatic"), A_eps)
     margins = cs.summary()["selection_margin"]
-    params = HelmholtzParams(k=k, epsilon=k, eta=k)
+    params = HelmholtzParams(k=k, epsilon=k)
     classes = congruence_classes(dec)
     subs = p1_oracle.subdomains(mesh, 3, 2)
     assert len(margins) == len(classes) == 4
@@ -727,7 +727,7 @@ def test_orbit_pencils_match_qz(dim, m, n1d, k):
     overlap = 2 if dim == 2 else 1
     dec = build_decomposition(mesh, n1d, overlap)
     subs = p1_oracle.subdomains(mesh, n1d, overlap)
-    params = HelmholtzParams(k=k, epsilon=k, eta=k)
+    params = HelmholtzParams(k=k, epsilon=k)
     for cls in congruence_classes(dec):
         S, M, *_ = dtn_pencil(mesh, subs[cls.members[0]], params)
         assert_eig_matches_qz(S, M, k)

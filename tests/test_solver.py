@@ -44,7 +44,14 @@ def test_alpha_prime_follows_alpha_after_replace():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("overlap_layers", 0), ("tol", 0.0), ("tol", -1e-6), ("max_iter", 0)],
+    [
+        ("overlap_layers", 0),
+        ("tol", 0.0),
+        ("tol", -1e-6),
+        ("max_iter", 0),
+        ("seed", -1),
+        ("coarse_m", 0),
+    ],
 )
 def test_config_rejects_invalid_value(field, value):
     with pytest.raises(ValueError, match=field):
@@ -88,7 +95,7 @@ def test_solver_reuses_context_across_seeds():
 def test_verify_solution_cases():
     mesh = build_uniform_mesh(2, 12)
     A0 = assemble_global(mesh, HelmholtzParams(k=10.0))
-    f = assemble_rhs(mesh, "gauss2d")
+    f = assemble_rhs(mesh)
     x_exact = factorize(A0).solve(f)
     assert verify_solution(x_exact, A0, f) <= 1e-10
     assert abs(verify_solution(np.zeros(mesh.n_vertices), A0, f) - 1.0) < 1e-14
@@ -300,7 +307,7 @@ def test_shifted_operator_is_derived_from_the_solved_one(monkeypatch, precon, bu
     ctx = SolverContext(config)
     assert len(calls) == 1
 
-    shifted = HelmholtzParams(k=10.0, epsilon=config.epsilon_prec, eta=10.0)
+    shifted = HelmholtzParams(k=10.0, epsilon=config.epsilon_prec)
     expected = assemble_global(ctx.mesh, shifted)
     assert len(handed) == 1
     for A_eps in (handed[0].tocsr(), ctx.precon.A_eps):
