@@ -21,7 +21,10 @@ summed in chunk order, so C does not depend on the worker count.
 The first S_STEP_PREFIX = 32 steps are single Arnoldi steps, the kernel's
 one-row case taken twice: classical Gram-Schmidt with one
 reorthogonalization (CGS2), which keeps the basis orthogonal to working
-precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
+precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  Each
+chunk subtracts the first pass and forms its part of the second C in one
+task, so a step sweeps the basis three times, not four, bitwise as two
+passes made one after the other.
 Later steps come in blocks of S_STEP_BLOCK = 8 (Hoemmen,
 *Communication-avoiding Krylov subspace methods*, PhD thesis, UC Berkeley
 2010):
@@ -206,24 +209,35 @@ def _leja_order(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
-def _project_out(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """C = V^H P, then P -= V C in place, for the basis rows V and the block
-    rows P: one numpy.matmul per column chunk c (pool.blocks) for each product,
-    on pool.run, the partial conj(P_c) V_c^T of C summed in chunk order.
-    Returns C."""
+def _project_out(basis: np.ndarray, block: np.ndarray, passes: int = 1) -> np.ndarray:
+    """C = V^H P, then P -= V C in place, passes times, for the basis rows V
+    and the block rows P; returns the sum of the C.  Each sweep of the basis
+    is one pool.run over its column chunks c (pool.blocks), one numpy.matmul
+    per product and chunk: a chunk subtracts the previous C, if any, and then
+    forms its part conj(P_c) V_c^T of the next C, if any.  The parts are
+    summed in chunk order.  So passes=2 (CGS2) sweeps the basis three times
+    and gives bitwise two calls with passes=1.
+    """
     chunks = pool.blocks(basis.shape[1], 16 * S_STEP_BLOCK)
     work = [c.stop - c.start for c in chunks]
-    partial = pool.run(lambda c: block[:, chunks[c]].conj() @ basis[:, chunks[c]].T, work)
-    coef = partial[0]
-    for term in partial[1:]:
-        coef += term
-    coef = coef.conj().T
+    coef = total = None
+    for sweep in range(passes + 1):
 
-    def subtract(c):
-        block[:, chunks[c]] -= coef.T @ basis[:, chunks[c]]
+        def project(c):
+            cols = chunks[c]
+            if coef is not None:
+                block[:, cols] -= coef.T @ basis[:, cols]
+            if sweep < passes:
+                return block[:, cols].conj() @ basis[:, cols].T
 
-    pool.run(subtract, work)
-    return coef
+        partial = pool.run(project, work)
+        if sweep == passes:
+            return total
+        coef = partial[0]
+        for term in partial[1:]:
+            coef += term
+        coef = coef.conj().T
+        total = coef if total is None else total + coef
 
 
 def _newton_block(
@@ -430,8 +444,8 @@ def gmres(
                     block_end = j + s
                     block_counts["one_projection" if projections == 1 else "two_projections"] += 1
         if j >= block_end:
-            for _ in range(2):  # CGS2: the one-row case of the block's two projections
-                H_arnoldi[: j + 1, j] += _project_out(V[: j + 1], w[None])[:, 0]
+            # CGS2: the one-row case of the block's two projections, fused into three sweeps
+            H_arnoldi[: j + 1, j] = _project_out(V[: j + 1], w[None], passes=2)[:, 0]
             H_arnoldi[j + 1, j] = np.linalg.norm(w)
         H[: j + 2, j] = H_arnoldi[: j + 2, j]
         nw = H[j + 1, j].real

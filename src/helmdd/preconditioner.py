@@ -17,12 +17,15 @@ gathered from and prolonged to its dofs in the representative's vertex order
 (in 3d its nested-dissection order), the class gathers of congruence_classes;
 a member with the representative's key has bitwise its matrix, a mirrored or
 axis-swapped one its matrix to rounding (about 1e-16).  The class LUs run on
-pool.run, and so do the local solves, in blocks cut by pool.blocks.
+pool.run, and so do the local solves, in blocks cut by pool.blocks.  A class
+of at most DENSE_LOCAL_DOFS dofs per box is solved through its dense inverse,
+one matmul per block; larger ones through their LU.  The hybrid form reads
+the Galerkin products A_eps Z and Z* A_eps that the coarse space keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +48,10 @@ __all__ = [
 ]
 
 EIG_RESIDUAL_TOL = 1e-8
+# A width class of at most this many dofs per box keeps its dense A_local^{-1} (1 MiB at
+# 256) and applies it by matmul.  Per column, SuperLU against the dense product measured
+# 5.2 against 2.9 us at 144 dofs and 15.7 against 18.1 us at 361 dofs (2d k = 40).
+DENSE_LOCAL_DOFS = 256
 # n_G x n_G complex arrays a DtN orbit holds at once: A_GG, M_GG, S, and in generalized_eig
 # and its residual check L, C, eig's copy of C, its vectors and the mapped vectors
 DTN_SQUARE_ARRAYS = 8
@@ -102,13 +109,17 @@ class OneLevelORAS:
     classes[c] is width class c, whose (members, n_local) arrays dofs and pou
     hold its members' global dofs and partition-of-unity weights, each row in
     the representative's numbering (see congruence_classes), and
-    factorizations[c] is their shared LU.  Each class is cut by pool.blocks
-    into fixed blocks of members, at most pool.BLOCK_BYTES of right-hand sides
-    each; apply stacks R_j v of a block as the columns of one
-    multi-right-hand-side solve and scatters every result back through the
-    weighted prolongation [R~_j^T ...], an n x sum_j n_j sparse matrix built
-    once.  pool.run solves the blocks concurrently, by work fill x columns.
-    They do not depend on the worker count, so neither does the result.
+    factorizations[c] is their shared LU.  A class of at most
+    DENSE_LOCAL_DOFS dofs per box is solved through A_local^{-T}, its LU
+    applied to the identity and transposed, kept in inverses[c] (None for a
+    larger class).  Each class is cut by pool.blocks into fixed blocks of
+    members, at most pool.BLOCK_BYTES of right-hand sides each; apply stacks
+    R_j v of a block as the rows of one matmul with A_local^{-T}, or as the
+    columns of one multi-right-hand-side LU solve, and scatters every result
+    back through the weighted prolongation [R~_j^T ...], an n x sum_j n_j
+    sparse matrix built once.  pool.run solves the blocks concurrently, by
+    work n_local^2 (dense) or fill (LU) x columns.  They do not depend on the
+    worker count, so neither does the result.
     """
 
     def __init__(self, n: int, classes: list, factorizations: list):
@@ -119,24 +130,35 @@ class OneLevelORAS:
             (weights.astype(np.complex128), (rows, np.arange(len(rows)))),
             shape=(n, len(rows)),
         )
-        # (LU, gather, start, stop) per block: v[gather].T is its stacked R_j v
-        # and its solutions fill out[start:stop]
+        self.inverses = [
+            lu.solve(np.eye(cls.dofs.shape[1])).T.copy()
+            if cls.dofs.shape[1] <= DENSE_LOCAL_DOFS
+            else None
+            for lu, cls in zip(factorizations, classes)
+        ]
+        # (A_local^{-T} or LU, gather, start, stop) per block: v[gather] stacks its R_j v
+        # as rows and its solutions fill out[start:stop]
         self._tasks = []
+        self._work = []
         start = 0
-        for lu, cls in zip(factorizations, classes):
+        for lu, inverse, cls in zip(factorizations, self.inverses, classes):
             members, n_local = cls.dofs.shape
+            kernel, cost = (lu, lu.fill) if inverse is None else (inverse, n_local**2)
             for block in pool.blocks(members, 16 * n_local):
                 dofs = cls.dofs[block]
-                self._tasks.append((lu, dofs, start, start + dofs.size))
+                self._tasks.append((kernel, dofs, start, start + dofs.size))
+                self._work.append(cost * len(dofs))
                 start += dofs.size
-        self._work = [lu.fill * len(dofs) for lu, dofs, _, _ in self._tasks]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(self._prolong.shape[1], dtype=np.complex128)
 
         def solve(t):
-            lu, dofs, start, stop = self._tasks[t]
-            out[start:stop] = lu.solve(v[dofs].T).ravel(order="F")
+            kernel, dofs, start, stop = self._tasks[t]
+            if isinstance(kernel, np.ndarray):  # row j of the product: member j's solution
+                np.matmul(v[dofs], kernel, out=out[start:stop].reshape(dofs.shape))
+            else:
+                out[start:stop] = kernel.solve(v[dofs].T).ravel(order="F")
 
         pool.run(solve, self._work)
         return self._prolong @ out
@@ -180,41 +202,53 @@ def build_one_level(
 
 @dataclass(eq=False)
 class CoarseSpace:
-    """Coarse basis Z and the factorization of the Galerkin matrix E = Z* A_eps Z."""
+    """Coarse basis Z, the Galerkin products AZ = A_eps Z and ZhA = Z* A_eps of
+    the shifted operator A_eps, and the LU of E = Z* (A_eps Z).
+
+    A CSR copy of Z* forms ZhA and E and is then dropped: Z* v is formed from
+    Z's rows as conj(conj(v) Z), measured bitwise equal to the product with
+    that copy on the DtN and grid coarse spaces of the benchmark, at 9.2 MB
+    less memory for the 2d k = 40 DtN space.
+    """
 
     kind: str
     Z: sp.csr_matrix
-    E_fact: SparseFactorization
+    A_eps: InitVar[sp.spmatrix]
     # one record per orbit (dtn): canonical key, number of members, count and
     # [re, im] of the selected eigenvalues, and min |Re(lambda) - k| / k over
     # the whole computed spectrum
     selection_margin: list | None = None
 
-    _Zh: sp.csr_matrix = field(init=False, default=None)
+    AZ: sp.csr_matrix = field(init=False)
+    ZhA: sp.csr_matrix = field(init=False)
+    E_fact: SparseFactorization = field(init=False)
 
-    def __post_init__(self):
-        self._Zh = self.Z.conj().T.tocsr()
+    def __post_init__(self, A_eps):
+        Zh = self.Z.conj().T.tocsr()
+        self.AZ = (A_eps @ self.Z).tocsr()
+        self.ZhA = Zh @ A_eps
+        try:
+            self.E_fact = factorize((Zh @ self.AZ).tocsc())
+        except Exception as exc:
+            raise PreconditionerError(f"coarse matrix E is singular: {exc}") from exc
 
     @property
     def n_cs(self) -> int:
         return self.Z.shape[1]
 
+    def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
+        """Z* v."""
+        return (v.conj() @ self.Z).conj()
+
     def coarse_apply(self, v: np.ndarray) -> np.ndarray:
-        """Xi v = Z E^{-1} Z* v."""
-        return self.Z @ self.E_fact.solve(self._Zh @ v)
+        """Xi v = Z E^{-1} Z* v, the additive form's coarse correction."""
+        return self.Z @ self.E_fact.solve(self.adjoint_apply(v))
 
     def summary(self) -> dict:
         out = {"kind": self.kind, "n_cs": int(self.n_cs)}
         if self.selection_margin is not None:
             out["selection_margin"] = self.selection_margin
         return out
-
-
-def _galerkin_lu(Z: sp.spmatrix, A_eps: sp.spmatrix) -> SparseFactorization:
-    try:
-        return factorize((Z.conj().T @ (A_eps @ Z)).tocsc())
-    except Exception as exc:
-        raise PreconditionerError(f"coarse matrix E is singular: {exc}") from exc
 
 
 def build_grid_cs(
@@ -226,7 +260,7 @@ def build_grid_cs(
     problem (boundary term through the Galerkin product).
     """
     Z = interpolation_matrix(coarse_mesh, fine_mesh).astype(np.complex128)
-    return CoarseSpace(kind="grid", Z=Z, E_fact=_galerkin_lu(Z, A_eps))
+    return CoarseSpace(kind="grid", Z=Z, A_eps=A_eps)
 
 
 def build_dtn_cs(
@@ -343,36 +377,30 @@ def build_dtn_cs(
     col_nnz = np.diff(Z.tocsc().indptr)
     if (col_nnz == 0).any():
         raise PreconditionerError("DtN coarse space contains a zero column")
-    return CoarseSpace(
-        kind="dtn",
-        Z=Z,
-        E_fact=_galerkin_lu(Z, A_eps),
-        selection_margin=records,
-    )
+    return CoarseSpace(kind="dtn", Z=Z, A_eps=A_eps, selection_margin=records)
 
 
 class TwoLevelPreconditioner:
-    """Additive (M1 + Xi) or hybrid (Q M1 P + Xi) two-level composition."""
+    """Additive (M1 + Xi) or hybrid (Q M1 P + Xi) two-level composition.
 
-    def __init__(
-        self,
-        one_level: OneLevelORAS,
-        coarse: CoarseSpace,
-        mode: str,
-        A_eps: sp.spmatrix,
-    ):
+    The hybrid form Q M1 P v + Xi v, with P = I - A_eps Xi and Q = I - Xi A_eps,
+    is t + Z (c_1 - c_2) for c_1 = E^{-1} Z* v, t = M1 (v - (A_eps Z) c_1) and
+    c_2 = E^{-1} (Z* A_eps) t, from the coarse space's Galerkin products: four
+    sparse products and two E solves per apply.
+    """
+
+    def __init__(self, one_level: OneLevelORAS, coarse: CoarseSpace, mode: str):
         if mode not in ("additive", "hybrid"):
             raise PreconditionerError(f"mode must be 'additive' or 'hybrid', got {mode!r}")
         self.one_level = one_level
         self.coarse = coarse
         self.mode = mode
-        self.A_eps = A_eps.tocsr()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        xi_v = self.coarse.coarse_apply(v)
+        coarse = self.coarse
         if self.mode == "additive":
-            return self.one_level.apply(v) + xi_v
-        pv = v - self.A_eps @ xi_v
-        t = self.one_level.apply(pv)
-        qt = t - self.coarse.coarse_apply(self.A_eps @ t)
-        return qt + xi_v
+            return self.one_level.apply(v) + coarse.coarse_apply(v)
+        c1 = coarse.E_fact.solve(coarse.adjoint_apply(v))
+        t = self.one_level.apply(v - coarse.AZ @ c1)
+        c2 = coarse.E_fact.solve(coarse.ZhA @ t)
+        return t + coarse.Z @ (c1 - c2)

@@ -177,8 +177,7 @@ class SolverContext:
                         config.selection,
                         A_eps,
                     )
-                self.precon = TwoLevelPreconditioner(
-                    self.one_level, self.coarse, config.mode, A_eps)
+                self.precon = TwoLevelPreconditioner(self.one_level, self.coarse, config.mode)
         t2 = time.perf_counter()
         self.timings = {"assembly": t1 - t0, "setup": t2 - t1}
 

@@ -48,8 +48,8 @@ REFERENCE_DTN_NCS = {
 }
 PRECONS = ("one_level", "two_level_grid", "two_level_dtn")
 # per-seed iteration counts of the 33-solve grid (seeds 0, 1, 2), held fixed between
-# versions; the 2d one_level solves at k = 20 and 40 and the k = 40 grid solves pass
-# step 64, where GMRES turns to s-step blocks
+# versions; the 2d one_level solves and the k = 20 and 40 grid solves pass step 32
+# (S_STEP_PREFIX), where GMRES turns to s-step blocks
 PINNED_ITERS = {
     # (k, alpha): {precon: iterations per seed}
     (10, 0.8): {"one_level": [42, 42, 41], "two_level_grid": [23, 24, 23], "two_level_dtn": [12, 13, 12]},
@@ -197,7 +197,7 @@ def test_criterion_2_oracle_equivalence():
 
     one = build_one_level(mesh, dec, k, k)
     cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("fixed", 2), A_eps)
-    two = TwoLevelPreconditioner(one, cs, "hybrid", A_eps)
+    two = TwoLevelPreconditioner(one, cs, "hybrid")
     Z = cs.Z.toarray()
     A = A_eps.toarray()
     Xi = Z @ np.linalg.solve(Z.conj().T @ (A @ Z), Z.conj().T)

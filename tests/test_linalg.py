@@ -79,7 +79,7 @@ def test_factorize_class_robin_matrix_against_dense_solve():
 def test_factorize_dtn_coarse_matrix_against_dense_solve():
     ctx = SolverContext(SolveConfig(dim=2, k=10.0, alpha=1.0, precon="two_level_dtn"))
     Z = ctx.precon.coarse.Z
-    E = (Z.conj().T @ (ctx.precon.A_eps @ Z)).tocsc()
+    E = (Z.conj().T @ ctx.precon.coarse.AZ).tocsc()
     # E = Z* A_eps Z has A_eps's symmetric pattern but not symmetric values
     pattern = (E != 0).astype(np.int8)
     assert (pattern != pattern.T).nnz == 0
@@ -401,20 +401,21 @@ def test_gmres_accepts_a_strided_operator_result():
 
 
 def record_single_steps(monkeypatch):
-    """Basis sizes j+1 of the one-row projections gmres makes from now on (two per
-    single step); every projection, one row or a block, must sweep the basis in
-    chunks of 8,192 columns."""
+    """Basis sizes j+1 of the fused CGS2 projections gmres makes from now on (one per
+    single step, of one row); every projection, one row or a block, must sweep the
+    basis in chunks of 8,192 columns."""
     sizes, cuts = [], []
     project_out, blocks = linalg._project_out, pool.blocks
 
-    def recorded(basis, block):
+    def recorded(basis, block, passes=1):
         cuts.clear()
-        coef = project_out(basis, block)
+        coef = project_out(basis, block, passes)
         n = basis.shape[1]
         assert [[c.stop - c.start for c in cut] for cut in cuts] == [
             [min(8192, n - lo) for lo in range(0, n, 8192)]
         ]
-        if len(block) == 1:
+        if passes == 2:
+            assert len(block) == 1
             sizes.append(len(basis))
         return coef
 
@@ -490,6 +491,15 @@ def test_block_sweeps_over_column_chunks_match_the_dense_products(monkeypatch):
             expected = V[rows : rows + p] - oracle[:, :p].T @ basis
             np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13)
             results.setdefault(p, []).append(coef.tobytes() + block.tobytes())
+            # CGS2 fused into three sweeps: bitwise two single passes, one after the other
+            fused, twice = V[rows : rows + p].copy(), V[rows : rows + p].copy()
+            plans.clear()
+            coef = linalg._project_out(basis, fused, passes=2)
+            assert len(plans) == 3
+            first = linalg._project_out(basis, twice)
+            assert coef.tobytes() == (first + linalg._project_out(basis, twice)).tobytes()
+            assert fused.tobytes() == twice.tobytes()
+            results.setdefault(-p, []).append(coef.tobytes() + fused.tobytes())
     assert all(r[1] == r[0] and r[2] == r[0] for r in results.values())
 
 

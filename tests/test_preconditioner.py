@@ -18,7 +18,12 @@ from helmdd.assembly import (
 )
 from helmdd.decomposition import build_decomposition, congruence_classes, nested_dissection
 from helmdd.linalg import gmres, random_initial_guess
-from helmdd.mesh import build_uniform_mesh, fine_resolution, interpolation_matrix
+from helmdd.mesh import (
+    build_uniform_mesh,
+    fine_resolution,
+    interpolation_matrix,
+    subdomains_per_dimension,
+)
 from helmdd.pool import BLOCK_BYTES
 from helmdd.preconditioner import (
     PreconditionerError,
@@ -145,13 +150,24 @@ SPLIT_SETUPS = [
 
 
 def serial_one_level(mesh, dec, one):
-    """The apply of one solve per class: _prolong @ concatenate(lu.solve(v[g].T))."""
+    """The apply made in the caller, class after class: one LU solve of the class's
+    gathers, lu.solve(v[g].T), or for a class kept as a dense inverse one product
+    v[g[b]] @ A_local^{-T} per block b of pool.blocks; then _prolong @ the solutions."""
     numbering = nested_dissection if mesh.dim == 3 else None  # that of build_one_level
     classes = congruence_classes(dec, sides=False, numbering=numbering)
-    gathers = [cls.dofs for cls in classes]
-    return lambda v: one._prolong @ np.concatenate(
-        [lu.solve(v[g].T).ravel(order="F") for lu, g in zip(one.factorizations, gathers)]
-    )
+
+    def apply(v):
+        parts = []
+        for lu, inverse, cls in zip(one.factorizations, one.inverses, classes, strict=True):
+            g = cls.dofs
+            if inverse is None:
+                parts.append(lu.solve(v[g].T).ravel(order="F"))
+            else:
+                blocks = pool.blocks(len(g), 16 * g.shape[1])
+                parts.extend((v[g[b]] @ inverse).ravel() for b in blocks)
+        return one._prolong @ np.concatenate(parts)
+
+    return apply
 
 
 @pytest.mark.parametrize("dim, m, n1d, k", SPLIT_SETUPS)
@@ -217,9 +233,10 @@ def test_concurrent_class_lus_solve_bitwise_as_serial_ones(monkeypatch, dim, m, 
 
 
 def synthetic_one_level(fills, shapes):
-    """OneLevelORAS over stand-in LUs and classes: the dofs of class c count up
-    from the end of class c - 1, so they are the columns of the stacked solution."""
-    lus = [SimpleNamespace(fill=fill) for fill in fills]
+    """OneLevelORAS over stand-in LUs, whose solve is the identity, and classes: the
+    dofs of class c count up from the end of class c - 1, so they are the columns
+    of the stacked solution."""
+    lus = [SimpleNamespace(fill=fill, solve=lambda b: b) for fill in fills]
     offsets = np.cumsum([0] + [members * n_local for members, n_local in shapes])
     classes = [
         SimpleNamespace(dofs=np.arange(lo, hi).reshape(shape), pou=np.ones(shape))
@@ -242,14 +259,18 @@ def test_local_solve_plan_covers_every_member_once(monkeypatch, fills, shapes, w
     def tasks_at(count):
         monkeypatch.setattr(pool, "LOCAL_SOLVE_WORKERS", count)
         one = synthetic_one_level(fills, shapes)
-        shares = [[one._tasks[t] for t in share] for share in pool._plan(one._work, count)]
-        assert 1 <= len(shares) <= count and all(shares)
-        return shares, [task for share in shares for task in share]
+        plan = pool._plan(one._work, count)
+        assert 1 <= len(plan) <= count and all(plan)
+        return one, plan, [one._tasks[t] for share in plan for t in share]
 
-    shares, tasks = tasks_at(workers)
+    one, plan, tasks = tasks_at(workers)
+    # a class of at most DENSE_LOCAL_DOFS dofs solves by its dense inverse, of work
+    # n_local^2 per member, a larger one by its LU, of work fill per member
+    dense = [n_local <= preconditioner.DENSE_LOCAL_DOFS for _, n_local in shapes]
+    assert [inverse is not None for inverse in one.inverses] == dense
     # the blocks are cut per class, the same as with one worker
     cut = sorted((start, stop) for _, _, start, stop in tasks)
-    assert cut == sorted((start, stop) for _, _, start, stop in tasks_at(1)[1])
+    assert cut == sorted((start, stop) for _, _, start, stop in tasks_at(1)[2])
     # every member lies in exactly one block (the first dof of row j names member j)
     firsts = sorted(int(dofs[j, 0]) for _, dofs, _, _ in tasks for j in range(len(dofs)))
     n_local = [n for members, n in shapes for _ in range(members)]
@@ -257,10 +278,34 @@ def test_local_solve_plan_covers_every_member_once(monkeypatch, fills, shapes, w
     for _, dofs, _, _ in tasks:
         assert len(dofs) == 1 or dofs.size * 16 <= BLOCK_BYTES
     # LPT: no share exceeds its quota by more than the largest task
-    work = [[lu.fill * len(dofs) for lu, dofs, _, _ in share] for share in shares]
-    total = sum(fill * members for fill, (members, _) in zip(fills, shapes))
+    work = [[one._work[t] for t in share] for share in plan]
+    cost = [n_local**2 if d else fill for d, fill, (_, n_local) in zip(dense, fills, shapes)]
+    total = sum(c * members for c, (members, _) in zip(cost, shapes))
     assert sum(map(sum, work)) == total
     assert max(map(sum, work)) <= total / workers + max(map(max, work))
+
+
+@pytest.mark.parametrize("k", [10.0, 20.0, 40.0])
+def test_dense_local_inverses_match_the_class_lus(k):
+    # every 2d width class of at most DENSE_LOCAL_DOFS dofs at alpha = 0.6, 0.8 and 1
+    # (49 to 256 dofs) against its SuperLU solve on the gathers of a random vector:
+    # measured 9.5e-16 relative at most
+    dense = 0
+    for alpha in (0.6, 0.8, 1.0):
+        n1d = subdomains_per_dimension(k, alpha)
+        mesh = build_uniform_mesh(2, fine_resolution(k, n1d))
+        dec = build_decomposition(mesh, n1d, 2)
+        one = build_one_level(mesh, dec, k, k)
+        classes = congruence_classes(dec, sides=False)
+        v = random_initial_guess(mesh.n_vertices, int(k))
+        for lu, inverse, cls in zip(one.factorizations, one.inverses, classes, strict=True):
+            assert (inverse is None) == (cls.dofs.shape[1] > preconditioner.DENSE_LOCAL_DOFS)
+            if inverse is not None:
+                dense += 1
+                expected = lu.solve(v[cls.dofs].T).T
+                error = np.abs(v[cls.dofs] @ inverse - expected).max() / np.abs(expected).max()
+                assert error <= 1e-13
+    assert dense == {10.0: 9, 20.0: 6, 40.0: 3}[k]
 
 
 def test_one_level_tasks_fill_the_stacked_solution_once(monkeypatch):
@@ -321,7 +366,7 @@ def test_grid_cs_identity_when_coarse_equals_fine():
     mesh, dec, A_eps = toy_setup()
     cs = build_grid_cs(mesh, mesh, A_eps)
     one = build_one_level(mesh, dec, 6.0, 6.0)
-    two = TwoLevelPreconditioner(one, cs, "hybrid", A_eps)
+    two = TwoLevelPreconditioner(one, cs, "hybrid")
     b = np.ones(mesh.n_vertices, dtype=complex)
     out = gmres(A_eps, b, apply_M=two.apply, tol=1e-8)
     assert out.converged and out.iterations <= 2
@@ -470,7 +515,7 @@ def test_two_level_hybrid_matches_dense_oracle():
     mesh, dec, A_eps = toy_setup()
     one = build_one_level(mesh, dec, 6.0, 6.0)
     cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
-    two = TwoLevelPreconditioner(one, cs, "hybrid", A_eps)
+    two = TwoLevelPreconditioner(one, cs, "hybrid")
 
     M1 = dense_one_level(mesh, p1_oracle.subdomains(mesh, 2, 2), 6.0, 6.0)
     Z = cs.Z.toarray()
@@ -492,11 +537,36 @@ def test_two_level_additive_is_one_level_plus_coarse():
     mesh, dec, A_eps = toy_setup()
     one = build_one_level(mesh, dec, 6.0, 6.0)
     cs = build_grid_cs(build_uniform_mesh(2, 2), mesh, A_eps)
-    two = TwoLevelPreconditioner(one, cs, "additive", A_eps)
+    two = TwoLevelPreconditioner(one, cs, "additive")
     rng = np.random.default_rng(3)
     v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
-    ref = one.apply(v) + cs.coarse_apply(v)
-    np.testing.assert_allclose(two.apply(v), ref, atol=1e-14 * np.abs(ref).max())
+    assert two.apply(v).tobytes() == (one.apply(v) + cs.coarse_apply(v)).tobytes()
+    # Z* v from Z's rows is bitwise the product with a CSR copy of Z*
+    xi_v = cs.Z @ cs.E_fact.solve(cs.Z.conj().T.tocsr() @ v)
+    assert two.apply(v).tobytes() == (one.apply(v) + xi_v).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dtn", "grid"])
+def test_hybrid_from_the_galerkin_products_matches_the_projector_form(kind):
+    # t + Z (c_1 - c_2) from the cached A_eps Z and Z* A_eps against Q M1 P v + Xi v with
+    # P and Q applied through A_eps and coarse_apply: measured 2.1e-15 (dtn) and 8.1e-16
+    # (grid) relative, on the dense local path
+    k = 10.0
+    mesh, dec, A_eps = sharing_setup(k)
+    one = build_one_level(mesh, dec, k, k)
+    if kind == "dtn":
+        cs = build_dtn_cs(mesh, dec, k, k, SelectionPolicy("automatic"), A_eps)
+    else:
+        cs = build_grid_cs(build_uniform_mesh(2, 6), mesh, A_eps)
+    two = TwoLevelPreconditioner(one, cs, "hybrid")
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
+        xi_v = cs.coarse_apply(v)
+        t = one.apply(v - A_eps @ xi_v)
+        expected = t - cs.coarse_apply(A_eps @ t) + xi_v
+        error = np.abs(two.apply(v) - expected).max() / np.abs(expected).max()
+        assert error <= 1e-13
 
 
 def test_two_level_rejects_unknown_mode():
@@ -504,7 +574,7 @@ def test_two_level_rejects_unknown_mode():
     one = build_one_level(mesh, dec, 6.0, 6.0)
     cs = build_grid_cs(build_uniform_mesh(2, 2), mesh, A_eps)
     with pytest.raises(PreconditionerError):
-        TwoLevelPreconditioner(one, cs, "deflated", A_eps)
+        TwoLevelPreconditioner(one, cs, "deflated")
 
 
 def test_hybrid_projection_annihilates_coarse_residual():
@@ -524,7 +594,7 @@ def test_two_level_apply_linearity():
     one = build_one_level(mesh, dec, 6.0, 6.0)
     cs = build_dtn_cs(mesh, dec, 6.0, 6.0, SelectionPolicy("fixed", 2), A_eps)
     for mode in ("additive", "hybrid"):
-        two = TwoLevelPreconditioner(one, cs, mode, A_eps)
+        two = TwoLevelPreconditioner(one, cs, mode)
         rng = np.random.default_rng(5)
         u = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)
         v = rng.standard_normal(mesh.n_vertices) + 1j * rng.standard_normal(mesh.n_vertices)

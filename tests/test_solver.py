@@ -153,7 +153,7 @@ def test_report_serialization(tmp_path):
     coarse = ctx.precon.coarse.E_fact.fill
     assert parsed["lu_fill_nnz"] == data["lu_fill_nnz"] == {"local": local, "coarse": coarse}
     Z = ctx.precon.coarse.Z
-    assert local > 0 and coarse >= (Z.conj().T @ (ctx.precon.A_eps @ Z)).nnz
+    assert local > 0 and coarse >= (Z.conj().T @ ctx.precon.coarse.AZ).nnz
     one_level = solve(SolveConfig(dim=2, k=10.0, alpha=0.6, precon="one_level")).to_dict()
     assert one_level["lu_fill_nnz"] == {"local": local, "coarse": 0}
     # one Robin LU per width class of the 3 x 3 boxes, and one margin entry per orbit
@@ -286,9 +286,10 @@ def test_report_schema(precon, extra):
     "precon,builder", [("two_level_grid", "build_grid_cs"), ("two_level_dtn", "build_dtn_cs")]
 )
 def test_shifted_operator_is_derived_from_the_solved_one(monkeypatch, precon, builder):
-    # A_eps = A_0 - i eps_prec M is handed to the coarse space and the two-level
-    # composition; it must be the assembled shifted problem to the last bit, and
-    # the context must assemble a global operator only once
+    # A_eps = A_0 - i eps_prec M is handed to the coarse space, which keeps A_eps Z and
+    # Z* A_eps for the hybrid composition; A_eps must be the assembled shifted problem to
+    # the last bit, so must those products be the ones formed from it, and the context
+    # must assemble a global operator only once
     calls, handed = [], []
 
     def counted(*args, **kwargs):
@@ -310,8 +311,14 @@ def test_shifted_operator_is_derived_from_the_solved_one(monkeypatch, precon, bu
     shifted = HelmholtzParams(k=10.0, epsilon=config.epsilon_prec)
     expected = assemble_global(ctx.mesh, shifted)
     assert len(handed) == 1
-    for A_eps in (handed[0].tocsr(), ctx.precon.A_eps):
-        np.testing.assert_array_equal(A_eps.indptr, expected.indptr)
-        np.testing.assert_array_equal(A_eps.indices, expected.indices)
+    coarse = ctx.precon.coarse
+    pairs = [
+        (handed[0].tocsr(), expected),
+        (coarse.AZ, expected @ coarse.Z),
+        (coarse.ZhA, coarse.Z.conj().T.tocsr() @ expected),
+    ]
+    for got, want in pairs:
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
         # compared as raw bits, so a signed zero counts as a difference
-        np.testing.assert_array_equal(A_eps.data.view(np.int64), expected.data.view(np.int64))
+        np.testing.assert_array_equal(got.data.view(np.int64), want.data.view(np.int64))
